@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-diff bench-all bench-smoke
+.PHONY: build test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-all bench-smoke
 
 build:
 	$(GO) build ./...
@@ -69,33 +69,21 @@ serve-cache-smoke:
 	$(GO) test -timeout 10m -count=1 -run 'TestServeCacheSmoke' -v ./cmd/wpserved/
 
 # check is the full CI gate.
-check: build vet lint race faults chaos serve-smoke serve-cache-smoke
+check: build vet lint race faults chaos serve-smoke serve-cache-smoke bench-smoke
 
-# bench runs the observability regression sweep: the fig1/fig4
-# workload cross-section under every wrong-path technique with metrics
-# and tracing enabled, recording instructions/sec per technique in
-# BENCH_obs.json (schema: obsbench_test.go). CI uploads the record on
-# every push so simulator or instrumentation slowdowns leave a trail.
+# bench runs the end-to-end benchmark (bench/, declared in
+# BENCHMARK.json) on one workload: simulation speed per technique,
+# accuracy against wpemul, and the traced per-layer breakdown (see
+# bench/README.md for the other workloads and the record schema).
 bench:
-	$(GO) test -run '^$$' -bench ObsSweep -benchtime 2x -obs-bench-out=BENCH_obs.json .
-	cat BENCH_obs.json
-	$(GO) test -run '^$$' -bench HotPath -benchtime 2x -hotpath-bench-out=BENCH_hotpath.json .
-	cat BENCH_hotpath.json
+	bash bench/run.sh --workload gap_irregular --seed 1 --seconds 20
 
-# bench-diff compares the hot-path record against the committed
-# pre-refactor baseline, failing if any technique regressed by more
-# than 10% (see cmd/benchdiff).
-bench-diff:
-	$(GO) run ./cmd/benchdiff -fail-below 10 BENCH_hotpath_baseline.json BENCH_hotpath.json
-
-# bench-all runs every benchmark in the module (slow; not a CI gate).
+# bench-all runs every component and paper benchmark in the root module
+# (slow; not a CI gate).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke runs a short fig1 sweep on the batch engine (one worker
-# per core) and records the wall clock in BENCH_fig1.json — a coarse
-# canary for batch-layer throughput regressions, not a calibrated
-# benchmark. CI runs it on every push.
+# bench-smoke vets and tests the benchmark module itself (its own go.mod
+# under bench/): the golden digests and record schema, in seconds.
 bench-smoke:
-	$(GO) run ./cmd/wpexp -exp fig1 -quick -jobs 0 -bench-out BENCH_fig1.json
-	cat BENCH_fig1.json
+	cd bench && $(GO) vet ./... && $(GO) test ./...

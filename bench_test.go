@@ -176,7 +176,7 @@ func BenchmarkWrongPathEmulation(b *testing.B) {
 	target := cpu.PC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu.WrongPathEmulate(target, 576)
+		cpu.AppendWrongPath(nil, target, 576)
 	}
 }
 

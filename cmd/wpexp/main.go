@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,11 +28,12 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/cliobs"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
+	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; report text identical at any size)")
 		verbose  = fs.Bool("v", false, "print one line per simulation run")
 		jobs     = fs.Int("jobs", 1, "batch worker count for independent simulations (0 = one per host core)")
-		benchOut = fs.String("bench-out", "", "write a JSON timing record for the run to this file")
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget per simulation (0 = disabled); stalled cells abort with a typed error")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry a cell one technique rung down instead of failing the sweep (degraded cells are annotated)")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed per cell (with -degrade)")
@@ -87,7 +86,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exitUsage
 	}
 
-	opt := experiments.Options{Out: stdout, Batch: *batch}
+	opt := experiments.Options{Out: stdout}
+	opt.Base.Config.Core = core.DefaultConfig()
+	opt.Base.Config.Core.Batch = *batch
 	if *quick {
 		opt.GAP = gap.TestParams()
 		opt.Spec = specproxy.TestParams()
@@ -112,13 +113,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opt.Progress = stderr
 	}
 	opt.Jobs = *jobs
-	opt.Watchdog = *watchdog
+	opt.Base.Config.Watchdog = *watchdog
 	if *degrade {
-		opt.MaxRetries = *retries
+		opt.Base.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
 	}
-	opt.CheckpointDir = *ckptDir
-	opt.CheckpointEvery = *ckptN
-	opt.Resume = *resume
+	opt.Base.Config.CheckpointDir = *ckptDir
+	opt.Base.Config.CheckpointEvery = *ckptN
+	opt.Base.Resume = *resume
 	if *cacheDir != "" {
 		cache, err := resultcache.New(*cacheDir, *cacheMax)
 		if err != nil {
@@ -133,10 +134,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// and snapshots stay resumable. A second signal kills outright.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opt.Ctx = ctx
+	opt.Base.Config.Ctx = ctx
 
 	var err error
-	if opt.Metrics, opt.Trace, err = obsFlags.Start(); err != nil {
+	if opt.Base.Config.Metrics, opt.Base.Config.Trace, err = obsFlags.Start(); err != nil {
 		fmt.Fprintf(stderr, "wpexp: observability: %v\n", err)
 		return exitFailure
 	}
@@ -152,13 +153,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}()
 
 	r := experiments.NewRunner(opt)
-	start := time.Now()
 	if *exp == "all" {
 		err = r.All()
 	} else {
 		err = r.Run(*exp)
 	}
-	wall := time.Since(start)
 	if err != nil && !errors.Is(err, simerr.ErrCanceled) {
 		fmt.Fprintf(stderr, "wpexp: %v\n", err)
 		return exitFailure
@@ -169,38 +168,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// outputs, and the Faulted check below exits annotated.
 		fmt.Fprintf(stderr, "wpexp: %v\n", err)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, *exp, *jobs, *quick, wall); err != nil {
-			fmt.Fprintf(stderr, "wpexp: writing %s: %v\n", *benchOut, err)
-			return exitFailure
-		}
-	}
 	// The report flushed, but some cells are annotated (DEGRADED or
 	// INCOMPLETE): tell CI without discarding the partial output.
 	if r.Faulted() {
 		return exitAnnotated
 	}
 	return exitClean
-}
-
-// benchRecord is the -bench-out JSON schema, consumed by the CI
-// bench-smoke step (make bench-smoke).
-type benchRecord struct {
-	Experiment  string  `json:"experiment"`
-	Jobs        int     `json:"jobs"`
-	Quick       bool    `json:"quick"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-func writeBench(path, exp string, jobs int, quick bool, wall time.Duration) error {
-	data, err := json.MarshalIndent(benchRecord{
-		Experiment:  exp,
-		Jobs:        jobs,
-		Quick:       quick,
-		WallSeconds: wall.Seconds(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -22,20 +22,18 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"repro/internal/checkpoint"
+	"repro/internal/batch"
 	"repro/internal/cliobs"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
-	"repro/internal/workloads"
 	"repro/internal/workloads/catalog"
 	"repro/internal/wrongpath"
 )
@@ -128,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "wpsim: %v\n", err)
 		return exitFailure
 	}
-	fault := faultOptions(*watchdog, *degrade, *retries)
 
 	metrics, tsink, err := obsFlags.Start()
 	if err != nil {
@@ -155,10 +152,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// (the default behavior NotifyContext restores after the first).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	obsLabel := *suite + "/" + *bench
+	req := sim.Request{Config: sim.Config{Core: cfg, MaxInsts: *maxInsts, WarmupInsts: *warmup,
+		ParallelFrontend: *parallel, Watchdog: *watchdog,
+		Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
+		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN},
+		Workload: &w, Resume: *resume}
+	if *degrade {
+		req.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
+	}
 
 	if *wp == "all" {
-		faulted, err := compareAll(ctx, stdout, cfg, w, *suite, *bench, *maxInsts, *warmup, *parallel, *jobs, fault, obsCfg{metrics, tsink, obsLabel}, *ckptDir, *ckptN)
+		faulted, err := compareAll(stdout, req, *suite, *bench, *jobs)
 		if err != nil {
 			fmt.Fprintf(stderr, "wpsim: %v\n", err)
 			return exitFailure
@@ -174,64 +178,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "wpsim: unknown wrong-path technique %q (have %s, all)\n", *wp, strings.Join(wrongpath.Names(), ", "))
 		return exitFailure
 	}
-
-	inst, err := w.Build()
-	if err != nil {
-		fmt.Fprintf(stderr, "wpsim: building %s/%s: %v\n", *suite, *bench, err)
-		return exitFailure
-	}
-	budget := *maxInsts
-	if budget == 0 {
-		budget = inst.SuggestedMaxInsts
-	}
-	simCfg := sim.Config{Core: cfg, WP: kind, MaxInsts: budget, WarmupInsts: *warmup,
-		ParallelFrontend: *parallel, Watchdog: fault.Watchdog, Degrade: fault.Degrade,
-		Metrics: metrics, Trace: tsink, ObsLabel: obsLabel,
-		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN}
-	var res *sim.Result
-	if simCfg.Degrade.Enabled() {
-		// Ladder path: the first attempt consumes the prebuilt instance,
-		// retries rebuild a fresh one. With -checkpoint-dir, retries (and
-		// re-runs over a non-empty directory) resume from the latest
-		// snapshot instead of from zero. An -inject drill arms only the
-		// first attempt, so the descent it forces happens exactly once.
-		first := inst
-		res, err = sim.RunLadder(simCfg, func(c sim.Config) (sim.Source, error) {
-			armed := first != nil
-			var src sim.Source
-			if armed {
-				i := first
-				first = nil
-				src = sim.NewFunctionalSource(c, i)
-			} else {
-				retry, err := w.Build()
-				if err != nil {
-					return nil, err
-				}
-				src = sim.NewFunctionalSource(c, retry)
-			}
-			if armed && drill != nil {
-				src = sim.WrapSource(src, drill)
-			}
-			return src, nil
-		})
-	} else {
-		snap := ""
-		if *resume && *ckptDir != "" {
-			// -resume over an empty or missing directory starts from zero
-			// (the first run of a crash-safe loop has nothing to resume).
-			snap, err = checkpoint.Latest(*ckptDir)
-			if err != nil {
-				fmt.Fprintf(stderr, "wpsim: finding latest snapshot in %s: %v\n", *ckptDir, err)
-				return exitFailure
-			}
-		}
-		if snap != "" {
-			res, err = sim.Resume(simCfg, inst, snap)
-		} else {
-			res, err = sim.Run(simCfg, inst)
-		}
-	}
+	req.Config.WP = kind
+	req.Wrap = drill
+	res, _, err := sim.Execute(req)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpsim: simulating: %v\n", err)
 		return exitFailure
@@ -243,11 +192,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return exitClean
 }
 
-// parseInject parses the -inject fault drill ("panic@N"). Drills
-// require -degrade (the whole point is watching the ladder recover) and
-// are incompatible with -checkpoint-dir (wrapped sources cannot
-// checkpoint — the injector's own state is not snapshottable).
-func parseInject(spec string, degrade bool, ckptDir string) (func(queue.Producer) queue.Producer, error) {
+// parseInject parses the -inject fault drill ("panic@N") into a source
+// hook that arms only the first attempt, so the descent it forces
+// happens exactly once. Drills require -degrade (the whole point is
+// watching the ladder recover) and are incompatible with
+// -checkpoint-dir (wrapped sources cannot checkpoint — the injector's
+// own state is not snapshottable).
+func parseInject(spec string, degrade bool, ckptDir string) (func(sim.Source, sim.Config) sim.Source, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -265,48 +216,48 @@ func parseInject(spec string, degrade bool, ckptDir string) (func(queue.Producer
 	if ckptDir != "" {
 		return nil, fmt.Errorf("-inject is incompatible with -checkpoint-dir (wrapped sources cannot checkpoint)")
 	}
-	return func(p queue.Producer) queue.Producer {
-		return faultinject.PanicAt(p, n, "injected fault drill (-inject)")
+	armed := true
+	return func(src sim.Source, _ sim.Config) sim.Source {
+		if !armed {
+			return src
+		}
+		armed = false
+		return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
+			return faultinject.PanicAt(p, n, "injected fault drill (-inject)")
+		})
 	}, nil
 }
 
-// obsCfg threads the observability outputs into the comparison run.
-type obsCfg struct {
-	metrics *obs.Registry
-	trace   *obs.TraceSink
-	label   string
-}
-
-// faultConfig bundles the fault-tolerance flags for threading into
-// sim.Config.
-type faultConfig struct {
-	Watchdog time.Duration
-	Degrade  sim.DegradePolicy
-}
-
-func faultOptions(watchdog time.Duration, degrade bool, retries int) faultConfig {
-	fc := faultConfig{Watchdog: watchdog}
-	if degrade {
-		fc.Degrade = sim.DegradePolicy{MaxRetries: retries}
-	}
-	return fc
-}
-
-// compareAll runs the workload under every technique (in
+// compareAll runs the request under every technique (in
 // wrongpath.Kinds() order) on the batch engine and prints a one-line
 // comparison per kind, with wpemul as the error reference. It returns
 // whether any cell carries a fault annotation — the caller turns that
 // into a nonzero exit after the full table has printed.
-func compareAll(ctx context.Context, stdout io.Writer, cfg core.Config, w workloads.Workload, suite, bench string, maxInsts, warmup uint64, parallel bool, jobs int, fault faultConfig, oc obsCfg, ckptDir string, ckptN uint64) (bool, error) {
+func compareAll(stdout io.Writer, req sim.Request, suite, bench string, jobs int) (bool, error) {
 	kinds := wrongpath.Kinds()
-	simCfg := sim.Config{Core: cfg, MaxInsts: maxInsts, WarmupInsts: warmup, ParallelFrontend: parallel,
-		Watchdog: fault.Watchdog, Degrade: fault.Degrade,
-		Metrics: oc.metrics, Trace: oc.trace, ObsLabel: oc.label,
-		Ctx: ctx, CheckpointDir: ckptDir, CheckpointEvery: ckptN}
-	results, err := sim.RunKinds(simCfg, w, kinds, jobs)
-	if err != nil {
+	cells := make([]func() (*sim.Result, error), len(kinds))
+	for i, k := range kinds {
+		cells[i] = func() (*sim.Result, error) {
+			r := req
+			r.Config.WP = k
+			if dir := r.Config.CheckpointDir; dir != "" {
+				// One snapshot directory per technique: concurrent cells
+				// must never overwrite each other's snapshots, and a resume
+				// must find its own technique's file.
+				r.Config.CheckpointDir = filepath.Join(dir, k.String())
+			}
+			res, _, err := sim.Execute(r)
+			if err != nil {
+				return nil, fmt.Errorf("running %s/%s under %v: %w", suite, bench, k, err)
+			}
+			return res, nil
+		}
+	}
+	cellResults := batch.RunContext(req.Config.Ctx, cells, jobs)
+	if err := batch.FirstErr(cellResults); err != nil {
 		return false, err
 	}
+	results := batch.Values(cellResults)
 	var ref *sim.Result
 	for i, k := range kinds {
 		if k == wrongpath.WPEmul {

@@ -24,16 +24,15 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/batch"
-	"repro/internal/checkpoint"
 	"repro/internal/cliobs"
 	"repro/internal/frontend"
 	"repro/internal/functional"
-	"repro/internal/obs"
+	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/tracefile"
@@ -92,11 +91,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *record:
 		return runRecord(stdout, stderr, *suite, *bench, *out, *maxInsts)
 	case *replay != "":
-		return runReplay(stdout, stderr, &obsFlags, replayOptions{
-			path: *replay, wp: *wp, jobs: *jobs, maxInsts: *maxInsts, lane: *lane,
-			watchdog: *watchdog, degrade: *degrade, retries: *retries,
-			ckptDir: *ckptDir, ckptN: *ckptN, resume: *resume,
-		})
+		req := sim.Request{Config: sim.Default(wrongpath.NoWP), Resume: *resume}
+		cfg := &req.Config
+		cfg.MaxInsts, cfg.Core.Batch, cfg.Watchdog = *maxInsts, *lane, *watchdog
+		cfg.CheckpointDir, cfg.CheckpointEvery = *ckptDir, *ckptN
+		if *degrade {
+			// Ladder replay: every attempt replays a fresh reader over the
+			// same bytes; a corrupt tail keeps the valid prefix, and an
+			// unsupported technique (wpemul on a trace) runs a rung down.
+			cfg.Degrade = sim.DegradePolicy{MaxRetries: *retries}
+		}
+		return runReplay(stdout, stderr, &obsFlags, *replay, *wp, *jobs, req)
 	default:
 		fmt.Fprintln(stderr, "wptrace: need -record or -replay; see -h")
 		return exitUsage
@@ -153,26 +158,12 @@ func runRecord(stdout, stderr io.Writer, suite, bench, out string, maxInsts uint
 	return exitClean
 }
 
-// replayOptions bundles the replay-mode flags.
-type replayOptions struct {
-	path     string
-	wp       string
-	jobs     int
-	maxInsts uint64
-	lane     int
-	watchdog time.Duration
-	degrade  bool
-	retries  int
-	ckptDir  string
-	ckptN    uint64
-	resume   bool
-}
-
-// runReplay replays the trace. The observability lifecycle is a
-// named-return defer, so -metrics-out/-trace-out flush before every
+// runReplay replays the trace at path under req (technique wp, or every
+// supported one on jobs workers for "all"). The observability lifecycle
+// is a named-return defer, so -metrics-out/-trace-out flush before every
 // exit — a degraded or faulted replay's metrics are kept, and a flush
 // failure hardens the exit to 1.
-func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions) (code int) {
+func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, path, wp string, jobs int, req sim.Request) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "wptrace:", err)
 		return exitFailure
@@ -193,8 +184,16 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	if o.wp == "all" {
-		faulted, err := replayAll(ctx, stdout, o.path, o.maxInsts, o.jobs, o.watchdog, metrics, tsink)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fail(err)
+	}
+	req.Trace = func() (queue.Producer, error) { return tracefile.NewReader(bytes.NewReader(data)) }
+	req.Config.Metrics, req.Config.Trace, req.Config.ObsLabel = metrics, tsink, "trace:"+path
+	req.Config.Ctx = ctx
+
+	if wp == "all" {
+		faulted, err := replayAll(stdout, req, jobs)
 		if err != nil {
 			return fail(err)
 		}
@@ -203,57 +202,14 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 		}
 		return exitClean
 	}
-	kind, ok := wrongpath.ParseKind(o.wp)
+	kind, ok := wrongpath.ParseKind(wp)
 	if !ok {
-		return fail(fmt.Errorf("unknown technique %q (have %s, all)", o.wp, strings.Join(wrongpath.Names(), ", ")))
+		return fail(fmt.Errorf("unknown technique %q (have %s, all)", wp, strings.Join(wrongpath.Names(), ", ")))
 	}
-	data, err := os.ReadFile(o.path)
+	req.Config.WP = kind
+	res, _, err := sim.Execute(req)
 	if err != nil {
 		return fail(err)
-	}
-	cfg := sim.Default(kind)
-	cfg.MaxInsts = o.maxInsts
-	cfg.Core.Batch = o.lane
-	cfg.Watchdog = o.watchdog
-	cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+o.path
-	cfg.Ctx, cfg.CheckpointDir, cfg.CheckpointEvery = ctx, o.ckptDir, o.ckptN
-	var res *sim.Result
-	if o.degrade {
-		// Ladder replay: every attempt replays a fresh reader over the
-		// same bytes; a corrupt tail keeps the valid prefix, and an
-		// unsupported technique (wpemul on a trace) runs a rung down.
-		// With -checkpoint-dir, retries resume from the last snapshot.
-		cfg.Degrade = sim.DegradePolicy{MaxRetries: o.retries}
-		res, err = sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			r, err := tracefile.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			return sim.NewTraceSource(r), nil
-		})
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		r, err := tracefile.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return fail(err)
-		}
-		snap := ""
-		if o.resume && o.ckptDir != "" {
-			// An empty or missing directory has nothing to resume.
-			if snap, err = checkpoint.Latest(o.ckptDir); err != nil {
-				return fail(fmt.Errorf("finding latest snapshot in %s: %w", o.ckptDir, err))
-			}
-		}
-		if snap != "" {
-			res, err = sim.ResumeTrace(cfg, r, snap)
-		} else {
-			res, err = sim.RunTrace(cfg, r)
-		}
-		if err != nil {
-			return fail(err)
-		}
 	}
 	fmt.Fprintf(stdout, "technique      %s\n", kind)
 	faulted := false
@@ -281,20 +237,16 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 
 // replayAll replays the trace under every technique the trace frontend
 // supports, each replay over its own in-memory reader of the same trace
-// bytes, fanned out on the batch engine. Supported kinds are selected
-// by the Source capability check, not a hard-coded list: a trace source
-// cannot emulate wrong paths (paper §III-B), so wpemul is skipped.
+// bytes, fanned out on the batch engine. A trace cannot emulate wrong
+// paths (paper §III-B; the session layer rejects it), so wpemul is
+// skipped.
 // Faulted cells (corrupt tail, stall abort, cancellation) render
 // annotated instead of killing the table mid-report; the returned flag
 // makes the caller exit nonzero after the table has printed.
-func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint64, jobs int, watchdog time.Duration, metrics *obs.Registry, tsink *obs.TraceSink) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
+func replayAll(stdout io.Writer, req sim.Request, jobs int) (bool, error) {
 	var kinds []wrongpath.Kind
 	for _, k := range wrongpath.Kinds() {
-		if k == wrongpath.WPEmul && !sim.NewTraceSource(nil).SupportsWPEmul() {
+		if k == wrongpath.WPEmul {
 			fmt.Fprintf(stdout, "(skipping %v: unsupported on a trace frontend, paper §III-B)\n\n", k)
 			continue
 		}
@@ -303,19 +255,17 @@ func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint
 	runJobs := make([]func() (*sim.Result, error), len(kinds))
 	for i, k := range kinds {
 		runJobs[i] = func() (*sim.Result, error) {
-			r, err := tracefile.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
+			r := req
+			r.Config.WP = k
+			if dir := r.Config.CheckpointDir; dir != "" {
+				// One snapshot directory per technique, as wpsim -wp all.
+				r.Config.CheckpointDir = filepath.Join(dir, k.String())
 			}
-			cfg := sim.Default(k)
-			cfg.MaxInsts = maxInsts
-			cfg.Watchdog = watchdog
-			cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+path
-			cfg.Ctx = ctx
-			return sim.RunTrace(cfg, r)
+			res, _, err := sim.Execute(r)
+			return res, err
 		}
 	}
-	results := batch.RunContext(ctx, runJobs, jobs)
+	results := batch.RunContext(req.Config.Ctx, runJobs, jobs)
 	fmt.Fprintf(stdout, "%-10s %12s %12s %8s %12s %12s\n",
 		"technique", "insts", "cycles", "IPC", "WP executed", "wall")
 	faulted := false

@@ -35,13 +35,13 @@ func main() {
 	fmt.Printf("%-9s %8s %12s %10s %8s %10s\n", "model", "IPC", "cycles", "WP insts", "error", "wall")
 
 	kinds := wrongpath.Kinds()
-	ordered, err := sim.RunKinds(sim.Default(wrongpath.NoWP), w, kinds, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
 	results := map[wrongpath.Kind]*sim.Result{}
-	for i, kind := range kinds {
-		results[kind] = ordered[i]
+	for _, kind := range kinds {
+		res, _, err := sim.Execute(sim.Request{Config: sim.Default(kind), Workload: &w})
+		if err != nil {
+			log.Fatal(err)
+		}
+		results[kind] = res
 	}
 	ref := results[wrongpath.WPEmul]
 	for _, kind := range kinds {

@@ -146,7 +146,7 @@ var wpflowSources = []struct {
 }{
 	// Functional wrong-path emulation: the instruction stream beyond a
 	// mispredicted branch (paper §III, wpemul).
-	{"internal/functional", "WrongPathEmulate", taintWP},
+	{"internal/functional", "AppendWrongPath", taintWP},
 	// Policy-reconstructed wrong-path streams (nowp/instrec/conv).
 	{"internal/wrongpath", "Begin", taintWP},
 	// Host wall-clock reads.

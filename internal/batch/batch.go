@@ -7,9 +7,9 @@
 // result slice and captures each job's error individually, so one
 // failed simulation does not discard the rest of a sweep.
 //
-// sim.RunKinds and the experiments.Runner fan out through this package;
-// wall-clock-measuring experiments pass workers=1 (timing runs must not
-// contend for cores).
+// Every sweep (experiments.Runner, wpsim/wptrace -wp all) fans
+// sim.Execute out through this package; wall-clock-measuring
+// experiments pass workers=1 (timing runs must not contend for cores).
 package batch
 
 import (

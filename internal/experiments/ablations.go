@@ -11,19 +11,13 @@ import (
 // (bypassing the memoization cache, which is keyed on the default
 // configuration).
 func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, error) {
-	inst, err := w.Build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = inst.SuggestedMaxInsts
-	}
 	if cfg.Watchdog == 0 {
 		// Custom-config runs inherit the runner's stall budget; an idle
 		// watchdog leaves their statistics bit-identical.
-		cfg.Watchdog = r.opt.Watchdog
+		cfg.Watchdog = r.opt.Base.Config.Watchdog
 	}
-	return sim.Run(cfg, inst)
+	res, _, err := sim.Execute(sim.Request{Config: cfg, Workload: &w})
+	return res, err
 }
 
 // runBatch fans independent custom-configuration runs out over the
@@ -65,7 +59,7 @@ func (r *Runner) ablationOptimism() error {
 	}
 	looseCfgs := make([]sim.Config, len(works))
 	for i := range looseCfgs {
-		looseCfgs[i] = sim.Config{Core: r.opt.Core, WP: wrongpath.Conv,
+		looseCfgs[i] = sim.Config{Core: r.opt.Base.Config.Core, WP: wrongpath.Conv,
 			PolicyFactory: func() wrongpath.Policy {
 				p := wrongpath.NewConv()
 				p.DisableIndependenceCheck = true
@@ -112,7 +106,7 @@ func (r *Runner) ablationOptimism() error {
 func (r *Runner) ablationROB() error {
 	robs := []int{128, 256, 512}
 	works, cfgs := r.sweepPairs(len(robs), func(i int) sim.Config {
-		cfg := r.opt.Core
+		cfg := r.opt.Base.Config.Core
 		cfg.ROBSize = robs[i]
 		return sim.Config{Core: cfg}
 	})
@@ -143,7 +137,7 @@ func (r *Runner) ablationROB() error {
 func (r *Runner) ablationMemLatency() error {
 	lats := []int{70, 230, 400}
 	works, cfgs := r.sweepPairs(len(lats), func(i int) sim.Config {
-		cfg := r.opt.Core
+		cfg := r.opt.Base.Config.Core
 		cfg.Hierarchy.MemLatency = lats[i]
 		cfg.Hierarchy.MemGapCycles = 0
 		return sim.Config{Core: cfg}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
 )
@@ -18,11 +20,13 @@ func TestBatchReportByteIdentical(t *testing.T) {
 	}
 	run := func(batch int) string {
 		var out strings.Builder
+		c := core.DefaultConfig()
+		c.Batch = batch
 		r := NewRunner(Options{
-			GAP:   gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
-			Spec:  specproxy.Params{Scale: 0.01, Seed: 99},
-			Out:   &out,
-			Batch: batch,
+			GAP:  gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
+			Spec: specproxy.Params{Scale: 0.01, Seed: 99},
+			Out:  &out,
+			Base: sim.Request{Config: sim.Config{Core: c}},
 		})
 		for _, exp := range []string{"fig1", "ablation"} {
 			if err := r.Run(exp); err != nil {

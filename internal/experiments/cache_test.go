@@ -63,7 +63,7 @@ func TestCellCacheBypassedWithFaultLayer(t *testing.T) {
 	dir := t.TempDir()
 	var out1 strings.Builder
 	opt := cachedOptions(t, dir, &out1)
-	opt.Watchdog = time.Minute
+	opt.Base.Config.Watchdog = time.Minute
 	r1 := NewRunner(opt)
 	if err := r1.Run("fig1"); err != nil {
 		t.Fatalf("first sweep: %v", err)
@@ -73,7 +73,7 @@ func TestCellCacheBypassedWithFaultLayer(t *testing.T) {
 	}
 	var out2 strings.Builder
 	opt2 := cachedOptions(t, dir, &out2)
-	opt2.Watchdog = time.Minute
+	opt2.Base.Config.Watchdog = time.Minute
 	r2 := NewRunner(opt2)
 	if err := r2.Run("fig1"); err != nil {
 		t.Fatalf("repeat sweep: %v", err)

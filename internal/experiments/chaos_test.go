@@ -45,8 +45,8 @@ func TestChaosKillResumeReportByteIdentical(t *testing.T) {
 	// disturb the report.
 	var ckptOut strings.Builder
 	opt := chaosOptions(&ckptOut, 1)
-	opt.CheckpointDir = t.TempDir()
-	opt.CheckpointEvery = 10_000
+	opt.Base.Config.CheckpointDir = t.TempDir()
+	opt.Base.Config.CheckpointEvery = 10_000
 	if err := NewRunner(opt).Run(exp); err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestChaosKillResumeReportByteIdentical(t *testing.T) {
 	kopt := chaosOptions(&killedOut, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	kopt.Ctx = ctx
-	kopt.CheckpointDir = dir
-	kopt.CheckpointEvery = 10_000
+	kopt.Base.Config.Ctx = ctx
+	kopt.Base.Config.CheckpointDir = dir
+	kopt.Base.Config.CheckpointEvery = 10_000
 	var writes atomic.Uint64
-	kopt.OnCheckpoint = func(insts uint64, path string) {
+	kopt.Base.Config.OnCheckpoint = func(insts uint64, path string) {
 		if writes.Add(1) == 3 {
 			cancel()
 		}
@@ -89,9 +89,9 @@ func TestChaosKillResumeReportByteIdentical(t *testing.T) {
 	// byte-identical to the uninterrupted reference.
 	var resumedOut strings.Builder
 	ropt := chaosOptions(&resumedOut, 1)
-	ropt.CheckpointDir = dir
-	ropt.CheckpointEvery = 10_000
-	ropt.Resume = true
+	ropt.Base.Config.CheckpointDir = dir
+	ropt.Base.Config.CheckpointEvery = 10_000
+	ropt.Base.Resume = true
 	resumed := NewRunner(ropt)
 	if err := resumed.Run(exp); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestChaosCancelBeforeStart(t *testing.T) {
 	opt := chaosOptions(&out, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt.Ctx = ctx
+	opt.Base.Config.Ctx = ctx
 	r := NewRunner(opt)
 	err := r.Run("fig1")
 	if !errors.Is(err, simerr.ErrCanceled) {

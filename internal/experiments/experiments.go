@@ -18,7 +18,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,12 +27,9 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/batch"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/resultcache"
 	"repro/internal/sim"
 	"repro/internal/simerr"
@@ -70,8 +66,19 @@ func allBut(skip wrongpath.Kind) []wrongpath.Kind {
 
 // Options configures a Runner.
 type Options struct {
-	// Core is the simulated core configuration (zero value: default).
-	Core core.Config
+	// Base is the request template every cell runs from: its Config
+	// carries the core configuration (zero value: default; set
+	// Core.Batch to override the decoupling-queue lane size), the fault
+	// layer (Watchdog, Degrade, Wrap), observability (Metrics, Trace),
+	// cancellation (Ctx) and crash safety (CheckpointDir,
+	// CheckpointEvery, OnCheckpoint, Resume). A cell fills in the
+	// workload and technique; with CheckpointDir set, each cell
+	// snapshots into its own subdirectory (dir/suite/workload/technique)
+	// and a Resume re-run is byte-identical to an uninterrupted sweep. A
+	// canceled Ctx stops in-flight cells at their next lane boundary and
+	// annotates them INCOMPLETE. The text of a fault-free report depends
+	// only on the core configuration.
+	Base sim.Request
 	// GAP selects the GAP input scale (zero value: default).
 	GAP gap.Params
 	// Spec selects the SPEC-proxy scale (zero value: default).
@@ -86,57 +93,6 @@ type Options struct {
 	// why the speed and parallel experiments always run their
 	// simulations serially regardless of Jobs.
 	Jobs int
-	// Watchdog arms the per-run stall watchdog with this progress
-	// budget (see sim.Config.Watchdog). 0 disables.
-	Watchdog time.Duration
-	// MaxRetries arms the graceful-degradation ladder: a run that hits
-	// a recoverable fault (unsupported capability, stall, recovered
-	// panic) is retried up to this many technique rungs down
-	// (wpemul→conv→instrec→nowp) and the report annotates the degraded
-	// cell. 0 disables; faults then fail the cell with a typed error.
-	MaxRetries int
-	// WrapSource, when non-nil, wraps every standard-sweep source before
-	// the run — the deterministic fault-injection hook (see
-	// internal/faultinject). It receives the workload and the technique
-	// of the current attempt, so an injector can target one cell and
-	// stay silent on its degraded retries. Fault-free cells are
-	// byte-identical whether or not a hook is installed.
-	WrapSource func(src sim.Source, w workloads.Workload, k wrongpath.Kind) sim.Source
-	// Metrics, when non-nil, receives every run's observability metrics
-	// (labeled workload/technique, see internal/obs). Report text is
-	// unaffected: metrics are written out of band by the caller.
-	Metrics *obs.Registry
-	// Trace, when non-nil, receives every run's cycle-event trace track.
-	Trace *obs.TraceSink
-	// Batch overrides the core's decoupling-queue lane size
-	// (core.Config.Batch): 0 keeps the default, 1 forces
-	// per-instruction consumption. Results are bit-identical at any
-	// size; the knob exists for throughput comparisons.
-	Batch int
-	// Ctx cancels the sweep: once done, no new cell starts, in-flight
-	// runs stop at their next lane boundary, the partial report stays
-	// flushed, and canceled cells are annotated INCOMPLETE in the
-	// footnote. nil means no cancellation.
-	Ctx context.Context
-	// CheckpointDir enables crash-safe sweeps: each cell snapshots its
-	// complete simulation state into its own subdirectory
-	// (dir/suite/workload/technique) every CheckpointEvery retired
-	// instructions. A re-run over the same directory resumes every cell
-	// from its latest snapshot and produces a report byte-identical to
-	// an uninterrupted sweep. Empty disables.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot interval in retired instructions
-	// (0 with CheckpointDir set disables snapshots).
-	CheckpointEvery uint64
-	// Resume makes every cell restart from its latest snapshot under
-	// CheckpointDir (cells with no snapshot run from zero) — the
-	// crash-recovery path after a killed sweep. The resumed report is
-	// byte-identical to an uninterrupted one. (The degradation ladder
-	// resumes its own retries regardless of this flag.)
-	Resume bool
-	// OnCheckpoint, when non-nil, observes every snapshot write (the
-	// chaos harness's kill hook). It runs on the simulating goroutine.
-	OnCheckpoint func(insts uint64, path string)
 	// Cache, when non-nil, memoizes cell results across runner
 	// lifetimes (and, with a persistent tier, across processes):
 	// repeated sweeps over the same cells skip re-simulation. Only
@@ -150,11 +106,8 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Core.ROBSize == 0 {
-		o.Core = core.DefaultConfig()
-	}
-	if o.Batch != 0 {
-		o.Core.Batch = o.Batch
+	if o.Base.Config.Core.ROBSize == 0 {
+		o.Base.Config.Core = core.DefaultConfig()
 	}
 	if o.GAP.N == 0 {
 		o.GAP = gap.DefaultParams()
@@ -209,37 +162,23 @@ func cacheKey(w workloads.Workload, k wrongpath.Kind) string {
 }
 
 // faultLayer reports whether any part of the fault-tolerance layer is
-// armed; when it is not, simulate takes the exact pre-existing path, so
-// reports stay byte-identical to a runner without the layer.
+// armed: a cell's outcome then depends on more than its configuration.
 func (r *Runner) faultLayer() bool {
-	return r.opt.Watchdog > 0 || r.opt.MaxRetries > 0 || r.opt.WrapSource != nil
+	b := r.opt.Base
+	return b.Config.Watchdog > 0 || b.Config.Degrade.Enabled() || b.Wrap != nil
 }
 
-// simulate runs one workload under one technique with the runner's
-// core configuration. It is pure (no cache or progress access), so the
-// batch engine may call it from any worker goroutine.
-//
-// With the fault-tolerance layer armed it runs through the degradation
-// ladder: the first attempt consumes the prebuilt instance, retries
-// build fresh ones, and the configured WrapSource hook may inject
-// faults per (workload, technique) attempt.
+// simulate runs one workload under one technique from the runner's base
+// request. It is pure (no memo table or progress access), so the batch
+// engine may call it from any worker goroutine.
 func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, error) {
-	inst, err := w.Build()
-	if err != nil {
-		return nil, err
-	}
-	cfg := sim.Config{Core: r.opt.Core, WP: k, MaxInsts: inst.SuggestedMaxInsts,
-		Watchdog: r.opt.Watchdog,
-		Degrade:  sim.DegradePolicy{MaxRetries: r.opt.MaxRetries},
-		Metrics:  r.opt.Metrics, Trace: r.opt.Trace,
-		ObsLabel: w.Suite + "/" + w.Name,
-		Ctx:      r.opt.Ctx}
-	if r.opt.CheckpointDir != "" {
+	req := r.opt.Base
+	req.Workload = &w
+	req.Config.WP = k
+	if dir := req.Config.CheckpointDir; dir != "" {
 		// One snapshot lineage per cell: the fingerprint ties a snapshot
 		// to its configuration, the path ties it to its cell.
-		cfg.CheckpointDir = filepath.Join(r.opt.CheckpointDir, w.Suite, w.Name, k.String())
-		cfg.CheckpointEvery = r.opt.CheckpointEvery
-		cfg.OnCheckpoint = r.opt.OnCheckpoint
+		req.Config.CheckpointDir = filepath.Join(dir, w.Suite, w.Name, k.String())
 	}
 	// The persistent cell cache sits outside the fault layer: an armed
 	// watchdog, ladder, or injector means this cell's outcome depends on
@@ -247,7 +186,7 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 	useCache := r.opt.Cache != nil && !r.faultLayer()
 	var fp string
 	if useCache {
-		fp = r.cellFingerprint(w, cfg)
+		fp = r.cellFingerprint(w, req.Config)
 		if data, hit, _ := r.opt.Cache.Get(fp); hit {
 			var cached sim.Result
 			if err := json.Unmarshal(data, &cached); err == nil {
@@ -257,29 +196,7 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 		}
 	}
 	r.simulated.Add(1)
-	var res *sim.Result
-	if r.faultLayer() {
-		first := inst
-		res, err = sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			attempt := first
-			first = nil
-			if attempt == nil {
-				var berr error
-				if attempt, berr = w.Build(); berr != nil {
-					return nil, berr
-				}
-			}
-			src := sim.NewFunctionalSource(c, attempt)
-			if r.opt.WrapSource != nil {
-				src = r.opt.WrapSource(src, w, c.WP)
-			}
-			return src, nil
-		})
-	} else if snap := r.latestSnapshot(cfg); snap != "" {
-		res, err = sim.Resume(cfg, inst, snap)
-	} else {
-		res, err = sim.Run(cfg, inst)
-	}
+	res, _, err := sim.Execute(req)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cacheKey(w, k), err)
 	}
@@ -297,7 +214,8 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 // is fixed by the struct, so the rendering is canonical), and the sim
 // configuration fingerprint (which carries the core configuration and
 // instruction budgets, and excludes the knobs — lane size, checkpoint
-// cadence — that provably cannot change results).
+// cadence — that provably cannot change results). The budget is the
+// workload's suggested one, a function of the input-shape parameters.
 func (r *Runner) cellFingerprint(w workloads.Workload, cfg sim.Config) string {
 	b := specfp.New("wpexp/cell/v1")
 	b.String("suite", w.Suite)
@@ -325,19 +243,6 @@ func storeCell(c *resultcache.Cache, fp string, res *sim.Result) {
 		return
 	}
 	_ = c.Put(fp, data)
-}
-
-// latestSnapshot returns the cell's newest resumable snapshot, or "".
-// (The ladder path finds its own snapshots inside sim.RunLadder.)
-func (r *Runner) latestSnapshot(cfg sim.Config) string {
-	if !r.opt.Resume || cfg.CheckpointDir == "" || cfg.CheckpointEvery == 0 {
-		return ""
-	}
-	snap, err := checkpoint.Latest(cfg.CheckpointDir)
-	if err != nil {
-		return ""
-	}
-	return snap
 }
 
 // noteIncomplete records a canceled cell for the INCOMPLETE footnote.
@@ -404,7 +309,7 @@ func (r *Runner) prefetch(works []workloads.Workload, kinds []wrongpath.Kind) er
 	// with one. Every canceled cell is annotated before the sweep's
 	// error propagates, so the flushed partial report names them all.
 	var canceled error
-	for i, br := range batch.RunContext(r.opt.Ctx, jobs, r.workers()) {
+	for i, br := range batch.RunContext(r.opt.Base.Config.Ctx, jobs, r.workers()) {
 		switch {
 		case br.Err == nil:
 			r.record(todo[i].key, br.Value)
@@ -466,7 +371,7 @@ func pct(x float64) string { return fmt.Sprintf("%+.1f%%", 100*x) }
 // Table1 prints the simulated core configuration (paper Table I).
 func (r *Runner) Table1() error {
 	r.printf("TABLE I: simulated core configuration (Golden Cove-like P-core)\n\n")
-	r.printf("%s\n", sim.DescribeConfig(r.opt.Core))
+	r.printf("%s\n", sim.DescribeConfig(r.opt.Base.Config.Core))
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
 )
@@ -124,11 +125,10 @@ func TestReportBytesIdenticalWithObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := obs.NewTraceSink(&traceBuf)
 	observed := NewRunner(Options{
-		GAP:     gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
-		Spec:    specproxy.Params{Scale: 0.01, Seed: 99},
-		Out:     &observedOut,
-		Metrics: reg,
-		Trace:   sink,
+		GAP:  gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
+		Spec: specproxy.Params{Scale: 0.01, Seed: 99},
+		Out:  &observedOut,
+		Base: sim.Request{Config: sim.Config{Metrics: reg, Trace: sink}},
 	})
 	if err := observed.Run("fig1"); err != nil {
 		t.Fatal(err)

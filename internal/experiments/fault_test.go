@@ -25,32 +25,35 @@ import (
 //   - cc under conv: a frozen producer (watchdog ErrStall)
 //   - pr under instrec: a corrupt (mid-record truncated) trace tail
 //
-// Each injector keys on the *attempt's* technique, so the degraded
-// retries run clean.
+// Each injector keys on the attempt's workload label and technique, so
+// the degraded retries run clean.
 func faultyRunner(t *testing.T) (*Runner, *strings.Builder) {
 	t.Helper()
 	var out strings.Builder
+	params := gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000}
 	r := NewRunner(Options{
-		GAP:        gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
-		Spec:       specproxy.Params{Scale: 0.01, Seed: 99},
-		Out:        &out,
-		Jobs:       2,
-		Watchdog:   500 * time.Millisecond,
-		MaxRetries: 2,
-		WrapSource: func(src sim.Source, w workloads.Workload, k wrongpath.Kind) sim.Source {
+		GAP:  params,
+		Spec: specproxy.Params{Scale: 0.01, Seed: 99},
+		Out:  &out,
+		Jobs: 2,
+		Base: sim.Request{Config: sim.Config{
+			Watchdog: 500 * time.Millisecond,
+			Degrade:  sim.DegradePolicy{MaxRetries: 2},
+		}, Wrap: func(src sim.Source, c sim.Config) sim.Source {
 			switch {
-			case w.Name == "bfs" && k == wrongpath.WPEmul:
+			case c.ObsLabel == "gap/bfs" && c.WP == wrongpath.WPEmul:
 				return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
 					return faultinject.PanicAt(p, 500, "injected sweep fault")
 				})
-			case w.Name == "cc" && k == wrongpath.Conv:
+			case c.ObsLabel == "gap/cc" && c.WP == wrongpath.Conv:
 				return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
 					return faultinject.FreezeAt(p, 1000)
 				})
-			case w.Name == "pr" && k == wrongpath.InstRec:
+			case c.ObsLabel == "gap/pr" && c.WP == wrongpath.InstRec:
 				// Swap in a trace source over a mid-record-truncated
 				// recording of the same workload: the corrupt-tail fault.
 				src.Close()
+				w, _ := gap.ByName("pr", params)
 				data := recordWorkloadTrace(t, w, 20_000)
 				cut := faultinject.Truncate(data, int64(len(data)-3))
 				rd, err := tracefile.NewReader(bytes.NewReader(cut))
@@ -60,7 +63,7 @@ func faultyRunner(t *testing.T) (*Runner, *strings.Builder) {
 				return sim.NewTraceSource(rd)
 			}
 			return src
-		},
+		}},
 	})
 	return r, &out
 }
@@ -174,11 +177,13 @@ func TestCleanSweepByteIdenticalWithLayerArmed(t *testing.T) {
 	}
 	var armedOut strings.Builder
 	armed := NewRunner(Options{
-		GAP:        gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
-		Spec:       specproxy.Params{Scale: 0.01, Seed: 99},
-		Out:        &armedOut,
-		Watchdog:   time.Minute,
-		MaxRetries: 2,
+		GAP:  gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
+		Spec: specproxy.Params{Scale: 0.01, Seed: 99},
+		Out:  &armedOut,
+		Base: sim.Request{Config: sim.Config{
+			Watchdog: time.Minute,
+			Degrade:  sim.DegradePolicy{MaxRetries: 2},
+		}},
 	})
 	if err := armed.Run("fig1"); err != nil {
 		t.Fatal(err)

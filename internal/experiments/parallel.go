@@ -27,11 +27,11 @@ func (r *Runner) Parallel() error {
 		// applies — wall clocks measured under contention are
 		// meaningless), so each extra kind costs four timed simulations.
 		for _, k := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
-			seq, err := r.runWith(w, sim.Config{Core: r.opt.Core, WP: k})
+			seq, err := r.runWith(w, sim.Config{Core: r.opt.Base.Config.Core, WP: k})
 			if err != nil {
 				return err
 			}
-			par, err := r.runWith(w, sim.Config{Core: r.opt.Core, WP: k, ParallelFrontend: true})
+			par, err := r.runWith(w, sim.Config{Core: r.opt.Base.Config.Core, WP: k, ParallelFrontend: true})
 			if err != nil {
 				return err
 			}

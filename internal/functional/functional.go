@@ -346,24 +346,19 @@ func (c *CPU) syscall(di *trace.DynInst) error {
 	return nil
 }
 
-// WrongPathEmulate implements the paper's functional wrong-path
+// AppendWrongPath implements the paper's functional wrong-path
 // emulation: checkpoint the machine state, redirect execution to the
 // predicted (wrong) target, execute with stores suppressed until
 // maxInsts instructions have run or the path ends (environment call,
 // invalid instruction, or PC leaving the program — the events that end
 // a speculative path in the Pin-based implementation), then restore the
-// checkpoint. The emulated records are returned with WrongPath set.
+// checkpoint. The emulated records, with WrongPath set, are appended to
+// dst (typically a slice into a reusable arena with at least maxInsts
+// free capacity, so steady-state emulation allocates nothing) and the
+// extended slice is returned.
 //
 // The CPU's architectural state, retired-instruction count and program
 // output are unchanged by the call.
-func (c *CPU) WrongPathEmulate(target uint64, maxInsts int) []trace.DynInst {
-	return c.AppendWrongPath(nil, target, maxInsts)
-}
-
-// AppendWrongPath is the allocation-aware form of WrongPathEmulate: the
-// emulated records are appended to dst (typically a slice into a
-// reusable arena with at least maxInsts free capacity, so steady-state
-// emulation allocates nothing) and the extended slice is returned.
 func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) []trace.DynInst {
 	if c.halted || maxInsts <= 0 {
 		return dst

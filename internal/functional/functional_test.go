@@ -454,7 +454,7 @@ correct:
 	retired := cpu.Retired()
 
 	wrongTarget := di.PC + isa.InstBytes // mispredicted not-taken
-	wp := cpu.WrongPathEmulate(wrongTarget, 100)
+	wp := cpu.AppendWrongPath(nil, wrongTarget, 100)
 
 	// The path must stop before the ecall: sd, ld, addi, li.
 	if len(wp) != 4 {
@@ -486,12 +486,12 @@ correct:
 	}
 
 	// Length cap respected.
-	wp = cpu.WrongPathEmulate(wrongTarget, 2)
+	wp = cpu.AppendWrongPath(nil, wrongTarget, 2)
 	if len(wp) != 2 {
 		t.Errorf("capped wrong path length = %d", len(wp))
 	}
 	// Bad target produces an empty path.
-	if wp := cpu.WrongPathEmulate(0xdead0000, 10); len(wp) != 0 {
+	if wp := cpu.AppendWrongPath(nil, 0xdead0000, 10); len(wp) != 0 {
 		t.Errorf("bad-target wrong path length = %d", len(wp))
 	}
 }

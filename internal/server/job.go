@@ -139,23 +139,54 @@ func (j *job) requeue() {
 	j.exitCode = exitPending
 }
 
-// finish records a terminal state.
-func (j *job) finish(state string, exitCode int, mut func(*job)) {
+// resultWriter persists a job's terminal documents (see
+// Server.resultWriter); nil for an ephemeral server.
+type resultWriter func(st Status, canonical json.RawMessage) error
+
+// commit applies a terminal transition under j.mu and writes the
+// resulting documents before releasing the lock, so no reader can
+// observe a terminal state that a daemon restart would not: durable
+// before visible. apply reports whether the transition applies (false
+// leaves the job untouched). A failed write keeps the in-memory state,
+// annotated; the job re-runs on the next daemon start, bit-identically.
+func (j *job) commit(write resultWriter, apply func(*job) bool) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
-	j.exitCode = exitCode
-	j.cancel = nil
-	if mut != nil {
-		mut(j)
+	if !apply(j) {
+		return false
+	}
+	j.persistLocked(write)
+	return true
+}
+
+// persistLocked writes the terminal documents; the caller holds j.mu.
+func (j *job) persistLocked(write resultWriter) {
+	if write == nil {
+		return
+	}
+	if err := write(j.statusLocked(), j.canonical); err != nil {
+		j.errMsg = "persist: " + err.Error()
 	}
 }
 
+// finish records a terminal state durably (see commit).
+func (j *job) finish(write resultWriter, state string, exitCode int, mut func(*job)) {
+	j.commit(write, func(j *job) bool {
+		j.state = state
+		j.exitCode = exitCode
+		j.cancel = nil
+		if mut != nil {
+			mut(j)
+		}
+		return true
+	})
+}
+
 // requestCancel implements the cancel endpoint: a queued job becomes
-// terminal immediately, a running one has its context canceled (the
-// completion path records the terminal state). The return reports
-// whether anything changed.
-func (j *job) requestCancel() bool {
+// terminal immediately (durably, via write), a running one has its
+// context canceled (the completion path records the terminal state).
+// The return reports whether anything changed.
+func (j *job) requestCancel(write resultWriter) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
@@ -164,6 +195,7 @@ func (j *job) requestCancel() bool {
 		j.state = StateCanceled
 		j.exitCode = exitAnnotated
 		j.errMsg = "canceled before start"
+		j.persistLocked(write)
 		return true
 	case StateRunning:
 		j.userCancel = true
@@ -245,59 +277,59 @@ type cachedDoc struct {
 	Err          string `json:"err"`
 }
 
-// serveFromCache completes a still-queued job with cached canonical
-// bytes: the status fields are rebuilt from the document's own header
-// fields, so a cache-served job is indistinguishable from a run —
-// except for its Cache disposition and zero wall time. Returns false
-// (job untouched) when the job already left the queued state or the
-// bytes do not parse as a canonical result document.
-func (j *job) serveFromCache(canonical []byte, disp string) bool {
+// serveFromCache completes a still-queued job durably with cached
+// canonical bytes: the status fields are rebuilt from the document's
+// own header fields, so a cache-served job is indistinguishable from a
+// run — except for its Cache disposition and zero wall time. Returns
+// false (job untouched) when the job already left the queued state or
+// the bytes do not parse as a canonical result document.
+func (j *job) serveFromCache(write resultWriter, canonical []byte, disp string) bool {
 	var doc cachedDoc
 	if err := json.Unmarshal(canonical, &doc); err != nil {
 		return false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateDone
-	j.exitCode = exitClean
-	if doc.Degraded || doc.Err != "" {
-		j.exitCode = exitAnnotated
-	}
-	j.canonical = canonical
-	j.degraded = doc.Degraded
-	j.requestedWP = doc.RequestedWP
-	j.ranWP = doc.WP
-	j.fault = doc.DegradeFault
-	j.errMsg = doc.Err
-	j.wallNS = 0
-	j.cacheDisp = disp
-	j.interrupted = false
-	return true
+	return j.commit(write, func(j *job) bool {
+		if j.state != StateQueued {
+			return false
+		}
+		j.state = StateDone
+		j.exitCode = exitClean
+		if doc.Degraded || doc.Err != "" {
+			j.exitCode = exitAnnotated
+		}
+		j.canonical = canonical
+		j.degraded = doc.Degraded
+		j.requestedWP = doc.RequestedWP
+		j.ranWP = doc.WP
+		j.fault = doc.DegradeFault
+		j.errMsg = doc.Err
+		j.wallNS = 0
+		j.cacheDisp = disp
+		j.interrupted = false
+		return true
+	})
 }
 
-// serveShared completes a coalesced follower with its leader's
+// serveShared completes a coalesced follower durably with its leader's
 // terminal document: the canonical bytes verbatim, the derived fields
 // copied. Returns false when the follower was canceled while waiting.
-func (j *job) serveShared(canonical json.RawMessage, lead Status) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateDone
-	j.exitCode = lead.ExitCode
-	j.canonical = canonical
-	j.degraded = lead.Degraded
-	j.requestedWP = lead.RequestedWP
-	j.ranWP = lead.RanWP
-	j.fault = lead.Fault
-	j.errMsg = lead.Error
-	j.wallNS = 0
-	j.interrupted = false
-	return true
+func (j *job) serveShared(write resultWriter, canonical json.RawMessage, lead Status) bool {
+	return j.commit(write, func(j *job) bool {
+		if j.state != StateQueued {
+			return false
+		}
+		j.state = StateDone
+		j.exitCode = lead.ExitCode
+		j.canonical = canonical
+		j.degraded = lead.Degraded
+		j.requestedWP = lead.RequestedWP
+		j.ranWP = lead.RanWP
+		j.fault = lead.Fault
+		j.errMsg = lead.Error
+		j.wallNS = 0
+		j.interrupted = false
+		return true
+	})
 }
 
 // stillQueued reports whether the job is still waiting (a follower can

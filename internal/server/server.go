@@ -208,15 +208,12 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	if hit {
 		s.seq++
 		j := newJob(jobID(s.seq), s.seq, spec)
-		if j.serveFromCache(cached, cacheHit) {
-			if err := s.persistSpec(j); err != nil {
-				s.removeJobDir(j.id)
-				s.mRejected.Inc()
-				return Status{}, fmt.Errorf("persisting job spec: %w", err)
-			}
-			// A persist failure leaves the job unfinished on disk; the
-			// next daemon run re-runs it, which is bit-identical.
-			_ = s.persistResult(j)
+		if err := s.persistSpec(j); err != nil {
+			s.removeJobDir(j.id)
+			s.mRejected.Inc()
+			return Status{}, fmt.Errorf("persisting job spec: %w", err)
+		}
+		if j.serveFromCache(s.resultWriter(j.id), cached, cacheHit) {
 			s.jobs[j.id] = j
 			s.order = append(s.order, j)
 			s.mSubmitted.Inc()
@@ -227,6 +224,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 		// Cached bytes that do not parse as a result document (cannot
 		// happen with self-verified entries): fall through to a real
 		// run rather than serve them.
+		s.removeJobDir(j.id)
 		s.seq--
 	}
 	if leader := s.inflight[fp]; leader != nil {
@@ -336,19 +334,15 @@ func (s *Server) Cancel(id string) (Status, error) {
 	if !ok {
 		return Status{}, ErrUnknownJob
 	}
-	if j.requestCancel() {
+	if j.requestCancel(s.resultWriter(j.id)) {
 		st := j.status()
 		if st.State == StateCanceled {
-			// Canceled while queued: terminal right here, so this is the
-			// persistence point (a running job persists in complete) and
-			// the singleflight settle point — a canceled leader hands its
-			// coalesced followers to a promoted successor.
+			// Canceled while queued: terminal (and persisted) right here,
+			// so this is the singleflight settle point — a canceled leader
+			// hands its coalesced followers to a promoted successor. (A
+			// running job records its terminal state in complete.)
 			s.mCanceled.Inc()
-			err := s.persistResult(j)
 			s.settle(j)
-			if err != nil {
-				return st, fmt.Errorf("persisting cancellation: %w", err)
-			}
 		}
 		return st, nil
 	}
@@ -425,10 +419,10 @@ func (s *Server) execute(j *job) {
 	// re-admitted duplicate from a previous daemon run.
 	if data, hit, corrupt := s.cache.Get(j.fp); corrupt {
 		s.mCacheCorrupt.Inc()
-	} else if hit && j.serveFromCache(data, cacheHit) {
+	} else if hit && j.serveFromCache(s.resultWriter(j.id), data, cacheHit) {
 		s.mCacheHit.Inc()
 		s.mDone.Inc()
-		s.persistTerminal(j)
+		s.settle(j)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -456,11 +450,14 @@ func (s *Server) execute(j *job) {
 // already guarantees bit-identical resumes for.
 func (s *Server) runJob(ctx context.Context, j *job) (*sim.Result, error) {
 	s.mSimRuns.Inc()
-	res, resumed, err := runSpec(j.spec, func(cfg *sim.Config) {
+	res, resumed, err := runSpec(j.spec, func(req *sim.Request) {
+		cfg := &req.Config
 		cfg.Ctx = ctx
 		cfg.Metrics = s.reg
 		cfg.ObsLabel = j.spec.Suite + "/" + j.spec.Bench
 		if dir := s.jobDir(j.id); dir != "" {
+			// A re-admitted job continues from its newest snapshot.
+			req.Resume = true
 			cfg.CheckpointDir = filepath.Join(dir, "ckpt")
 			cfg.CheckpointEvery = j.spec.CheckpointEvery
 			if cfg.CheckpointEvery == 0 {
@@ -476,12 +473,13 @@ func (s *Server) runJob(ctx context.Context, j *job) (*sim.Result, error) {
 	return res, err
 }
 
-// complete records a job's terminal state — or, when a drain
-// interrupted it, re-queues it for the next daemon run. The state and
-// exit code mirror the CLI convention; the canonical result bytes are
-// recorded only for completed runs (clean or annotated), never for
-// cancellations or hard failures.
+// complete records a job's terminal state, durably before visibly —
+// or, when a drain interrupted it, re-queues it for the next daemon
+// run. The state and exit code mirror the CLI convention; the canonical
+// result bytes are recorded only for completed runs (clean or
+// annotated), never for cancellations or hard failures.
 func (s *Server) complete(j *job, res *sim.Result, err error) {
+	write := s.resultWriter(j.id)
 	drainInterrupted := func() bool {
 		return s.Draining() && !j.isUserCanceled()
 	}
@@ -492,12 +490,12 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 			j.requeue()
 			return
 		}
-		j.finish(StateCanceled, exitAnnotated, func(j *job) { j.errMsg = simerr.FirstLine(err) })
+		j.finish(write, StateCanceled, exitAnnotated, func(j *job) { j.errMsg = simerr.FirstLine(err) })
 		s.mCanceled.Inc()
 	case err != nil:
 		// Hard failure: the spec could not run at all (workload build
 		// error, checkpoint I/O, an escaped panic). No result exists.
-		j.finish(StateFailed, exitFailure, func(j *job) { j.errMsg = simerr.FirstLine(err) })
+		j.finish(write, StateFailed, exitFailure, func(j *job) { j.errMsg = simerr.FirstLine(err) })
 		s.mFailed.Inc()
 	case res.Err != nil && errors.Is(res.Err, simerr.ErrCanceled):
 		// The run stopped at a lane boundary on cancellation. The partial
@@ -507,7 +505,7 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 			j.requeue()
 			return
 		}
-		j.finish(StateCanceled, exitAnnotated, func(j *job) {
+		j.finish(write, StateCanceled, exitAnnotated, func(j *job) {
 			j.errMsg = simerr.FirstLine(res.Err)
 			j.wallNS = int64(res.Wall)
 		})
@@ -517,7 +515,7 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		// fault. The result document exists in all three.
 		canonical, cerr := CanonicalResult(res)
 		if cerr != nil {
-			j.finish(StateFailed, exitFailure, func(j *job) { j.errMsg = cerr.Error() })
+			j.finish(write, StateFailed, exitFailure, func(j *job) { j.errMsg = cerr.Error() })
 			s.mFailed.Inc()
 			break
 		}
@@ -525,7 +523,7 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		if res.Degraded || res.Err != nil {
 			code = exitAnnotated
 		}
-		j.finish(StateDone, code, func(j *job) {
+		j.finish(write, StateDone, code, func(j *job) {
 			j.canonical = canonical
 			j.wallNS = int64(res.Wall)
 			j.degraded = res.Degraded
@@ -546,21 +544,6 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 				s.mCacheStore.Inc()
 			}
 		}
-	}
-	s.persistTerminal(j)
-}
-
-// persistTerminal persists a terminal job's result documents and
-// resolves its singleflight entry.
-func (s *Server) persistTerminal(j *job) {
-	if err := s.persistResult(j); err != nil {
-		// The in-memory record stands; the job will re-run on the next
-		// daemon restart (spec without result), which is safe — reruns
-		// are bit-identical by construction.
-		st := j.status()
-		j.finish(st.State, st.ExitCode, func(j *job) {
-			j.errMsg = "persist: " + err.Error()
-		})
 	}
 	s.settle(j)
 }
@@ -585,16 +568,10 @@ func (s *Server) settle(j *job) {
 	if canonical != nil {
 		lead := j.status()
 		for _, f := range followers {
-			if !f.serveShared(canonical, lead) {
+			if !f.serveShared(s.resultWriter(f.id), canonical, lead) {
 				continue // canceled while waiting
 			}
 			s.mDone.Inc()
-			if err := s.persistResult(f); err != nil {
-				st := f.status()
-				f.finish(st.State, st.ExitCode, func(f *job) {
-					f.errMsg = "persist: " + err.Error()
-				})
-			}
 		}
 		return
 	}

@@ -353,6 +353,132 @@ func TestTerminalStatePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// pollDurable polls the jobs round-robin until each is terminal and, at
+// the first poll that reads a terminal state, requires the job's
+// documents to be on disk already: spec.json and result.json, plus
+// canonical.json for a done job.
+func pollDurable(t *testing.T, s *Server, stateDir string, ids ...string) {
+	t.Helper()
+	pending := map[string]bool{}
+	for _, id := range ids {
+		pending[id] = true
+	}
+	for i := 0; i < 30_000 && len(pending) > 0; i++ {
+		for _, id := range ids {
+			if !pending[id] {
+				continue
+			}
+			st, err := s.Job(id)
+			if err != nil {
+				t.Fatalf("Job(%s): %v", id, err)
+			}
+			if !terminal(st) {
+				continue
+			}
+			delete(pending, id)
+			files := []string{"spec.json", "result.json"}
+			if st.State == StateDone {
+				files = append(files, "canonical.json")
+			}
+			for _, f := range files {
+				if _, err := os.Stat(filepath.Join(stateDir, id, f)); err != nil {
+					t.Errorf("%s reads %s before %s is on disk: %v", id, st.State, f, err)
+				}
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(pending) > 0 {
+		t.Fatalf("jobs never turned terminal: %v", pending)
+	}
+}
+
+// TestTerminalStateDurableBeforeVisible: a poller that reads done must
+// already find the job's documents on disk, so it never sees a state a
+// restart would not — on every terminal path: a completed run, a
+// dequeue-time cache hit, and a coalesced follower. It needs no
+// scheduler luck: the documents are written while the job's lock is
+// held (see TestResultWriterRunsBeforePublish), so no poll can read
+// the state first.
+func TestTerminalStateDurableBeforeVisible(t *testing.T) {
+	stateDir := t.TempDir()
+	// Two unfinished twins on disk: the first re-admitted one runs, the
+	// second is served from the cache the first one filled.
+	spec := quickSpec("conv", 11).normalized()
+	writeJobDir(t, stateDir, "job-000001", spec, nil)
+	writeJobDir(t, stateDir, "job-000002", spec, nil)
+	s := newTestServer(t, Config{Workers: 1, StateDir: stateDir})
+	pollDurable(t, s, stateDir, "job-000001", "job-000002")
+	if st, _ := s.Job("job-000002"); st.Cache != cacheHit {
+		t.Errorf("twin disposition %q, want a dequeue-time cache hit", st.Cache)
+	}
+
+	lead, err := s.Submit(longSpecSeed(43))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitFor(t, s, lead.ID, "running", func(st Status) bool { return st.State == StateRunning })
+	follower, err := s.Submit(longSpecSeed(43))
+	if err != nil {
+		t.Fatalf("follower Submit: %v", err)
+	}
+	if follower.Cache != cacheCoalesced {
+		t.Fatalf("follower disposition %q, want coalesced", follower.Cache)
+	}
+	pollDurable(t, s, stateDir, lead.ID, follower.ID)
+}
+
+// TestResultWriterRunsBeforePublish: every terminal transition calls
+// the result writer while the job's lock is held, with the terminal
+// document, so no reader can observe the state before the write
+// returns; a failed write annotates the job instead of losing it.
+func TestResultWriterRunsBeforePublish(t *testing.T) {
+	canonical, err := CanonicalResult(&sim.Result{WP: wrongpath.Conv, RequestedWP: wrongpath.Conv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transitions := []struct {
+		name  string
+		want  string
+		apply func(*job, resultWriter) bool
+	}{
+		{"finish", StateDone, func(j *job, w resultWriter) bool {
+			j.finish(w, StateDone, exitClean, nil)
+			return true
+		}},
+		{"serveFromCache", StateDone, func(j *job, w resultWriter) bool {
+			return j.serveFromCache(w, canonical, cacheHit)
+		}},
+		{"serveShared", StateDone, func(j *job, w resultWriter) bool {
+			return j.serveShared(w, canonical, Status{State: StateDone})
+		}},
+		{"requestCancel", StateCanceled, func(j *job, w resultWriter) bool {
+			return j.requestCancel(w)
+		}},
+	}
+	for _, tr := range transitions {
+		j := newJob("job-000001", 1, quickSpec("conv", 1))
+		calls := 0
+		write := func(st Status, _ json.RawMessage) error {
+			calls++
+			if j.mu.TryLock() {
+				j.mu.Unlock()
+				t.Errorf("%s: terminal state readable while its documents are written", tr.name)
+			}
+			if st.State != tr.want {
+				t.Errorf("%s: writer got state %s, want %s", tr.name, st.State, tr.want)
+			}
+			return errors.New("disk full")
+		}
+		if !tr.apply(j, write) || calls != 1 {
+			t.Fatalf("%s: transition not applied or writer called %d times", tr.name, calls)
+		}
+		if st := j.status(); st.State != tr.want || !strings.HasPrefix(st.Error, "persist: ") {
+			t.Errorf("%s: after a failed write: %+v, want %s annotated persist error", tr.name, st, tr.want)
+		}
+	}
+}
+
 // TestDegradedStatusSurfaced: the completion path mirrors the ladder's
 // descent — requested vs ran technique, the forcing fault, exit code 3.
 func TestDegradedStatusSurfaced(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/sim"
 	"repro/internal/specfp"
 	"repro/internal/workloads/catalog"
@@ -168,10 +167,10 @@ func (sp JobSpec) Fingerprint() string {
 // runSpec is the one execution path for a spec: both the workers and
 // the RunDirect oracle go through it, so a served job cannot diverge
 // from a direct run by construction. mod layers the serving-only
-// concerns (context, metrics registry, checkpoint directory) onto the
-// config; nil runs bare. The returned bool reports whether the run
-// resumed from a snapshot.
-func runSpec(spec JobSpec, mod func(*sim.Config)) (*sim.Result, bool, error) {
+// concerns (context, metrics registry, checkpoint directory, resume)
+// onto the request; nil runs bare. The returned bool reports whether
+// the run resumed from a snapshot.
+func runSpec(spec JobSpec, mod func(*sim.Request)) (*sim.Result, bool, error) {
 	spec = spec.normalized()
 	cfg, err := spec.simConfig()
 	if err != nil {
@@ -181,43 +180,11 @@ func runSpec(spec JobSpec, mod func(*sim.Config)) (*sim.Result, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	req := sim.Request{Config: cfg, Workload: &w}
 	if mod != nil {
-		mod(&cfg)
+		mod(&req)
 	}
-	inst, err := w.Build()
-	if err != nil {
-		return nil, false, fmt.Errorf("building %s/%s: %w", spec.Suite, spec.Bench, err)
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = inst.SuggestedMaxInsts
-	}
-	if cfg.Degrade.Enabled() {
-		// Ladder path: the first attempt consumes the prebuilt instance,
-		// retries rebuild a fresh one. RunLadder resumes each rung from
-		// the newest snapshot in cfg.CheckpointDir itself; detect that
-		// here only to report it.
-		resumed := false
-		if cfg.CheckpointDir != "" {
-			if snap, _ := checkpoint.Latest(cfg.CheckpointDir); snap != "" {
-				resumed = true
-			}
-		}
-		first := inst
-		res, err := sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			if first != nil {
-				i := first
-				first = nil
-				return sim.NewFunctionalSource(c, i), nil
-			}
-			retry, err := w.Build()
-			if err != nil {
-				return nil, fmt.Errorf("rebuilding %s/%s: %w", spec.Suite, spec.Bench, err)
-			}
-			return sim.NewFunctionalSource(c, retry), nil
-		})
-		return res, resumed, err
-	}
-	return sim.RunOrResume(cfg, inst)
+	return sim.Execute(req)
 }
 
 // RunDirect runs the spec exactly as a worker would, minus every

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/checkpoint"
 )
 
 // On-disk layout under Config.StateDir — the daemon's durable state:
@@ -18,9 +20,10 @@ import (
 //	    ckpt/          the sim checkpoint chain (ckpt-*.wpsnap)
 //
 // A job directory holding a spec but no result is unfinished work: the
-// next daemon run re-admits it and RunOrResume picks the newest
-// snapshot in ckpt/, so a SIGTERM'd or crashed daemon resumes every
-// in-flight and queued job bit-identically.
+// next daemon run re-admits it and sim.Execute resumes it from the
+// newest snapshot in ckpt/, so a SIGTERM'd or crashed daemon resumes
+// every in-flight and queued job bit-identically. Every document is
+// written atomically (checkpoint.WriteFile: temp file + rename).
 
 const jobDirPrefix = "job-"
 
@@ -72,33 +75,36 @@ func (s *Server) persistSpec(j *job) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "spec.json"), append(data, '\n'), 0o644)
+	return checkpoint.WriteFile(filepath.Join(dir, "spec.json"), append(data, '\n'))
 }
 
-// persistResult writes the terminal documents: the status in
-// result.json and — when the job produced one — the canonical result
-// bytes, verbatim, in canonical.json (embedding them as a RawMessage
-// inside the indented result.json would re-indent them and break byte
-// identity across a restart). The canonical file goes first so a crash
-// between the writes leaves the job unfinished, never
-// finished-without-result. Drain-interrupted jobs are deliberately
-// never persisted — the absence of result.json is what re-admits them
-// on restart.
-func (s *Server) persistResult(j *job) error {
-	dir := s.jobDir(j.id)
+// resultWriter returns the writer of the job's terminal documents (nil
+// for an ephemeral server): the status in result.json and — when the
+// job produced one — the canonical result bytes, verbatim, in
+// canonical.json (embedding them as a RawMessage inside the indented
+// result.json would re-indent them and break byte identity across a
+// restart). The canonical file goes first so a crash between the writes
+// leaves the job unfinished, never finished-without-result. The job
+// calls the writer before publishing its terminal state (job.commit).
+// Drain-interrupted jobs are deliberately never persisted — the absence
+// of result.json is what re-admits them on restart.
+func (s *Server) resultWriter(id string) resultWriter {
+	dir := s.jobDir(id)
 	if dir == "" {
 		return nil
 	}
-	if canonical, _ := j.result(); canonical != nil {
-		if err := os.WriteFile(filepath.Join(dir, "canonical.json"), canonical, 0o644); err != nil {
+	return func(st Status, canonical json.RawMessage) error {
+		if canonical != nil {
+			if err := checkpoint.WriteFile(filepath.Join(dir, "canonical.json"), canonical); err != nil {
+				return err
+			}
+		}
+		data, err := json.MarshalIndent(st, "", "  ")
+		if err != nil {
 			return err
 		}
+		return checkpoint.WriteFile(filepath.Join(dir, "result.json"), append(data, '\n'))
 	}
-	data, err := json.MarshalIndent(j.status(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "result.json"), append(data, '\n'), 0o644)
 }
 
 // removeJobDir rolls back a job directory created for an admission

@@ -103,24 +103,19 @@ func TestBatchWithWatchdogBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunKindsBatchBitIdentical covers the sweep entry point the
-// experiments layer uses: every technique's result from one batched
-// sweep equals its per-instruction counterpart.
+// TestRunKindsBatchBitIdentical covers the sweep path the experiments
+// layer uses (Execute fanned out per technique): every technique's
+// result from one batched sweep equals its per-instruction counterpart.
 func TestRunKindsBatchBitIdentical(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	refCfg := Default(wrongpath.NoWP)
 	refCfg.Core.Batch = 1
-	refs, err := RunAll(refCfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gots, err := RunAll(Default(wrongpath.NoWP), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range wrongpath.Kinds() {
-		if !reflect.DeepEqual(stripHost(gots[k]), stripHost(refs[k])) {
-			t.Errorf("%v: batched RunAll result diverges from per-instruction", k)
+	kinds := wrongpath.Kinds()
+	refs := sweep(t, refCfg, w, kinds, 1)
+	gots := sweep(t, Default(wrongpath.NoWP), w, kinds, 1)
+	for i, k := range kinds {
+		if !reflect.DeepEqual(stripHost(gots[i]), stripHost(refs[i])) {
+			t.Errorf("%v: batched sweep result diverges from per-instruction", k)
 		}
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/checkpoint"
-	"repro/internal/queue"
 	"repro/internal/simerr"
-	"repro/internal/workloads"
 )
 
 // sessionSnapshotVersion stamps the session-level snapshot header; bump
@@ -213,72 +211,6 @@ func (s *Session) Restore(r *checkpoint.Reader) error {
 	s.restoredInsts = insts
 	s.view.CheckpointRestore(insts)
 	return nil
-}
-
-// Resume restores the snapshot at snapPath into a fresh session over
-// the workload instance and continues the run. The configuration must
-// match the one the snapshot was written under (fingerprint-checked);
-// the Result is bit-identical to an uninterrupted run of that
-// configuration.
-func Resume(cfg Config, inst *workloads.Instance, snapPath string) (*Result, error) {
-	r, err := checkpoint.ReadFile(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	src := NewFunctionalSource(cfg, inst)
-	s, err := NewSession(cfg, src)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	if err := s.Restore(r); err != nil {
-		src.Close()
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
-}
-
-// RunOrResume runs the instance, first restoring the newest snapshot in
-// cfg.CheckpointDir when checkpointing is enabled and the directory
-// holds one — the crash-safe serving loop's entry point (a fresh or
-// empty directory runs from zero). The returned bool reports whether a
-// snapshot was restored. Either way the Result is bit-identical to an
-// uninterrupted Run of the same configuration.
-func RunOrResume(cfg Config, inst *workloads.Instance) (*Result, bool, error) {
-	if cfg.checkpointEnabled() {
-		snap, err := checkpoint.Latest(cfg.CheckpointDir)
-		if err != nil {
-			return nil, false, err
-		}
-		if snap != "" {
-			res, err := Resume(cfg, inst, snap)
-			return res, true, err
-		}
-	}
-	res, err := Run(cfg, inst)
-	return res, false, err
-}
-
-// ResumeTrace is Resume for a pre-recorded trace: src must be a fresh
-// reader positioned at the start of the same trace (the snapshot's
-// cursor is replayed forward over it).
-func ResumeTrace(cfg Config, src queue.Producer, snapPath string) (*Result, error) {
-	r, err := checkpoint.ReadFile(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewSession(cfg, NewTraceSource(src))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Restore(r); err != nil {
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
 }
 
 // canceler is the cancellation watcher: a goroutine that interrupts the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -11,7 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/simerr"
-	"repro/internal/tracefile"
+	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
@@ -103,9 +102,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				rcfg := cfg
 				rcfg.CheckpointDir = dir
 				rcfg.CheckpointEvery = 8_000
-				resumed, err := Resume(rcfg, w.MustBuild(), snap)
+				resumed, restored, err := Execute(Request{Config: rcfg, Workload: &w, Resume: true})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !restored {
+					t.Fatal("resume did not restore the snapshot")
 				}
 				if resumed.Err != nil {
 					t.Fatalf("resumed fault: %v", resumed.Err)
@@ -194,13 +196,14 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 	} else if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	snap, err := checkpoint.Latest(wcfg.CheckpointDir)
-	if err != nil || snap == "" {
-		t.Fatalf("no snapshot: %q, %v", snap, err)
-	}
-	resumed, err := Resume(chaosConfig(wrongpath.Conv, 1), w.MustBuild(), snap)
+	rcfg := chaosConfig(wrongpath.Conv, 1)
+	rcfg.CheckpointDir = wcfg.CheckpointDir
+	resumed, restored, err := Execute(Request{Config: rcfg, Workload: &w, Resume: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !restored {
+		t.Fatal("cross-lane resume did not restore the snapshot")
 	}
 	if resumed.Err != nil {
 		t.Fatal(resumed.Err)
@@ -214,18 +217,10 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 // cursor; a killed replay resumes over a fresh reader of the same bytes
 // and matches the uninterrupted replay bit-for-bit.
 func TestResumeTraceBitIdentical(t *testing.T) {
-	raw := recordTrace(t)
-	reader := func() *tracefile.Reader {
-		r, err := tracefile.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
+	trace := traceOpener(recordTrace(t))
 	cfg := Default(wrongpath.Conv)
 	cfg.MaxInsts = 30_000
-	base, err := RunTrace(cfg, reader())
+	base, _, err := Execute(Request{Config: cfg, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,20 +236,21 @@ func TestResumeTraceBitIdentical(t *testing.T) {
 	ccfg.CheckpointDir = dir
 	ccfg.CheckpointEvery = 10_000
 	ccfg.OnCheckpoint = func(insts uint64, path string) { cancel() }
-	killed, err := RunTrace(ccfg, reader())
+	killed, _, err := Execute(Request{Config: ccfg, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(killed.Err, simerr.ErrCanceled) {
 		t.Fatalf("killed trace run Err = %v, want ErrCanceled", killed.Err)
 	}
-	snap, err := checkpoint.Latest(dir)
-	if err != nil || snap == "" {
-		t.Fatalf("no snapshot: %q, %v", snap, err)
-	}
-	resumed, err := ResumeTrace(cfg, reader(), snap)
+	rcfg := cfg
+	rcfg.CheckpointDir = dir
+	resumed, restored, err := Execute(Request{Config: rcfg, Trace: trace, Resume: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !restored {
+		t.Fatal("trace resume did not restore the snapshot")
 	}
 	if resumed.Err != nil {
 		t.Fatal(resumed.Err)
@@ -283,9 +279,25 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 	bad := cfg
 	bad.MaxInsts = 50_000
-	if _, err := Resume(bad, w.MustBuild(), snap); !errors.Is(err, simerr.ErrConfig) {
-		t.Fatalf("mismatched resume err = %v, want ErrConfig", err)
+	if err := restoreInto(t, bad, w, snap); !errors.Is(err, simerr.ErrConfig) {
+		t.Fatalf("mismatched restore err = %v, want ErrConfig", err)
 	}
+}
+
+// restoreInto restores the snapshot at path into a fresh session over
+// the workload — the rejection point Execute relies on to skip a
+// snapshot that does not belong to the run.
+func restoreInto(t *testing.T, cfg Config, w workloads.Workload, path string) error {
+	t.Helper()
+	s, err := NewSession(cfg, NewFunctionalSource(cfg, w.MustBuild()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := checkpoint.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return s.Restore(r)
 }
 
 // TestResumeCorruptSnapshot: flipping one payload byte must surface a
@@ -313,8 +325,8 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(mangled, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, w.MustBuild(), mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
-		t.Fatalf("corrupt resume err = %v, want ErrTraceCorrupt", err)
+	if err := restoreInto(t, cfg, w, mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
+		t.Fatalf("corrupt restore err = %v, want ErrTraceCorrupt", err)
 	}
 }
 

@@ -32,18 +32,6 @@ func recordTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// traceLadderSource builds a fresh trace source per ladder attempt.
-func traceLadderSource(t *testing.T, data []byte) func(Config) (Source, error) {
-	t.Helper()
-	return func(Config) (Source, error) {
-		r, err := tracefile.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return NewTraceSource(r), nil
-	}
-}
-
 // stallClock drives the watchdog deterministically: Now is a fixed
 // clock, and every After channel fires once the trigger (the Freezer's
 // Frozen signal) is closed — so the watchdog samples exactly from the
@@ -161,7 +149,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	data := recordTrace(t)
 	cfg := Default(wrongpath.WPEmul)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, err := RunLadder(cfg, traceLadderSource(t, data))
+	res, _, err := Execute(Request{Config: cfg, Trace: traceOpener(data)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +161,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	}
 
 	// The degraded cell must equal a direct conv replay bit-for-bit.
-	direct, err := RunLadder(Default(wrongpath.Conv), traceLadderSource(t, data))
+	direct, _, err := Execute(Request{Config: Default(wrongpath.Conv), Trace: traceOpener(data)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +174,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 // capability fault surfaces as a typed error, same as before.
 func TestLadderDisabledStillRejectsUnsupported(t *testing.T) {
 	data := recordTrace(t)
-	_, err := RunLadder(Default(wrongpath.WPEmul), traceLadderSource(t, data))
+	_, _, err := Execute(Request{Config: Default(wrongpath.WPEmul), Trace: traceOpener(data)})
 	if !errors.Is(err, simerr.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported class", err)
 	}
@@ -200,7 +188,7 @@ func TestLadderKeepsCorruptPrefix(t *testing.T) {
 	cut := faultinject.Truncate(data, int64(len(data)-3)) // mid-record: records are >= 8 bytes
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, err := RunLadder(cfg, traceLadderSource(t, cut))
+	res, _, err := Execute(Request{Config: cfg, Trace: traceOpener(cut)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +210,15 @@ func TestLadderDegradesOnWorkerPanic(t *testing.T) {
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
 		attempts++
-		src := NewFunctionalSource(c, w.MustBuild())
 		if attempts == 1 {
 			return WrapSource(src, func(p queue.Producer) queue.Producer {
 				return faultinject.PanicAt(p, 100, "injected worker fault")
-			}), nil
+			})
 		}
-		return src, nil
-	})
+		return src
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +233,7 @@ func TestLadderDegradesOnWorkerPanic(t *testing.T) {
 	}
 
 	// The degraded instrec result must match a clean instrec run.
-	direct, err := Run(Default(wrongpath.InstRec), w.MustBuild())
+	direct, _, err := Execute(Request{Config: Default(wrongpath.InstRec), Workload: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +248,11 @@ func TestLadderExhaustsToTypedError(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
-		return WrapSource(NewFunctionalSource(c, w.MustBuild()), func(p queue.Producer) queue.Producer {
+	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
+		return WrapSource(src, func(p queue.Producer) queue.Producer {
 			return faultinject.PanicAt(p, 50, "persistent fault")
-		}), nil
-	})
+		})
+	}})
 	if res != nil {
 		t.Error("exhausted ladder returned a result")
 	}
@@ -285,17 +272,14 @@ func TestLadderStallDegrades(t *testing.T) {
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	cfg.Watchdog = 100 * time.Millisecond
-	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
-		attempts++
-		src := NewFunctionalSource(c, w.MustBuild())
-		if attempts > 1 {
-			return src, nil
+	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, c Config) Source {
+		if c.WP != wrongpath.Conv {
+			return src
 		}
 		return WrapSource(src, func(p queue.Producer) queue.Producer {
 			return faultinject.FreezeAt(p, 200)
-		}), nil
-	})
+		})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,21 +292,16 @@ func TestLadderStallDegrades(t *testing.T) {
 }
 
 // TestRunKindsLadderCleanBitIdentical: with the ladder armed but no
-// fault injected, every cell must be bit-identical to the unarmed run —
-// the acceptance criterion's fault-free half at the sim layer.
+// fault injected, every cell of a sweep must be bit-identical to the
+// unarmed run — the acceptance criterion's fault-free half at the sim
+// layer.
 func TestRunKindsLadderCleanBitIdentical(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	kinds := wrongpath.Kinds()
-	plain, err := RunKinds(Default(wrongpath.NoWP), w, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := sweep(t, Default(wrongpath.NoWP), w, kinds, 1)
 	cfg := Default(wrongpath.NoWP)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	laddered, err := RunKinds(cfg, w, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	laddered := sweep(t, cfg, w, kinds, 1)
 	for i, k := range kinds {
 		p, l := plain[i], laddered[i]
 		if l.Degraded || l.Err != nil {

@@ -6,8 +6,8 @@ import (
 
 // This file is the sim layer's half of the observability contract (see
 // internal/obs): sessions carry a live *obs.View for sampling hooks,
-// and the accepting entry points — Run, RunTrace, RunLadder — publish a
-// result's aggregate counters exactly once per accepted result. The
+// and the two entry points — Run and Execute — publish a result's
+// aggregate counters exactly once per accepted result. The
 // degradation ladder may run the same cell several times; only the
 // result a caller actually receives is counted, so sweep totals (e.g.
 // WPGenerated) never double-count retry rungs.

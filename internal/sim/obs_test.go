@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -59,36 +60,27 @@ func TestObsEnabledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunKindsObsIdentical: the sweep entry point with observability on
-// must match the plain sweep field-for-field (except host wall clock).
-func TestRunKindsObsIdentical(t *testing.T) {
+// TestExecuteObsIdentical: a sweep over Execute with observability on
+// (and four workers) must match the plain serial sweep field-for-field
+// (except host wall clock).
+func TestExecuteObsIdentical(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	kinds := wrongpath.Kinds()
-	plain, err := RunKinds(Default(wrongpath.NoWP), w, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := sweep(t, Default(wrongpath.NoWP), w, kinds, 1)
 	cfg, reg, sink, buf := obsConfig(wrongpath.NoWP, "")
-	observed, err := RunKinds(cfg, w, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	observed := sweep(t, cfg, w, kinds, 4)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range kinds {
-		p, o := plain[i], observed[i]
-		if p.Core != o.Core || p.Policy != o.Policy {
+		if !reflect.DeepEqual(stripWall(plain[i]), stripWall(observed[i])) {
 			t.Errorf("%v: observed sweep cell differs from plain cell", k)
-		}
-		if p.L1I != o.L1I || p.L1D != o.L1D || p.L2 != o.L2 || p.LLC != o.LLC {
-			t.Errorf("%v: cache stats differ with observability on", k)
 		}
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Error("sweep trace is not valid JSON")
 	}
-	// RunKinds derives the workload label when none is set; every cell
+	// Execute derives the workload label when none is set; every cell
 	// publishes exactly one run under it.
 	for i, k := range kinds {
 		key := obs.Key("sim_runs_total", w.Suite+"/"+w.Name, k.String())
@@ -145,16 +137,15 @@ func TestLadderMetricsNoDoubleCount(t *testing.T) {
 	cfg, reg, sink, _ := obsConfig(wrongpath.Conv, label)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
 		attempts++
-		src := NewFunctionalSource(c, w.MustBuild())
 		if attempts == 1 {
 			return WrapSource(src, func(p queue.Producer) queue.Producer {
 				return faultinject.PanicAt(p, 100, "injected worker fault")
-			}), nil
+			})
 		}
-		return src, nil
-	})
+		return src
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 
 // Session is one wired-up simulation: a Source feeding the decoupling
 // queue, a wrong-path policy, and the out-of-order core, constructed
-// from a Config in exactly one place. Run/RunTrace are thin wrappers
-// over it; construct a Session directly to supply a custom Source.
+// from a Config in exactly one place. Run and Execute are built on it;
+// construct a Session directly to supply a custom Source.
 type Session struct {
 	cfg    Config
 	src    Source

@@ -67,62 +67,3 @@ func TestSessionMatchesRun(t *testing.T) {
 		}
 	}
 }
-
-// TestRunKindsParallelMatchesSerial: the batch engine's core guarantee
-// at the sim layer — RunKinds with N workers must produce results
-// bit-identical to the serial run, in kinds order, for every field but
-// the host wall clock. CI runs this under -race.
-func TestRunKindsParallelMatchesSerial(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	kinds := wrongpath.Kinds()
-	cfg := Default(wrongpath.NoWP)
-
-	serial, err := RunKinds(cfg, w, kinds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunKinds(cfg, w, kinds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, k := range kinds {
-		s, p := serial[i], parallel[i]
-		if s.WP != k || p.WP != k {
-			t.Fatalf("result %d: out of kinds order (serial %v, parallel %v, want %v)", i, s.WP, p.WP, k)
-		}
-		if s.Core != p.Core {
-			t.Errorf("%v: core stats diverge across worker counts:\n serial   %+v\n parallel %+v", k, s.Core, p.Core)
-		}
-		if s.L1I != p.L1I || s.L1D != p.L1D || s.L2 != p.L2 || s.LLC != p.LLC {
-			t.Errorf("%v: cache stats diverge across worker counts", k)
-		}
-		if s.Policy != p.Policy {
-			t.Errorf("%v: policy stats diverge across worker counts", k)
-		}
-		if s.MemAccesses != p.MemAccesses || s.WrongMemAccesses != p.WrongMemAccesses {
-			t.Errorf("%v: memory stats diverge across worker counts", k)
-		}
-		if s.FunctionalInsts != p.FunctionalInsts ||
-			s.WPEmulatedPaths != p.WPEmulatedPaths || s.WPEmulatedInsts != p.WPEmulatedInsts {
-			t.Errorf("%v: functional-side stats diverge across worker counts", k)
-		}
-	}
-}
-
-// TestRunAllCoversEveryKind: RunAll's map must contain exactly the
-// canonical kinds.
-func TestRunAllCoversEveryKind(t *testing.T) {
-	results, err := RunAll(Default(wrongpath.NoWP), gap.BFS(gap.TestParams()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(wrongpath.Kinds()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(wrongpath.Kinds()))
-	}
-	for _, k := range wrongpath.Kinds() {
-		if results[k] == nil {
-			t.Errorf("RunAll missing %v", k)
-		}
-	}
-}

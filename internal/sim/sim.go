@@ -1,29 +1,29 @@
 // Package sim wires the full functional-first simulator together:
 // functional CPU → frontend (with optional wrong-path emulation) →
 // decoupling queue → out-of-order core with a wrong-path policy. It is
-// the library's primary public surface: construct a Config, point it at
-// a workload instance, and Run.
+// the library's primary public surface. It exports two run entry points:
 //
-// Internally every entry point goes through one session layer: a
-// Source (live functional frontend, parallel frontend, or trace
-// interpreter — the paper's three frontend kinds) feeds a Session,
-// which builds queue → policy → core and collects the Result in one
-// place. Run/RunTrace are thin wrappers; RunKinds fans independent
-// simulations out over the internal/batch worker pool.
+//   - Execute(Request) is the execution path every driver uses: a Config
+//     plus one input (a workload or a recorded trace), with resume, the
+//     degradation ladder, panic containment and metrics in one place.
+//   - Run(cfg, inst) runs one prebuilt instance through one session.
+//
+// Both go through one session layer: a Source (live functional
+// frontend, parallel frontend, or trace interpreter — the paper's three
+// frontend kinds) feeds a Session, which builds queue → policy → core
+// and collects the Result in one place. Fan-outs run Execute on the
+// internal/batch worker pool.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/queue"
 	"repro/internal/workloads"
 	"repro/internal/wrongpath"
 )
@@ -67,23 +67,21 @@ type Config struct {
 	// Timing uses Clock when it implements AfterClock, the wall clock
 	// otherwise; an idle watchdog never influences simulated statistics.
 	Watchdog time.Duration
-	// Degrade arms the graceful-degradation ladder for the ladder-aware
-	// entry points (RunLadder, RunKinds, the experiment runner): on a
+	// Degrade arms Execute's graceful-degradation ladder: on a
 	// recoverable fault a job is re-run one technique rung down instead
 	// of failing the sweep. Zero value = disabled.
 	Degrade DegradePolicy
 	// Metrics is the optional observability registry; runs sample live
 	// distributions (queue occupancy, peek depth, wrong-path generation
-	// latency) into it, and the accepting entry points (Run, RunTrace,
-	// RunLadder) publish the accepted result's aggregate counters
-	// exactly once. nil disables metrics; a disabled run's simulation
+	// latency) into it, and Run and Execute publish the accepted
+	// result's aggregate counters exactly once. nil disables metrics; a disabled run's simulation
 	// output is bit-identical to an instrumented build's.
 	Metrics *obs.Registry
 	// Trace is the optional cycle-event trace sink (Chrome-trace JSON);
 	// each run emits its spans onto its own track. nil disables tracing.
 	Trace *obs.TraceSink
 	// ObsLabel names the workload in metric labels and trace track names
-	// ("gap/bfs"); RunKinds fills it from the workload when empty.
+	// ("gap/bfs"); Execute fills it from the workload when empty.
 	ObsLabel string
 	// Ctx, when non-nil, cancels the run: when it is done, the source is
 	// interrupted, the simulation unwinds at the next lane boundary, and
@@ -95,9 +93,8 @@ type Config struct {
 	// checkpointing: the complete deterministic simulation state is
 	// written to a versioned, checksummed snapshot file in this directory
 	// at the first lane boundary past every CheckpointEvery retired
-	// instructions. Resume/ResumeTrace (and the degradation ladder's
-	// retry path) restore the newest snapshot and continue to a
-	// bit-identical Result. Checkpointing requires a snapshot-capable
+	// instructions. Execute restores the newest snapshot (see its resume
+	// rule) and continues to a bit-identical Result. Checkpointing requires a snapshot-capable
 	// source: the synchronous functional frontend or a trace reader —
 	// not the parallel frontend (its producer goroutine's in-flight
 	// batches are not deterministic state) and not fault-injection
@@ -197,23 +194,6 @@ func Run(cfg Config, inst *workloads.Instance) (*Result, error) {
 	return res, nil
 }
 
-// RunTrace simulates a pre-recorded instruction trace (see
-// internal/tracefile). Per the paper's §III-B, a trace frontend cannot
-// support functional wrong-path emulation — the trace only contains
-// correct-path instructions — so wrongpath.WPEmul is rejected by the
-// session's capability check; every reconstruction-based technique
-// works, because those only need the decode information and run-ahead
-// that the trace preserves.
-func RunTrace(cfg Config, src queue.Producer) (*Result, error) {
-	s, err := NewSession(cfg, NewTraceSource(src))
-	if err != nil {
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
-}
-
 // Error is the paper's accuracy metric: the relative difference in
 // projected performance (IPC) between a technique and the reference
 // (wrong-path emulation). Negative means the technique underestimates
@@ -223,90 +203,6 @@ func Error(tech, ref *Result) float64 {
 		return 0
 	}
 	return (tech.IPC() - ref.IPC()) / ref.IPC()
-}
-
-// RunKinds simulates the instance-factory under each given technique
-// and returns results in kinds order — the deterministic, ordered
-// counterpart of RunAll. A fresh instance is built per run so each
-// technique sees pristine state; the runs are independent and execute
-// on the batch engine with the given worker count (<= 0 one per host
-// core, 1 serial). Simulation results are bit-identical for any worker
-// count; only the per-run Wall timings vary with contention, so pass
-// workers=1 when they matter.
-func RunKinds(cfg Config, w workloads.Workload, kinds []wrongpath.Kind, workers int) ([]*Result, error) {
-	jobs := make([]func() (*Result, error), len(kinds))
-	for i, k := range kinds {
-		jobs[i] = func() (*Result, error) {
-			inst, err := w.Build()
-			if err != nil {
-				return nil, fmt.Errorf("sim: building %s/%s: %w", w.Suite, w.Name, err)
-			}
-			c := cfg
-			c.WP = k
-			if c.MaxInsts == 0 {
-				c.MaxInsts = inst.SuggestedMaxInsts
-			}
-			if c.obsEnabled() && c.ObsLabel == "" {
-				c.ObsLabel = w.Suite + "/" + w.Name
-			}
-			if c.CheckpointDir != "" {
-				// One snapshot directory per technique: concurrent cells
-				// must never overwrite each other's snapshots, and a resume
-				// must find its own technique's file.
-				c.CheckpointDir = filepath.Join(c.CheckpointDir, k.String())
-			}
-			var r *Result
-			if c.Degrade.Enabled() {
-				// Ladder path: the first attempt consumes the prebuilt
-				// instance, every retry builds a fresh one (a run
-				// consumes its instance's state).
-				first := inst
-				r, err = RunLadder(c, func(cc Config) (Source, error) {
-					if first != nil {
-						i := first
-						first = nil
-						return NewFunctionalSource(cc, i), nil
-					}
-					retry, err := w.Build()
-					if err != nil {
-						return nil, fmt.Errorf("sim: rebuilding %s/%s: %w", w.Suite, w.Name, err)
-					}
-					return NewFunctionalSource(cc, retry), nil
-				})
-			} else {
-				r, err = Run(c, inst)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("sim: running %s/%s under %v: %w", w.Suite, w.Name, k, err)
-			}
-			return r, nil
-		}
-	}
-	results := batch.RunContext(cfg.Ctx, jobs, workers)
-	if err := batch.FirstErr(results); err != nil {
-		return nil, err
-	}
-	return batch.Values(results), nil
-}
-
-// RunAll simulates the instance-factory under every technique and
-// returns results indexed by kind; it runs serially (RunKinds with
-// workers=1) so per-run Wall timings stay uncontended. The map's
-// iteration order is random per Go semantics — consumers that render or
-// aggregate order-sensitively must index it by wrongpath.Kinds() (as
-// the experiment drivers do) or use RunKinds directly, which returns
-// the ordered slice.
-func RunAll(cfg Config, w workloads.Workload) (map[wrongpath.Kind]*Result, error) {
-	kinds := wrongpath.Kinds()
-	results, err := RunKinds(cfg, w, kinds, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[wrongpath.Kind]*Result, len(kinds))
-	for i, k := range kinds {
-		out[k] = results[i]
-	}
-	return out, nil
 }
 
 // DescribeConfig renders the core configuration as the paper's Table I:

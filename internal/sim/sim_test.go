@@ -13,9 +13,9 @@ import (
 // each technique must exhibit.
 func TestRunAllTechniques(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
-	results, err := RunAll(Default(wrongpath.NoWP), w)
-	if err != nil {
-		t.Fatal(err)
+	results := map[wrongpath.Kind]*Result{}
+	for i, r := range sweep(t, Default(wrongpath.NoWP), w, wrongpath.Kinds(), 1) {
+		results[wrongpath.Kinds()[i]] = r
 	}
 	for k, r := range results {
 		if r.Err != nil {

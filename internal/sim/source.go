@@ -144,8 +144,8 @@ func (s *functionalSource) Collect(res *Result) {
 
 // traceSource adapts a pre-recorded instruction stream (typically a
 // *tracefile.Reader) to the Source interface. It cannot emulate wrong
-// paths, so the session layer rejects wrongpath.WPEmul for it — the
-// capability check that replaces RunTrace's special-cased rejection.
+// paths, so the session layer rejects wrongpath.WPEmul for it (paper
+// §III-B).
 type traceSource struct {
 	src queue.Producer
 }

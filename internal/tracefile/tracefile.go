@@ -6,9 +6,9 @@
 //
 // The paper's §III-B limitation is enforced here: "a trace frontend
 // cannot implement [functional wrong-path emulation], because the trace
-// only contains correct-path instructions" — sim.RunTrace rejects
-// wrongpath.WPEmul, and the writer strips any attached wrong-path
-// streams.
+// only contains correct-path instructions" — the sim session layer
+// rejects wrongpath.WPEmul on a trace source, and the writer strips any
+// attached wrong-path streams.
 //
 // Format (little-endian, varint-based):
 //

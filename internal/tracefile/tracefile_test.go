@@ -9,6 +9,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/functional"
 	"repro/internal/isa"
+	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/trace"
@@ -86,11 +87,7 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay, err := sim.RunTrace(sim.Default(k), r)
+		replay, _, err := sim.Execute(sim.Request{Config: sim.Default(k), Trace: opener(buf.Bytes())})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,13 +107,14 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 	}
 }
 
+// opener reopens an in-memory trace at its first record.
+func opener(data []byte) func() (queue.Producer, error) {
+	return func() (queue.Producer, error) { return tracefile.NewReader(bytes.NewReader(data)) }
+}
+
 func TestTraceRejectsWPEmul(t *testing.T) {
 	buf := recordBFS(t)
-	r, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunTrace(sim.Default(wrongpath.WPEmul), r); err == nil {
+	if _, _, err := sim.Execute(sim.Request{Config: sim.Default(wrongpath.WPEmul), Trace: opener(buf.Bytes())}); err == nil {
 		t.Fatal("trace replay accepted wpemul — the paper says it cannot work")
 	}
 }

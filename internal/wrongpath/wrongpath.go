@@ -47,7 +47,8 @@ const (
 // and the wpemul reference last. The //wplint:exhaustive directive
 // makes the exhaustive analyzer verify the list names every declared
 // Kind, so a newly added policy cannot be left out of Kinds() (and
-// thereby out of RunAll, the experiment drivers and the CLI help).
+// thereby out of the -wp all sweeps, the experiment drivers and the
+// CLI help).
 var kinds = [...]Kind{ //wplint:exhaustive
 	NoWP, InstRec, Conv, ConvResolve, WPEmul,
 }
