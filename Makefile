@@ -40,10 +40,12 @@ faults:
 # kill runs at randomized (seeded) checkpoint boundaries, resume from
 # the latest snapshot, and require results and reports byte-identical
 # to uninterrupted runs (see DESIGN.md, "Checkpoint, resume, and
-# cancellation").
+# cancellation"). The Fingerprint tests pin the content address that
+# snapshots and both result caches key on.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak' \
-		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/
+	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak|Fingerprint' \
+		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/ \
+		./internal/server/ ./internal/specfp/
 
 # fuzz-smoke runs each native fuzz target briefly — a coverage-guided
 # smoke pass over the two binary decoders (trace files and snapshot

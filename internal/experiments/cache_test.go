@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/resultcache"
+	"repro/internal/sim"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
 )
@@ -56,29 +57,49 @@ func TestCellCacheSkipsResimulation(t *testing.T) {
 	}
 }
 
-// TestCellCacheBypassedWithFaultLayer: an armed fault layer (here a
-// watchdog that never fires) makes a cell's outcome depend on host
-// timing, so the sweep must neither store nor serve cache entries.
-func TestCellCacheBypassedWithFaultLayer(t *testing.T) {
+// TestCellCacheCacheabilityRule: the sweep cache follows the rule both
+// result caches share — store only addressable requests whose result is
+// clean and not degraded, under the request fingerprint. An injected
+// (Wrap) sweep stores nothing. A watchdog-armed sweep caches under its
+// own key: it neither serves nor is served by unarmed entries, and it
+// hits on its own repeat.
+func TestCellCacheCacheabilityRule(t *testing.T) {
 	dir := t.TempDir()
-	var out1 strings.Builder
-	opt := cachedOptions(t, dir, &out1)
-	opt.Base.Config.Watchdog = time.Minute
-	r1 := NewRunner(opt)
-	if err := r1.Run("fig1"); err != nil {
-		t.Fatalf("first sweep: %v", err)
+	sweep := func(mod func(*Options)) uint64 {
+		t.Helper()
+		var out strings.Builder
+		opt := cachedOptions(t, dir, &out)
+		mod(&opt)
+		r := NewRunner(opt)
+		if err := r.Run("fig1"); err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		return r.Simulated()
 	}
-	if entries, _ := filepath.Glob(filepath.Join(dir, "*.wpres")); len(entries) != 0 {
-		t.Fatalf("fault-layer sweep stored %d cache entries, want 0", len(entries))
+	entries := func() int {
+		found, _ := filepath.Glob(filepath.Join(dir, "*.wpres"))
+		return len(found)
 	}
-	var out2 strings.Builder
-	opt2 := cachedOptions(t, dir, &out2)
-	opt2.Base.Config.Watchdog = time.Minute
-	r2 := NewRunner(opt2)
-	if err := r2.Run("fig1"); err != nil {
-		t.Fatalf("repeat sweep: %v", err)
+	injected := func(o *Options) {
+		o.Base.Wrap = func(src sim.Source, _ sim.Config) sim.Source { return src }
 	}
-	if r2.Simulated() == 0 {
-		t.Error("fault-layer sweep served cells from the cache")
+	armed := func(o *Options) { o.Base.Config.Watchdog = time.Minute }
+	plain := func(*Options) {}
+
+	if sweep(injected); entries() != 0 {
+		t.Fatalf("injected sweep stored %d cache entries, want 0", entries())
+	}
+	cells := sweep(armed)
+	if cells == 0 || entries() != int(cells) {
+		t.Fatalf("armed sweep simulated %d cells and stored %d entries; want every cell stored", cells, entries())
+	}
+	if n := sweep(plain); n != cells {
+		t.Errorf("unarmed sweep simulated %d of %d cells; armed entries must not serve it", n, cells)
+	}
+	if n := sweep(armed); n != 0 {
+		t.Errorf("repeat armed sweep simulated %d cells, want 0 (its own entries)", n)
+	}
+	if n := sweep(injected); n != cells {
+		t.Errorf("injected sweep simulated %d of %d cells; it must never be served from the cache", n, cells)
 	}
 }

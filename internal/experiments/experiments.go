@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -33,7 +34,6 @@ import (
 	"repro/internal/resultcache"
 	"repro/internal/sim"
 	"repro/internal/simerr"
-	"repro/internal/specfp"
 	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
@@ -95,13 +95,13 @@ type Options struct {
 	Jobs int
 	// Cache, when non-nil, memoizes cell results across runner
 	// lifetimes (and, with a persistent tier, across processes):
-	// repeated sweeps over the same cells skip re-simulation. Only
-	// fault-free cells participate — results of degraded or injected
-	// runs record host-timing events, not pure functions of the
-	// configuration — and the cache is bypassed entirely while the
-	// fault layer is armed. Report text is identical with or without
-	// it; only Wall times (and thus the speed experiment's ratios)
-	// reflect the original run instead of a fresh one.
+	// repeated sweeps over the same cells skip re-simulation. Cells are
+	// keyed by sim.Request.Fingerprint, so an armed watchdog or ladder
+	// caches under its own key; only addressable cells (no Wrap) whose
+	// result is clean and not degraded are stored. Report text is
+	// identical with or without it; only Wall times (and thus the speed
+	// experiment's ratios) reflect the original run instead of a fresh
+	// one.
 	Cache *resultcache.Cache
 }
 
@@ -161,13 +161,6 @@ func cacheKey(w workloads.Workload, k wrongpath.Kind) string {
 	return w.Suite + "/" + w.Name + "/" + k.String()
 }
 
-// faultLayer reports whether any part of the fault-tolerance layer is
-// armed: a cell's outcome then depends on more than its configuration.
-func (r *Runner) faultLayer() bool {
-	b := r.opt.Base
-	return b.Config.Watchdog > 0 || b.Config.Degrade.Enabled() || b.Wrap != nil
-}
-
 // simulate runs one workload under one technique from the runner's base
 // request. It is pure (no memo table or progress access), so the batch
 // engine may call it from any worker goroutine.
@@ -176,18 +169,17 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 	req.Workload = &w
 	req.Config.WP = k
 	if dir := req.Config.CheckpointDir; dir != "" {
-		// One snapshot lineage per cell: the fingerprint ties a snapshot
-		// to its configuration, the path ties it to its cell.
+		// One snapshot lineage per cell: the snapshot identity ties a
+		// snapshot to its request, the path ties it to its cell.
 		req.Config.CheckpointDir = filepath.Join(dir, w.Suite, w.Name, k.String())
 	}
-	// The persistent cell cache sits outside the fault layer: an armed
-	// watchdog, ladder, or injector means this cell's outcome depends on
-	// more than its configuration, so neither probe nor store.
-	useCache := r.opt.Cache != nil && !r.faultLayer()
-	var fp string
-	if useCache {
-		fp = r.cellFingerprint(w, req.Config)
-		if data, hit, _ := r.opt.Cache.Get(fp); hit {
+	var key string
+	if r.opt.Cache != nil {
+		key = req.Fingerprint()
+	}
+	if key != "" {
+		key = cellDomain + key
+		if data, hit, _ := r.opt.Cache.Get(key); hit {
 			var cached sim.Result
 			if err := json.Unmarshal(data, &cached); err == nil {
 				return &cached, nil
@@ -203,29 +195,15 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 	if res.Err != nil && !res.Degraded {
 		return nil, fmt.Errorf("%s under %v: functional error: %w", cacheKey(w, k), k, res.Err)
 	}
-	if useCache && res.Err == nil && !res.Degraded {
-		storeCell(r.opt.Cache, fp, res)
+	if key != "" && res.Err == nil && !res.Degraded {
+		storeCell(r.opt.Cache, key, res)
 	}
 	return res, nil
 }
 
-// cellFingerprint is a sweep cell's content address: workload identity,
-// the runner's input-shape parameters (rendered with %+v — field order
-// is fixed by the struct, so the rendering is canonical), and the sim
-// configuration fingerprint (which carries the core configuration and
-// instruction budgets, and excludes the knobs — lane size, checkpoint
-// cadence — that provably cannot change results). The budget is the
-// workload's suggested one, a function of the input-shape parameters.
-func (r *Runner) cellFingerprint(w workloads.Workload, cfg sim.Config) string {
-	b := specfp.New("wpexp/cell/v1")
-	b.String("suite", w.Suite)
-	b.String("bench", w.Name)
-	b.String("wp", cfg.WP.String())
-	b.String("gap_params", fmt.Sprintf("%+v", r.opt.GAP))
-	b.String("spec_params", fmt.Sprintf("%+v", r.opt.Spec))
-	b.String("sim_config", cfg.Fingerprint())
-	return b.Sum()
-}
+// cellDomain prefixes request fingerprints in the cell cache, so a
+// store of another format (wpserved's) never decodes its entries.
+const cellDomain = "wpexp.result.v2-"
 
 // storeCell persists one fault-free cell result. Unlike the serving
 // layer's canonical documents, the stored encoding keeps Wall so a
@@ -247,7 +225,7 @@ func storeCell(c *resultcache.Cache, fp string, res *sim.Result) {
 
 // noteIncomplete records a canceled cell for the INCOMPLETE footnote.
 func (r *Runner) noteIncomplete(key string, err error) {
-	r.incomplete = append(r.incomplete, fmt.Sprintf("%s: %s", key, firstLine(err.Error())))
+	r.incomplete = append(r.incomplete, fmt.Sprintf("%s: %s", key, simerr.FirstLine(err)))
 }
 
 // record memoizes one finished run, emits its progress line, and notes
@@ -264,20 +242,11 @@ func (r *Runner) record(key string, res *sim.Result) {
 	if res.Degraded {
 		note := fmt.Sprintf("%s: ran as %v (requested %v)", key, res.WP, res.RequestedWP)
 		if res.DegradeFault != nil {
-			note += ": " + firstLine(res.DegradeFault.Error())
+			note += ": " + simerr.FirstLine(res.DegradeFault)
 		}
 		r.degraded = append(r.degraded, note)
 	}
 	r.cache[key] = res
-}
-
-// firstLine truncates multi-line fault renderings (panic stacks) for
-// the one-line report footnote.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // prefetch runs every uncached (workload, technique) pair through the
@@ -484,13 +453,13 @@ func (r *Runner) Fig4SPEC() error {
 		for _, pt := range points {
 			e := pt.err[k]
 			if pt.fp {
-				fpAbs += abs(e)
+				fpAbs += math.Abs(e)
 				nFP++
 			} else {
-				intAbs += abs(e)
+				intAbs += math.Abs(e)
 				nInt++
 			}
-			if abs(e) < 0.005 {
+			if math.Abs(e) < 0.005 {
 				near++
 			}
 		}
@@ -717,11 +686,4 @@ func (r *Runner) All() error {
 		}
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

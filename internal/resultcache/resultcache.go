@@ -1,8 +1,11 @@
 // Package resultcache is a two-tier content-addressed cache for
 // canonical result bytes: a bounded in-memory LRU in front of an
-// optional persistent store. Keys are specfp fingerprints; values are
-// opaque byte documents (the serving layer stores canonical result
-// JSON, the experiment runner stores serialized cell results).
+// optional persistent store. Keys are specfp fingerprints, each
+// prefixed by its store's format domain; values are opaque byte
+// documents (the serving layer stores canonical result JSON under
+// "wpserved.canonical.v2-", the experiment runner full sim.Result JSON
+// under "wpexp.result.v2-"), so stores sharing a directory never
+// decode each other's entries.
 //
 // The cache's correctness contract is asymmetric: it may always miss,
 // it must never return wrong bytes. Three mechanisms enforce that:
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/specfp"
@@ -82,11 +86,15 @@ func New(dir string, max int) (*Cache, error) {
 	}, nil
 }
 
-// Dir returns the persistent tier's directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
+// validKey accepts a specfp fingerprint behind an optional domain of
+// [a-z0-9.-], so an entry name can never traverse out of dir.
+func validKey(key string) bool {
+	n := len(key) - 64
+	return n >= 0 && specfp.Valid(key[n:]) &&
+		strings.Trim(key[:n], "abcdefghijklmnopqrstuvwxyz0123456789.-") == ""
+}
 
-// path maps a fingerprint to its entry file. Fingerprints are
-// validated hex, so the name can never traverse out of dir.
+// path maps a validated key to its entry file.
 func (c *Cache) path(fp string) string {
 	return filepath.Join(c.dir, fp+".wpres")
 }
@@ -98,7 +106,7 @@ func (c *Cache) path(fp string) string {
 // fall through to a real run. Callers must not mutate the returned
 // slice.
 func (c *Cache) Get(fp string) (data []byte, hit, corrupt bool) {
-	if c == nil || !specfp.Valid(fp) {
+	if c == nil || !validKey(fp) {
 		return nil, false, false
 	}
 	c.mu.Lock()
@@ -141,8 +149,8 @@ func (c *Cache) Put(fp string, data []byte) error {
 	if c == nil {
 		return nil
 	}
-	if !specfp.Valid(fp) {
-		return fmt.Errorf("resultcache: invalid fingerprint %q", fp)
+	if !validKey(fp) {
+		return fmt.Errorf("resultcache: invalid key %q", fp)
 	}
 	c.mu.Lock()
 	c.insertLocked(fp, data)

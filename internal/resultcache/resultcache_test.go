@@ -13,7 +13,9 @@ import (
 )
 
 func fp(n int) string {
-	return specfp.Of("resultcache-test", "n", fmt.Sprint(n))
+	b := specfp.New("resultcache-test")
+	b.Int64("n", int64(n))
+	return b.Sum()
 }
 
 func TestMemoryTier(t *testing.T) {
@@ -217,5 +219,34 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Error("nil cache reports non-zero state")
+	}
+}
+
+// TestDomainPrefixedKeys: a store's format domain is part of the key,
+// so two stores sharing a directory never read each other's entries,
+// and a domain can never smuggle a path component.
+func TestDomainPrefixedKeys(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(dir, 4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := c.Put("a.v2-"+fp(1), []byte("a")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	fresh, err := New(dir, 4)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, hit, _ := fresh.Get("b.v2-" + fp(1)); hit {
+		t.Error("another domain's entry hit")
+	}
+	if data, hit, _ := fresh.Get("a.v2-" + fp(1)); !hit || string(data) != "a" {
+		t.Errorf("own domain: hit=%v data=%q", hit, data)
+	}
+	for _, bad := range []string{"A-" + fp(1), "../" + fp(1), "a/" + fp(1)} {
+		if err := c.Put(bad, []byte("x")); err == nil {
+			t.Errorf("Put(%q) accepted an invalid key", bad)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/workloads/gap"
 )
 
 // drainNow drains a server mid-test so a second one can be opened over
@@ -518,4 +519,102 @@ func TestCanceledLeaderPromotesFollower(t *testing.T) {
 		t.Fatalf("Cancel blocker: %v", err)
 	}
 	waitFor(t, s, blocker.ID, "terminal", terminal)
+}
+
+// TestFingerprintResolvesDefaults: specs address by the request they
+// translate to, so spelling out a default shares the address of leaving
+// it zero, and fields that never reach the request stay outside it.
+func TestFingerprintResolvesDefaults(t *testing.T) {
+	base := JobSpec{Suite: "gap", Bench: "bfs"}
+	fp := base.Fingerprint()
+	if fp == "" {
+		t.Fatal("a valid spec is not addressable")
+	}
+	for _, same := range []JobSpec{
+		{Suite: "gap", Bench: "bfs", N: gap.DefaultParams().N},
+		{Suite: "gap", Bench: "bfs", Degree: gap.DefaultParams().Degree, Seed: gap.DefaultParams().Seed},
+		{Suite: "gap", Bench: "bfs", WP: "conv"},
+		{Suite: "gap", Bench: "bfs", TimeoutMS: 5, CheckpointEvery: 7, Batch: 1},
+	} {
+		if got := same.Fingerprint(); got != fp {
+			t.Errorf("%+v: fingerprint differs from the defaulted spec", same)
+		}
+	}
+	for _, other := range []JobSpec{
+		{Suite: "gap", Bench: "bfs", N: 1024},
+		{Suite: "gap", Bench: "cc"},
+		{Suite: "gap", Bench: "bfs", WatchdogMS: 1},
+		{Suite: "gap", Bench: "bfs", Degrade: true},
+	} {
+		if got := other.Fingerprint(); got == fp || got == "" {
+			t.Errorf("%+v: fingerprint %q, want its own address", other, got)
+		}
+	}
+	if got := (JobSpec{Suite: "gap", Bench: "nope"}).Fingerprint(); got != "" {
+		t.Errorf("invalid spec fingerprint %q, want \"\"", got)
+	}
+}
+
+// TestCorruptStateDegradesOneJob: a torn result.json re-admits its job,
+// which re-runs to the direct-run bytes; a torn spec.json sets its job
+// directory aside. The daemon starts either way, and untouched jobs keep
+// their bytes.
+func TestCorruptStateDegradesOneJob(t *testing.T) {
+	dir := t.TempDir()
+	specs := []JobSpec{quickSpec("conv", 31), quickSpec("conv", 32), quickSpec("conv", 33)}
+	s1 := newTestServer(t, Config{Workers: 1, StateDir: dir})
+	for _, sp := range specs {
+		st, err := s1.Submit(sp)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitFor(t, s1, st.ID, "terminal", terminal)
+	}
+	drainNow(t, s1)
+
+	job := func(name, file string) string { return filepath.Join(dir, name, file) }
+	untouched := map[string][]byte{}
+	for _, f := range []string{"spec.json", "result.json", "canonical.json"} {
+		data, err := os.ReadFile(job("job-000001", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		untouched[f] = data
+	}
+	if err := os.WriteFile(job("job-000002", "result.json"), []byte(`{"state":"do`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(job("job-000003", "spec.json"), []byte(`{"suite":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	s2 := newTestServer(t, Config{Workers: 1, StateDir: dir, Metrics: reg, CacheMax: -1})
+	if n := reg.Counter("wpserved_state_corrupt_total").Value(); n != 2 {
+		t.Errorf("state corrupt counter = %d, want 2", n)
+	}
+	st := waitFor(t, s2, "job-000002", "terminal", terminal)
+	if st.State != StateDone || st.ExitCode != exitClean {
+		t.Fatalf("re-admitted job: state %s exit %d error %q", st.State, st.ExitCode, st.Error)
+	}
+	if got, _, _ := s2.Result("job-000002"); !bytes.Equal(got, oracle(t, specs[1])) {
+		t.Error("re-admitted job's bytes diverge from the direct run")
+	}
+	if _, err := os.Stat(job("job-000002", "result.json.corrupt")); err != nil {
+		t.Errorf("torn result.json was not set aside: %v", err)
+	}
+	if _, err := s2.Job("job-000003"); err == nil {
+		t.Error("job with a torn spec.json was admitted")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-000003.corrupt", "spec.json")); err != nil {
+		t.Errorf("job dir with a torn spec.json was not set aside: %v", err)
+	}
+	for f, want := range untouched {
+		if got, err := os.ReadFile(job("job-000001", f)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("untouched job-000001/%s changed (err %v)", f, err)
+		}
+	}
+	if next, err := s2.Submit(quickSpec("conv", 34)); err != nil || next.ID != "job-000004" {
+		t.Errorf("next submission %q (err %v), want job-000004", next.ID, err)
+	}
 }

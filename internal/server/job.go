@@ -80,7 +80,7 @@ type job struct {
 	id   string
 	seq  int
 	spec JobSpec
-	fp   string // spec.Fingerprint(), immutable
+	fp   string // cacheKey of the spec's request, immutable
 
 	ckptInsts atomic.Uint64 // updated from sim.Config.OnCheckpoint
 
@@ -89,27 +89,16 @@ type job struct {
 	// touched at submit and settle time, both under the server lock.
 	followers []*job
 
-	mu          sync.Mutex
-	state       string
-	cancel      context.CancelFunc // non-nil while running
-	userCancel  bool
-	interrupted bool
-	resumed     bool
-	exitCode    int
-	errMsg      string
-	fault       string
-	degraded    bool
-	requestedWP string
-	ranWP       string
-	wallNS      int64
-	cacheDisp   string // "hit" | "miss" | "coalesced"; "" = cache disabled
-	dedupedOf   string
-	canonical   json.RawMessage // CanonicalResult bytes once a result exists
+	mu         sync.Mutex
+	st         Status             // the status document; CheckpointInsts lives in ckptInsts
+	cancel     context.CancelFunc // non-nil while running
+	userCancel bool
+	canonical  json.RawMessage // CanonicalResult bytes once a result exists
 }
 
-func newJob(id string, seq int, spec JobSpec) *job {
-	return &job{id: id, seq: seq, spec: spec, fp: spec.Fingerprint(),
-		state: StateQueued, exitCode: exitPending}
+func newJob(id string, seq int, spec JobSpec, fp string) *job {
+	return &job{id: id, seq: seq, spec: spec, fp: fp,
+		st: Status{ID: id, State: StateQueued, Spec: spec, ExitCode: exitPending}}
 }
 
 // start transitions queued → running and installs the cancel hook; it
@@ -118,11 +107,11 @@ func newJob(id string, seq int, spec JobSpec) *job {
 func (j *job) start(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.st.State != StateQueued {
 		return false
 	}
-	j.state = StateRunning
-	j.interrupted = false
+	j.st.State = StateRunning
+	j.st.Interrupted = false
 	j.cancel = cancel
 	return true
 }
@@ -133,10 +122,10 @@ func (j *job) start(cancel context.CancelFunc) bool {
 func (j *job) requeue() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = StateQueued
-	j.interrupted = true
+	j.st.State = StateQueued
+	j.st.Interrupted = true
 	j.cancel = nil
-	j.exitCode = exitPending
+	j.st.ExitCode = exitPending
 }
 
 // resultWriter persists a job's terminal documents (see
@@ -165,15 +154,15 @@ func (j *job) persistLocked(write resultWriter) {
 		return
 	}
 	if err := write(j.statusLocked(), j.canonical); err != nil {
-		j.errMsg = "persist: " + err.Error()
+		j.st.Error = "persist: " + err.Error()
 	}
 }
 
 // finish records a terminal state durably (see commit).
 func (j *job) finish(write resultWriter, state string, exitCode int, mut func(*job)) {
 	j.commit(write, func(j *job) bool {
-		j.state = state
-		j.exitCode = exitCode
+		j.st.State = state
+		j.st.ExitCode = exitCode
 		j.cancel = nil
 		if mut != nil {
 			mut(j)
@@ -189,12 +178,12 @@ func (j *job) finish(write resultWriter, state string, exitCode int, mut func(*j
 func (j *job) requestCancel(write resultWriter) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.st.State {
 	case StateQueued:
 		j.userCancel = true
-		j.state = StateCanceled
-		j.exitCode = exitAnnotated
-		j.errMsg = "canceled before start"
+		j.st.State = StateCanceled
+		j.st.ExitCode = exitAnnotated
+		j.st.Error = "canceled before start"
 		j.persistLocked(write)
 		return true
 	case StateRunning:
@@ -217,7 +206,7 @@ func (j *job) isUserCanceled() bool {
 func (j *job) setResumed() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.resumed = true
+	j.st.Resumed = true
 }
 
 // status snapshots the job document.
@@ -229,31 +218,9 @@ func (j *job) status() Status {
 
 // statusLocked renders the document; the caller holds j.mu.
 func (j *job) statusLocked() Status {
-	return Status{
-		ID:              j.id,
-		State:           j.state,
-		Spec:            j.spec,
-		ExitCode:        j.exitCode,
-		Degraded:        j.degraded,
-		RequestedWP:     j.requestedWP,
-		RanWP:           j.ranWP,
-		Fault:           j.fault,
-		Error:           j.errMsg,
-		Resumed:         j.resumed,
-		Interrupted:     j.interrupted,
-		CheckpointInsts: j.ckptInsts.Load(),
-		WallNS:          j.wallNS,
-		Cache:           j.cacheDisp,
-		DedupedOf:       j.dedupedOf,
-	}
-}
-
-// result returns the canonical result bytes and the host wall time, or
-// nil when no result exists (yet).
-func (j *job) result() (json.RawMessage, int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canonical, j.wallNS
+	st := j.st
+	st.CheckpointInsts = j.ckptInsts.Load()
+	return st
 }
 
 // snapshot returns the canonical bytes, wall time, and status document
@@ -263,7 +230,7 @@ func (j *job) result() (json.RawMessage, int64) {
 func (j *job) snapshot() (json.RawMessage, int64, Status) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.canonical, j.wallNS, j.statusLocked()
+	return j.canonical, j.st.WallNS, j.statusLocked()
 }
 
 // cachedDoc is the slice of the canonical result document a job served
@@ -288,46 +255,37 @@ func (j *job) serveFromCache(write resultWriter, canonical []byte, disp string) 
 	if err := json.Unmarshal(canonical, &doc); err != nil {
 		return false
 	}
-	return j.commit(write, func(j *job) bool {
-		if j.state != StateQueued {
-			return false
-		}
-		j.state = StateDone
-		j.exitCode = exitClean
-		if doc.Degraded || doc.Err != "" {
-			j.exitCode = exitAnnotated
-		}
-		j.canonical = canonical
-		j.degraded = doc.Degraded
-		j.requestedWP = doc.RequestedWP
-		j.ranWP = doc.WP
-		j.fault = doc.DegradeFault
-		j.errMsg = doc.Err
-		j.wallNS = 0
-		j.cacheDisp = disp
-		j.interrupted = false
-		return true
-	})
+	from := Status{ExitCode: exitClean, Degraded: doc.Degraded, RequestedWP: doc.RequestedWP,
+		RanWP: doc.WP, Fault: doc.DegradeFault, Error: doc.Err}
+	if doc.Degraded || doc.Err != "" {
+		from.ExitCode = exitAnnotated
+	}
+	return j.serveShared(write, canonical, from, disp)
 }
 
-// serveShared completes a coalesced follower durably with its leader's
-// terminal document: the canonical bytes verbatim, the derived fields
-// copied. Returns false when the follower was canceled while waiting.
-func (j *job) serveShared(write resultWriter, canonical json.RawMessage, lead Status) bool {
+// serveShared completes a still-queued job durably with canonical bytes
+// verbatim and the derived fields of the document they came from (a
+// coalesced follower's leader, or a cache entry's header); disp, when
+// set, replaces the job's cache disposition. Returns false when the job
+// already left the queued state (a follower canceled while waiting).
+func (j *job) serveShared(write resultWriter, canonical json.RawMessage, from Status, disp string) bool {
 	return j.commit(write, func(j *job) bool {
-		if j.state != StateQueued {
+		if j.st.State != StateQueued {
 			return false
 		}
-		j.state = StateDone
-		j.exitCode = lead.ExitCode
+		j.st.State = StateDone
+		j.st.ExitCode = from.ExitCode
 		j.canonical = canonical
-		j.degraded = lead.Degraded
-		j.requestedWP = lead.RequestedWP
-		j.ranWP = lead.RanWP
-		j.fault = lead.Fault
-		j.errMsg = lead.Error
-		j.wallNS = 0
-		j.interrupted = false
+		j.st.Degraded = from.Degraded
+		j.st.RequestedWP = from.RequestedWP
+		j.st.RanWP = from.RanWP
+		j.st.Fault = from.Fault
+		j.st.Error = from.Error
+		j.st.WallNS = 0
+		j.st.Interrupted = false
+		if disp != "" {
+			j.st.Cache = disp
+		}
 		return true
 	})
 }
@@ -337,7 +295,7 @@ func (j *job) serveShared(write resultWriter, canonical json.RawMessage, lead St
 func (j *job) stillQueued() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state == StateQueued
+	return j.st.State == StateQueued
 }
 
 // promote clears a follower's coalesced identity when it becomes a
@@ -345,8 +303,8 @@ func (j *job) stillQueued() bool {
 func (j *job) promote() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.dedupedOf = ""
-	if j.cacheDisp == cacheCoalesced {
-		j.cacheDisp = cacheMiss
+	j.st.DedupedOf = ""
+	if j.st.Cache == cacheCoalesced {
+		j.st.Cache = cacheMiss
 	}
 }

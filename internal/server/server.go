@@ -39,8 +39,8 @@ type Config struct {
 	// StateDir the cache also persists under StateDir/cache, surviving
 	// daemon restarts; ephemeral servers cache in memory only. The
 	// cache can only skip runs, never change bytes: entries are
-	// content-addressed by JobSpec.Fingerprint and self-verifying on
-	// read.
+	// content-addressed by the request fingerprint (see cacheKey) and
+	// self-verifying on read.
 	CacheMax int
 }
 
@@ -77,7 +77,7 @@ type Server struct {
 	seq      int
 	jobs     map[string]*job
 	order    []*job // submission order (map ranges are banned from output paths)
-	// inflight maps a spec fingerprint to the leader job currently
+	// inflight maps a cache key to the leader job currently
 	// queued or running for it; identical submissions coalesce onto it
 	// as followers instead of executing again.
 	inflight map[string]*job
@@ -86,6 +86,7 @@ type Server struct {
 	mDone, mFailed, mCanceled              *obs.Counter
 	mCacheHit, mCacheMiss, mCacheCoalesced *obs.Counter
 	mCacheCorrupt, mCacheStore, mSimRuns   *obs.Counter
+	mStateCorrupt                          *obs.Counter
 	gQueued, gRunning                      *obs.Gauge
 }
 
@@ -124,6 +125,7 @@ func New(cfg Config) (*Server, error) {
 		mCacheCorrupt:   reg.Counter("wpserved_cache_corrupt_total"),
 		mCacheStore:     reg.Counter("wpserved_cache_stores_total"),
 		mSimRuns:        reg.Counter("wpserved_sim_runs_total"),
+		mStateCorrupt:   reg.Counter("wpserved_state_corrupt_total"),
 		gQueued:         reg.Gauge("wpserved_jobs_queued"),
 		gRunning:        reg.Gauge("wpserved_jobs_running"),
 	}
@@ -164,32 +166,29 @@ func New(cfg Config) (*Server, error) {
 // Metrics returns the registry the server publishes into.
 func (s *Server) Metrics() *obs.Registry { return s.reg }
 
-// Cache returns the server's result cache (nil when disabled).
-func (s *Server) Cache() *resultcache.Cache { return s.cache }
-
 // Submit validates and admits a job. It returns ErrDraining once a
 // drain has begun and ErrQueueFull when QueueDepth jobs are already
 // waiting; any other error is a spec validation failure.
 //
 // Admission is cache-aware, in disposition order:
 //
-//   - hit: the spec's fingerprint resolves in the result cache; the job
+//   - hit: the spec's cache key resolves in the result cache; the job
 //     is born terminal with the cached canonical bytes, never queued.
 //   - coalesced: an identical submission is already queued or running;
 //     the new job becomes its follower — own id, own status document,
 //     but the leader's execution and its canonical bytes, verbatim.
-//   - miss: the job runs. A clean result is stored under its
-//     fingerprint for the next identical submission.
+//   - miss: the job runs. A clean result is stored under its cache
+//     key for the next identical submission.
 //
 // Neither a hit nor a coalesced submission occupies an admission-queue
 // slot, so they are served even at QueueDepth.
 func (s *Server) Submit(spec JobSpec) (Status, error) {
-	spec = spec.normalized()
-	if err := spec.Validate(); err != nil {
+	req, err := spec.request()
+	if err != nil {
 		s.mRejected.Inc()
 		return Status{}, err
 	}
-	fp := spec.Fingerprint()
+	fp := cacheKey(req)
 	// Probe outside the server lock: the persistent tier is a disk read
 	// and must not stall unrelated submissions. The window this opens —
 	// a leader completing between probe and registration — costs at
@@ -207,7 +206,7 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	}
 	if hit {
 		s.seq++
-		j := newJob(jobID(s.seq), s.seq, spec)
+		j := newJob(jobID(s.seq), s.seq, spec, fp)
 		if err := s.persistSpec(j); err != nil {
 			s.removeJobDir(j.id)
 			s.mRejected.Inc()
@@ -229,9 +228,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	}
 	if leader := s.inflight[fp]; leader != nil {
 		s.seq++
-		f := newJob(jobID(s.seq), s.seq, spec)
-		f.dedupedOf = leader.id
-		f.cacheDisp = cacheCoalesced
+		f := newJob(jobID(s.seq), s.seq, spec, fp)
+		f.st.DedupedOf = leader.id
+		f.st.Cache = cacheCoalesced
 		if err := s.persistSpec(f); err != nil {
 			s.removeJobDir(f.id)
 			s.mRejected.Inc()
@@ -249,9 +248,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 		return Status{}, ErrQueueFull
 	}
 	s.seq++
-	j := newJob(jobID(s.seq), s.seq, spec)
+	j := newJob(jobID(s.seq), s.seq, spec, fp)
 	if s.cache != nil {
-		j.cacheDisp = cacheMiss
+		j.st.Cache = cacheMiss
 		s.mCacheMiss.Inc()
 	}
 	if err := s.persistSpec(j); err != nil {
@@ -261,7 +260,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.inflight[fp] = j
+	if fp != "" {
+		s.inflight[fp] = j
+	}
 	s.queuedN++
 	s.gQueued.Set(uint64(s.queuedN))
 	s.mSubmitted.Inc()
@@ -297,14 +298,8 @@ func (s *Server) Jobs() []Status {
 // or nil bytes when the job holds no result (still pending, failed,
 // or canceled).
 func (s *Server) Result(id string) ([]byte, int64, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, 0, ErrUnknownJob
-	}
-	canonical, wall := j.result()
-	return canonical, wall, nil
+	canonical, wall, _, err := s.ResultStatus(id)
+	return canonical, wall, err
 }
 
 // ResultStatus returns the canonical result bytes, host wall time, and
@@ -443,29 +438,32 @@ func (s *Server) execute(j *job) {
 	s.complete(j, cell.Value, cell.Err)
 }
 
-// runJob layers the serving concerns onto the spec's config and runs
+// runJob layers the serving concerns onto the spec's request and runs
 // it. None of them perturb simulated state: the context only decides
 // where the run may stop early, the registry only observes, and the
 // checkpoint chain is exactly the crash-safety mechanism the sim layer
-// already guarantees bit-identical resumes for.
+// already guarantees bit-identical resumes for. The request is rebuilt
+// here rather than kept on every job, most of which never run.
 func (s *Server) runJob(ctx context.Context, j *job) (*sim.Result, error) {
 	s.mSimRuns.Inc()
-	res, resumed, err := runSpec(j.spec, func(req *sim.Request) {
-		cfg := &req.Config
-		cfg.Ctx = ctx
-		cfg.Metrics = s.reg
-		cfg.ObsLabel = j.spec.Suite + "/" + j.spec.Bench
-		if dir := s.jobDir(j.id); dir != "" {
-			// A re-admitted job continues from its newest snapshot.
-			req.Resume = true
-			cfg.CheckpointDir = filepath.Join(dir, "ckpt")
-			cfg.CheckpointEvery = j.spec.CheckpointEvery
-			if cfg.CheckpointEvery == 0 {
-				cfg.CheckpointEvery = s.cfg.CheckpointEvery
-			}
-			cfg.OnCheckpoint = func(insts uint64, _ string) { j.ckptInsts.Store(insts) }
+	req, err := j.spec.request()
+	if err != nil {
+		return nil, err
+	}
+	cfg := &req.Config
+	cfg.Ctx = ctx
+	cfg.Metrics = s.reg
+	if dir := s.jobDir(j.id); dir != "" {
+		// A re-admitted job continues from its newest snapshot.
+		req.Resume = true
+		cfg.CheckpointDir = filepath.Join(dir, "ckpt")
+		cfg.CheckpointEvery = j.spec.CheckpointEvery
+		if cfg.CheckpointEvery == 0 {
+			cfg.CheckpointEvery = s.cfg.CheckpointEvery
 		}
-	})
+		cfg.OnCheckpoint = func(insts uint64, _ string) { j.ckptInsts.Store(insts) }
+	}
+	res, resumed, err := sim.Execute(req)
 	if resumed {
 		j.setResumed()
 		s.mResumed.Inc()
@@ -480,42 +478,34 @@ func (s *Server) runJob(ctx context.Context, j *job) (*sim.Result, error) {
 // annotated), never for cancellations or hard failures.
 func (s *Server) complete(j *job, res *sim.Result, err error) {
 	write := s.resultWriter(j.id)
-	drainInterrupted := func() bool {
-		return s.Draining() && !j.isUserCanceled()
-	}
 	switch {
-	case err != nil && errors.Is(err, simerr.ErrCanceled):
-		// Canceled before the run could start (batch pre-start check).
-		if drainInterrupted() {
-			j.requeue()
-			return
-		}
-		j.finish(write, StateCanceled, exitAnnotated, func(j *job) { j.errMsg = simerr.FirstLine(err) })
-		s.mCanceled.Inc()
-	case err != nil:
-		// Hard failure: the spec could not run at all (workload build
-		// error, checkpoint I/O, an escaped panic). No result exists.
-		j.finish(write, StateFailed, exitFailure, func(j *job) { j.errMsg = simerr.FirstLine(err) })
-		s.mFailed.Inc()
-	case res.Err != nil && errors.Is(res.Err, simerr.ErrCanceled):
-		// The run stopped at a lane boundary on cancellation. The partial
-		// result depends on where the boundary fell, so it is never
-		// exposed as a result document.
-		if drainInterrupted() {
+	case errors.Is(err, simerr.ErrCanceled) || err == nil && errors.Is(res.Err, simerr.ErrCanceled):
+		// Canceled before the run could start (batch pre-start check), or
+		// stopped at a lane boundary. A partial result depends on where
+		// the boundary fell, so it is never exposed as a result document.
+		if s.Draining() && !j.isUserCanceled() {
 			j.requeue()
 			return
 		}
 		j.finish(write, StateCanceled, exitAnnotated, func(j *job) {
-			j.errMsg = simerr.FirstLine(res.Err)
-			j.wallNS = int64(res.Wall)
+			j.st.Error = simerr.FirstLine(err)
+			if err == nil {
+				j.st.Error = simerr.FirstLine(res.Err)
+				j.st.WallNS = int64(res.Wall)
+			}
 		})
 		s.mCanceled.Inc()
+	case err != nil:
+		// Hard failure: the spec could not run at all (workload build
+		// error, checkpoint I/O, an escaped panic). No result exists.
+		j.finish(write, StateFailed, exitFailure, func(j *job) { j.st.Error = simerr.FirstLine(err) })
+		s.mFailed.Inc()
 	default:
 		// A completed run: clean, degraded, or annotated by a kept-prefix
 		// fault. The result document exists in all three.
 		canonical, cerr := CanonicalResult(res)
 		if cerr != nil {
-			j.finish(write, StateFailed, exitFailure, func(j *job) { j.errMsg = cerr.Error() })
+			j.finish(write, StateFailed, exitFailure, func(j *job) { j.st.Error = cerr.Error() })
 			s.mFailed.Inc()
 			break
 		}
@@ -523,27 +513,30 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		if res.Degraded || res.Err != nil {
 			code = exitAnnotated
 		}
-		j.finish(write, StateDone, code, func(j *job) {
-			j.canonical = canonical
-			j.wallNS = int64(res.Wall)
-			j.degraded = res.Degraded
-			j.requestedWP = res.RequestedWP.String()
-			j.ranWP = res.WP.String()
-			j.fault = simerr.FirstLine(res.DegradeFault)
-			j.errMsg = simerr.FirstLine(res.Err)
-		})
-		s.mDone.Inc()
-		// Only clean results enter the cache: a degraded or annotated
-		// document records a host-timing event (a watchdog stall, a
-		// ladder descent), so it is not a pure function of the spec and
-		// a later identical submission could legitimately complete
-		// clean. Coalesced followers still share it — they joined this
-		// execution — but the cache never replays it.
-		if s.cache != nil && code == exitClean {
+		// The one cacheability rule (shared with wpexp): only an
+		// addressable request's clean, non-degraded result enters the
+		// cache. A degraded or annotated document records a host-timing
+		// event (a watchdog stall, a ladder descent), so it is not a pure
+		// function of the spec and a later identical submission could
+		// legitimately complete clean. Coalesced followers still share it
+		// — they joined this execution — but the cache never replays it.
+		// The entry is stored before the job reads done, so a client that
+		// sees done also finds the entry.
+		if s.cache != nil && j.fp != "" && code == exitClean {
 			if s.cache.Put(j.fp, canonical) == nil {
 				s.mCacheStore.Inc()
 			}
 		}
+		j.finish(write, StateDone, code, func(j *job) {
+			j.canonical = canonical
+			j.st.WallNS = int64(res.Wall)
+			j.st.Degraded = res.Degraded
+			j.st.RequestedWP = res.RequestedWP.String()
+			j.st.RanWP = res.WP.String()
+			j.st.Fault = simerr.FirstLine(res.DegradeFault)
+			j.st.Error = simerr.FirstLine(res.Err)
+		})
+		s.mDone.Inc()
 	}
 	s.settle(j)
 }
@@ -564,11 +557,10 @@ func (s *Server) settle(j *job) {
 	if len(followers) == 0 {
 		return
 	}
-	canonical, _ := j.result()
+	canonical, _, lead := j.snapshot()
 	if canonical != nil {
-		lead := j.status()
 		for _, f := range followers {
-			if !f.serveShared(s.resultWriter(f.id), canonical, lead) {
+			if !f.serveShared(s.resultWriter(f.id), canonical, lead, "") {
 				continue // canceled while waiting
 			}
 			s.mDone.Inc()

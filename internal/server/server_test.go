@@ -363,7 +363,9 @@ func pollDurable(t *testing.T, s *Server, stateDir string, ids ...string) {
 	for _, id := range ids {
 		pending[id] = true
 	}
-	for i := 0; i < 30_000 && len(pending) > 0; i++ {
+	// The bound only guards against a hang: under -race the long job
+	// alone takes over 30 s on a 2-vCPU host.
+	for i := 0; i < 240_000 && len(pending) > 0; i++ {
 		for _, id := range ids {
 			if !pending[id] {
 				continue
@@ -404,7 +406,7 @@ func TestTerminalStateDurableBeforeVisible(t *testing.T) {
 	stateDir := t.TempDir()
 	// Two unfinished twins on disk: the first re-admitted one runs, the
 	// second is served from the cache the first one filled.
-	spec := quickSpec("conv", 11).normalized()
+	spec := quickSpec("conv", 11)
 	writeJobDir(t, stateDir, "job-000001", spec, nil)
 	writeJobDir(t, stateDir, "job-000002", spec, nil)
 	s := newTestServer(t, Config{Workers: 1, StateDir: stateDir})
@@ -450,14 +452,14 @@ func TestResultWriterRunsBeforePublish(t *testing.T) {
 			return j.serveFromCache(w, canonical, cacheHit)
 		}},
 		{"serveShared", StateDone, func(j *job, w resultWriter) bool {
-			return j.serveShared(w, canonical, Status{State: StateDone})
+			return j.serveShared(w, canonical, Status{State: StateDone}, "")
 		}},
 		{"requestCancel", StateCanceled, func(j *job, w resultWriter) bool {
 			return j.requestCancel(w)
 		}},
 	}
 	for _, tr := range transitions {
-		j := newJob("job-000001", 1, quickSpec("conv", 1))
+		j := newJob("job-000001", 1, quickSpec("conv", 1), "")
 		calls := 0
 		write := func(st Status, _ json.RawMessage) error {
 			calls++
@@ -483,7 +485,7 @@ func TestResultWriterRunsBeforePublish(t *testing.T) {
 // descent — requested vs ran technique, the forcing fault, exit code 3.
 func TestDegradedStatusSurfaced(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	j := newJob("job-000001", 1, quickSpec("wpemul", 1))
+	j := newJob("job-000001", 1, quickSpec("wpemul", 1), "")
 	j.start(func() {})
 	fault := simerr.Degraded(wrongpath.WPEmul.String(), wrongpath.Conv.String(),
 		simerr.Unsupported("test", errors.New("boom")))

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/specfp"
 	"repro/internal/workloads/catalog"
 	"repro/internal/wrongpath"
 )
@@ -27,7 +26,7 @@ import (
 // JobSpec is the submit-time description of one simulation job (the
 // POST /jobs body). The zero value of every optional field selects the
 // same default the CLIs use, so a spec translates to exactly the
-// sim.Config a direct wpsim invocation with the same flags builds.
+// sim.Request a direct wpsim invocation with the same flags builds.
 type JobSpec struct {
 	// Suite/Bench name the workload (see internal/workloads/catalog).
 	Suite string `json:"suite"`
@@ -70,49 +69,28 @@ type JobSpec struct {
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
 }
 
-// normalized fills the CLI-parity defaults into the optional fields.
-func (sp JobSpec) normalized() JobSpec {
-	if sp.WP == "" {
-		sp.WP = wrongpath.Conv.String()
+// request translates the spec into the sim.Request a direct wpsim run
+// of the same flags builds; its error is the spec's validation error (an
+// unknown workload or technique, or a negative knob). Serving-layer
+// concerns (context, metrics, checkpoint directory) are layered on by
+// the caller and never change simulated results.
+func (sp JobSpec) request() (sim.Request, error) {
+	w, err := catalog.Find(sp.Suite, sp.Bench, catalog.Params{
+		N: sp.N, Degree: sp.Degree, Kron: sp.Kron, Grid: sp.Grid, Seed: sp.Seed, Scale: sp.Scale})
+	if err != nil {
+		return sim.Request{}, err
 	}
-	if sp.Degrade && sp.MaxRetries == 0 {
-		sp.MaxRetries = 2
+	kind, ok := wrongpath.Conv, true
+	if sp.WP != "" {
+		kind, ok = wrongpath.ParseKind(sp.WP)
 	}
-	return sp
-}
-
-// params extracts the workload input-shape overrides.
-func (sp JobSpec) params() catalog.Params {
-	return catalog.Params{N: sp.N, Degree: sp.Degree, Kron: sp.Kron, Grid: sp.Grid, Seed: sp.Seed, Scale: sp.Scale}
-}
-
-// Validate rejects a spec the workers could not run: an unknown
-// workload, an unknown technique, or negative knobs.
-func (sp JobSpec) Validate() error {
-	sp = sp.normalized()
-	if _, err := catalog.Find(sp.Suite, sp.Bench, sp.params()); err != nil {
-		return err
-	}
-	if _, ok := wrongpath.ParseKind(sp.WP); !ok {
-		return fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
-	}
-	if sp.WatchdogMS < 0 || sp.TimeoutMS < 0 {
-		return fmt.Errorf("negative watchdog_ms/timeout_ms")
-	}
-	if sp.MaxRetries < 0 || sp.Batch < 0 {
-		return fmt.Errorf("negative max_retries/batch")
-	}
-	return nil
-}
-
-// simConfig translates the (normalized) spec into the sim.Config a
-// direct CLI run of the same flags would build. Serving-layer concerns
-// (context, metrics, checkpoint directory) are layered on by the
-// caller and never change simulated results.
-func (sp JobSpec) simConfig() (sim.Config, error) {
-	kind, ok := wrongpath.ParseKind(sp.WP)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
+	switch {
+	case !ok:
+		return sim.Request{}, fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
+	case sp.WatchdogMS < 0 || sp.TimeoutMS < 0:
+		return sim.Request{}, fmt.Errorf("negative watchdog_ms/timeout_ms")
+	case sp.MaxRetries < 0 || sp.Batch < 0:
+		return sim.Request{}, fmt.Errorf("negative max_retries/batch")
 	}
 	cfg := sim.Default(kind)
 	cfg.MaxInsts = sp.MaxInsts
@@ -120,78 +98,44 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 	cfg.Core.Batch = sp.Batch
 	cfg.Watchdog = time.Duration(sp.WatchdogMS) * time.Millisecond
 	if sp.Degrade {
-		cfg.Degrade = sim.DegradePolicy{MaxRetries: sp.MaxRetries}
+		cfg.Degrade.MaxRetries = sp.MaxRetries
+		if cfg.Degrade.MaxRetries == 0 {
+			cfg.Degrade.MaxRetries = 2 // the CLI default
+		}
 	}
-	return cfg, nil
+	return sim.Request{Config: cfg, Workload: &w}, nil
 }
 
-// Fingerprint is the spec's content address: the specfp hash of every
-// field that can influence the canonical result bytes. The exclusions
-// mirror the checkpoint fingerprint's argument (sim.Config.Fingerprint):
-// TimeoutMS only decides whether a run is cut short (a canceled run
-// never produces a result document), Batch is the decoupling-queue lane
-// size (bit-identical at any size), and CheckpointEvery only changes
-// where snapshots fall (resume chains are bit-identical). Everything
-// else — including the watchdog and degradation knobs, which can steer
-// a run down the technique ladder — is part of the identity. Two specs
-// with equal fingerprints therefore hold equal canonical bytes, which
-// is what lets the result cache and submit coalescing share them.
+// Fingerprint is the spec's content address: the fingerprint of its
+// request ("" for an invalid spec), so {n:0} and {n:<default>} share
+// one address, and TimeoutMS and CheckpointEvery are outside it.
 func (sp JobSpec) Fingerprint() string {
-	sp = sp.normalized()
-	b := specfp.New("wpserved/JobSpec/v1")
-	b.String("suite", sp.Suite)
-	b.String("bench", sp.Bench)
-	b.String("wp", sp.WP)
-	b.Uint64("max_insts", sp.MaxInsts)
-	b.Uint64("warmup_insts", sp.WarmupInsts)
-	b.Int("n", sp.N)
-	b.Int("degree", sp.Degree)
-	b.Bool("kron", sp.Kron)
-	b.Bool("grid", sp.Grid)
-	b.Uint64("seed", sp.Seed)
-	b.Float("scale", sp.Scale)
-	b.Int64("watchdog_ms", sp.WatchdogMS)
-	b.Bool("degrade", sp.Degrade)
-	b.Int("max_retries", sp.MaxRetries)
-	// Fold in the sim-layer configuration fingerprint so a change to the
-	// simulated core defaults invalidates old content addresses instead
-	// of serving their bytes.
-	if cfg, err := sp.simConfig(); err == nil {
-		b.String("sim_config", cfg.Fingerprint())
-	} else {
-		b.String("sim_config_error", err.Error())
-	}
-	return b.Sum()
+	req, _ := sp.request()
+	return req.Fingerprint()
 }
 
-// runSpec is the one execution path for a spec: both the workers and
-// the RunDirect oracle go through it, so a served job cannot diverge
-// from a direct run by construction. mod layers the serving-only
-// concerns (context, metrics registry, checkpoint directory, resume)
-// onto the request; nil runs bare. The returned bool reports whether
-// the run resumed from a snapshot.
-func runSpec(spec JobSpec, mod func(*sim.Request)) (*sim.Result, bool, error) {
-	spec = spec.normalized()
-	cfg, err := spec.simConfig()
-	if err != nil {
-		return nil, false, err
+// canonicalDomain prefixes request fingerprints in the result cache, so
+// a store of another format (wpexp's) never decodes its entries.
+const canonicalDomain = "wpserved.canonical.v2-"
+
+// cacheKey is the result-cache and coalescing key ("" = unaddressable).
+func cacheKey(req sim.Request) string {
+	if fp := req.Fingerprint(); fp != "" {
+		return canonicalDomain + fp
 	}
-	w, err := catalog.Find(spec.Suite, spec.Bench, spec.params())
-	if err != nil {
-		return nil, false, err
-	}
-	req := sim.Request{Config: cfg, Workload: &w}
-	if mod != nil {
-		mod(&req)
-	}
-	return sim.Execute(req)
+	return ""
 }
 
-// RunDirect runs the spec exactly as a worker would, minus every
-// serving concern — no context, no shared registry, no checkpoints. It
-// is the conformance oracle: CanonicalResult of a job's result must be
-// byte-identical to CanonicalResult of RunDirect on the same spec.
+// RunDirect runs the spec exactly as a worker would — the same
+// request(), through sim.Execute — minus every serving concern: no
+// context, no shared registry, no checkpoints. It is the conformance
+// oracle: CanonicalResult of a job's result must be byte-identical to
+// CanonicalResult of RunDirect on the same spec.
 func RunDirect(spec JobSpec) (*sim.Result, error) {
-	res, _, err := runSpec(spec, nil)
+	req, err := spec.request()
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := sim.Execute(req)
 	return res, err
 }

@@ -10,13 +10,15 @@ import (
 	"strings"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sim"
 )
 
 // On-disk layout under Config.StateDir — the daemon's durable state:
 //
 //	job-000042/
 //	    spec.json      the JobSpec, written at admission
-//	    result.json    the terminal Status + canonical result bytes
+//	    result.json    the terminal Status
+//	    canonical.json the canonical result bytes, verbatim
 //	    ckpt/          the sim checkpoint chain (ckpt-*.wpsnap)
 //
 // A job directory holding a spec but no result is unfinished work: the
@@ -120,6 +122,13 @@ func (s *Server) removeJobDir(id string) {
 // unfinished jobs (spec without result) are returned as pending, in
 // submission order, for re-admission. The returned maxSeq keeps new
 // ids unique across daemon runs.
+//
+// A corrupt document degrades one job, never the daemon: a result.json
+// that does not parse is renamed to result.json.corrupt and the job is
+// re-admitted (it re-runs or resumes bit-identically); a job directory
+// whose spec.json does not parse (or names no runnable request) has
+// nothing to re-run, so it is renamed aside to <dir>.corrupt and
+// skipped. Both count in wpserved_state_corrupt_total.
 func (s *Server) loadState() (pending []*job, maxSeq int, err error) {
 	if s.cfg.StateDir == "" {
 		return nil, 0, nil
@@ -141,40 +150,42 @@ func (s *Server) loadState() (pending []*job, maxSeq int, err error) {
 		if !ok {
 			continue
 		}
-		specData, err := os.ReadFile(filepath.Join(s.cfg.StateDir, name, "spec.json"))
+		maxSeq = max(maxSeq, seq)
+		dir := filepath.Join(s.cfg.StateDir, name)
+		specData, err := os.ReadFile(filepath.Join(dir, "spec.json"))
 		if err != nil {
 			continue // a crash between MkdirAll and the spec write; nothing to recover
 		}
 		var spec JobSpec
-		if err := json.Unmarshal(specData, &spec); err != nil {
-			return nil, 0, fmt.Errorf("server: corrupt spec in %s: %w", name, err)
+		var req sim.Request
+		err = json.Unmarshal(specData, &spec)
+		if err == nil {
+			req, err = spec.request()
 		}
-		j := newJob(name, seq, spec)
-		if seq > maxSeq {
-			maxSeq = seq
+		if err != nil {
+			s.mStateCorrupt.Inc()
+			_ = os.Rename(dir, dir+".corrupt")
+			continue
 		}
-		if resData, err := os.ReadFile(filepath.Join(s.cfg.StateDir, name, "result.json")); err == nil {
-			var st Status
-			if err := json.Unmarshal(resData, &st); err != nil {
-				return nil, 0, fmt.Errorf("server: corrupt result in %s: %w", name, err)
+		j := newJob(name, seq, spec, cacheKey(req))
+		resPath := filepath.Join(dir, "result.json")
+		var st Status
+		terminal := false
+		if data, err := os.ReadFile(resPath); err == nil {
+			if terminal = json.Unmarshal(data, &st) == nil; !terminal {
+				s.mStateCorrupt.Inc()
+				_ = os.Rename(resPath, resPath+".corrupt")
 			}
-			j.state = st.State
-			j.exitCode = st.ExitCode
-			j.degraded = st.Degraded
-			j.requestedWP = st.RequestedWP
-			j.ranWP = st.RanWP
-			j.fault = st.Fault
-			j.errMsg = st.Error
-			j.resumed = st.Resumed
-			j.wallNS = st.WallNS
-			j.cacheDisp = st.Cache
-			j.dedupedOf = st.DedupedOf
+		}
+		if terminal {
+			st.ID, st.Spec = j.id, j.spec
+			j.st = st
 			j.ckptInsts.Store(st.CheckpointInsts)
 			// Only a done job may carry canonical bytes; a canceled or
 			// failed record next to a canonical.json (a crash relic)
 			// must not start serving a result it never reported.
 			if st.State == StateDone {
-				if canonical, err := os.ReadFile(filepath.Join(s.cfg.StateDir, name, "canonical.json")); err == nil {
+				if canonical, err := os.ReadFile(filepath.Join(dir, "canonical.json")); err == nil {
 					j.canonical = canonical
 				}
 			}
@@ -184,8 +195,8 @@ func (s *Server) loadState() (pending []*job, maxSeq int, err error) {
 			// it now, or a re-run that ends without a result (canceled,
 			// failed) would leave it behind for a later daemon run to
 			// serve as if the job had completed.
-			_ = os.Remove(filepath.Join(s.cfg.StateDir, name, "canonical.json"))
-			j.interrupted = true // mid-flight (or still queued) when the last daemon run ended
+			_ = os.Remove(filepath.Join(dir, "canonical.json"))
+			j.st.Interrupted = true // mid-flight (or still queued) when the last daemon run ended
 			pending = append(pending, j)
 		}
 		loaded = append(loaded, j)

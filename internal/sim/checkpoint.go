@@ -12,7 +12,7 @@ import (
 
 // sessionSnapshotVersion stamps the session-level snapshot header; bump
 // it when the header layout or the section order below changes.
-const sessionSnapshotVersion = 1
+const sessionSnapshotVersion = 2
 
 // stateSource is the capability a Source needs for checkpointing: its
 // complete production-side state (functional CPU + memory + frontend
@@ -56,27 +56,6 @@ func checkpointState(src Source) (stateSource, error) {
 // snapshots.
 func (c Config) checkpointEnabled() bool {
 	return c.CheckpointEvery > 0 && c.CheckpointDir != ""
-}
-
-// Fingerprint summarizes every configuration parameter that the
-// serialized state depends on. A snapshot restores only into a session
-// whose fingerprint matches — otherwise configuration-sized structures
-// (rings, tables) or the simulated schedule itself would diverge from
-// the run that wrote it. The wrong-path technique and the consumer lane
-// size are deliberately absent: the snapshot instants and every
-// serialized structure are identical across lane sizes (lane batching
-// is bit-exact), and the degradation ladder resumes a snapshot one
-// technique rung down (the policy statistics section is simply skipped
-// on a technique mismatch).
-//
-// The same exclusion argument makes canonical results content-
-// addressable: everything this string captures can change result
-// bytes, everything it omits provably cannot, which is why the serving
-// layer's result cache (internal/resultcache, keyed by specfp
-// fingerprints) folds it into its content address.
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("max=%d warm=%d lookahead=%d\n%s",
-		c.MaxInsts, c.WarmupInsts, c.lookahead(), DescribeConfig(c.Core))
 }
 
 // nextCheckpoint returns the first snapshot threshold past insts on the
@@ -141,15 +120,15 @@ func (ck *checkpointer) onLane() {
 	}
 }
 
-// write serializes the session: header (fingerprint, instruction count,
-// technique), then source → queue → core → policy statistics. The
+// write serializes the session: header (snapshot identity, instruction
+// count, technique), then source → queue → core → policy statistics. The
 // policy section is last so a technique-mismatched resume (ladder
 // downgrade) can stop reading before it.
 func (ck *checkpointer) write(insts uint64) (string, int, error) {
 	s := ck.s
 	w := checkpoint.NewWriter()
 	w.Section("sim/Session", sessionSnapshotVersion)
-	w.String(s.cfg.Fingerprint())
+	w.String(s.ident)
 	w.Uint64(insts)
 	w.String(s.cfg.WP.String())
 	ck.src.SaveState(w)
@@ -168,7 +147,8 @@ func (ck *checkpointer) write(insts uint64) (string, int, error) {
 // It must be called before Run; the subsequent Run then skips the
 // warmup phase (the snapshot was taken inside the measured phase, past
 // warmup) and continues to a Result bit-identical to an uninterrupted
-// run. A fingerprint mismatch is a typed simerr.ErrConfig fault; decode
+// run. An identity mismatch (see Request.identity), or a session or
+// snapshot without one, is a typed simerr.ErrConfig fault; decode
 // failures are typed corruption faults. On any error the session is
 // left partially overwritten and must be discarded.
 func (s *Session) Restore(r *checkpoint.Reader) error {
@@ -179,15 +159,15 @@ func (s *Session) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("sim/Session", sessionSnapshotVersion); err != nil {
 		return err
 	}
-	fp := r.String()
+	ident := r.String()
 	insts := r.Uint64()
 	kind := r.String()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if fp != s.cfg.Fingerprint() {
+	if ident == "" || ident != s.ident {
 		return simerr.Config("restoring snapshot",
-			fmt.Errorf("sim: snapshot was written under a different configuration\nsnapshot:\n%s\nresuming:\n%s", fp, s.cfg.Fingerprint()))
+			fmt.Errorf("sim: snapshot identity %q does not match the resuming request's %q", ident, s.ident))
 	}
 	if err := cs.RestoreState(r); err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/simerr"
-	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
@@ -84,7 +83,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 						cancel()
 					}
 				}
-				killed, err := Run(ccfg, w.MustBuild())
+				killed, _, err := Execute(Request{Config: ccfg, Workload: &w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +190,7 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 	wcfg := chaosConfig(wrongpath.Conv, 64)
 	wcfg.CheckpointDir = t.TempDir()
 	wcfg.CheckpointEvery = 16_000
-	if res, err := Run(wcfg, w.MustBuild()); err != nil {
+	if res, _, err := Execute(Request{Config: wcfg, Workload: &w}); err != nil {
 		t.Fatal(err)
 	} else if res.Err != nil {
 		t.Fatal(res.Err)
@@ -262,37 +261,68 @@ func TestResumeTraceBitIdentical(t *testing.T) {
 
 // TestResumeFingerprintMismatch: a snapshot written under one
 // configuration must refuse to restore into another, as a typed
-// ErrConfig fault, not silent divergence.
+// ErrConfig fault, not silent divergence — and so must a snapshot
+// written by a bare Run, which carries no input identity.
 func TestResumeFingerprintMismatch(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	cfg := chaosConfig(wrongpath.Conv, 64)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = 16_000
-	if res, err := Run(cfg, w.MustBuild()); err != nil {
+	snap := writeSnapshots(t, Request{Config: cfg, Workload: &w})
+	bad := cfg
+	bad.MaxInsts = 50_000
+	if err := restoreInto(t, Request{Config: bad, Workload: &w}, snap); !errors.Is(err, simerr.ErrConfig) {
+		t.Fatalf("mismatched restore err = %v, want ErrConfig", err)
+	}
+	if err := restoreInto(t, Request{Config: cfg, Workload: &w}, snap); err != nil {
+		t.Fatalf("matching restore: %v", err)
+	}
+
+	bare := cfg
+	bare.CheckpointDir = t.TempDir()
+	if res, err := Run(bare, w.MustBuild()); err != nil {
 		t.Fatal(err)
 	} else if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	snap, err := checkpoint.Latest(cfg.CheckpointDir)
-	if err != nil || snap == "" {
-		t.Fatalf("no snapshot: %q, %v", snap, err)
+	bareSnap, err := checkpoint.Latest(bare.CheckpointDir)
+	if err != nil || bareSnap == "" {
+		t.Fatalf("no snapshot: %q, %v", bareSnap, err)
 	}
-	bad := cfg
-	bad.MaxInsts = 50_000
-	if err := restoreInto(t, bad, w, snap); !errors.Is(err, simerr.ErrConfig) {
-		t.Fatalf("mismatched restore err = %v, want ErrConfig", err)
+	if err := restoreInto(t, Request{Config: bare, Workload: &w}, bareSnap); !errors.Is(err, simerr.ErrConfig) {
+		t.Fatalf("restore of a bare Run's snapshot err = %v, want ErrConfig", err)
 	}
 }
 
-// restoreInto restores the snapshot at path into a fresh session over
-// the workload — the rejection point Execute relies on to skip a
-// snapshot that does not belong to the run.
-func restoreInto(t *testing.T, cfg Config, w workloads.Workload, path string) error {
+// writeSnapshots runs req to completion through Execute with its
+// checkpointing configuration and returns the newest snapshot.
+func writeSnapshots(t *testing.T, req Request) string {
 	t.Helper()
-	s, err := NewSession(cfg, NewFunctionalSource(cfg, w.MustBuild()))
+	res, _, err := Execute(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	snap, err := checkpoint.Latest(req.Config.CheckpointDir)
+	if err != nil || snap == "" {
+		t.Fatalf("no snapshot: %q, %v", snap, err)
+	}
+	return snap
+}
+
+// restoreInto restores the snapshot at path into a fresh session built
+// for req, as Execute builds it — the rejection point Execute relies on
+// to skip a snapshot that does not belong to the run.
+func restoreInto(t *testing.T, req Request, path string) error {
+	t.Helper()
+	cfg := req.Config
+	s, src, err := req.session(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
 	r, err := checkpoint.ReadFile(path)
 	if err != nil {
 		return err
@@ -307,15 +337,7 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	cfg := chaosConfig(wrongpath.NoWP, 64)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = 16_000
-	if res, err := Run(cfg, w.MustBuild()); err != nil {
-		t.Fatal(err)
-	} else if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	snap, err := checkpoint.Latest(cfg.CheckpointDir)
-	if err != nil || snap == "" {
-		t.Fatalf("no snapshot: %q, %v", snap, err)
-	}
+	snap := writeSnapshots(t, Request{Config: cfg, Workload: &w})
 	data, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +347,7 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(mangled, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := restoreInto(t, cfg, w, mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
+	if err := restoreInto(t, Request{Config: cfg, Workload: &w}, mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
 		t.Fatalf("corrupt restore err = %v, want ErrTraceCorrupt", err)
 	}
 }

@@ -99,7 +99,8 @@ func closeQuiet(src Source) {
 // req.Resume is set, every ladder retry always — restores the newest
 // snapshot in CheckpointDir. A snapshot that does not restore (written
 // under another configuration, corrupt, or a higher ladder rung's
-// wpemul state) is skipped and the attempt runs from zero. A clean
+// wpemul state) is skipped and the attempt runs from zero; so is one of
+// another request (see Request.identity) or from a bare Run. A clean
 // result is bit-identical to an uninterrupted Run either way.
 //
 // Without the ladder, Execute behaves like Run: a run-ending fault is
@@ -228,5 +229,6 @@ func (req *Request) session(cfg *Config) (*Session, Source, error) {
 		closeQuiet(src)
 		return nil, nil, err
 	}
+	s.ident = req.identity(cfg, true)
 	return s, src, nil
 }

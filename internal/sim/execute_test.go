@@ -219,3 +219,42 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// resumeInto writes snapshots for from, then resumes to over the same
+// directory: the snapshot belongs to another input, so the run must
+// start from zero and equal a fresh run of to.
+func resumeInto(t *testing.T, from, to workloads.Workload) {
+	t.Helper()
+	cfg := chaosConfig(wrongpath.Conv, 64)
+	fresh, _, err := Execute(Request{Config: cfg, Workload: &to})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = 16_000
+	writeSnapshots(t, Request{Config: cfg, Workload: &from})
+	res, resumed, err := Execute(Request{Config: cfg, Workload: &to, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed {
+		t.Errorf("%s/%s resumed from a %s/%s snapshot", to.Name, to.Input, from.Name, from.Input)
+	}
+	if !reflect.DeepEqual(stripWall(fresh), stripWall(res)) {
+		t.Errorf("result diverges from a fresh run\nfresh: %+v\ngot:   %+v", stripWall(fresh), stripWall(res))
+	}
+}
+
+// TestExecuteResumeRejectsOtherWorkload: a bfs snapshot must not
+// continue a cc run with the same budgets.
+func TestExecuteResumeRejectsOtherWorkload(t *testing.T) {
+	resumeInto(t, gap.BFS(gap.TestParams()), gap.CC(gap.TestParams()))
+}
+
+// TestExecuteResumeRejectsOtherInput: a bfs snapshot over one graph
+// must not continue bfs over a graph twice its size.
+func TestExecuteResumeRejectsOtherInput(t *testing.T) {
+	small, big := gap.TestParams(), gap.TestParams()
+	big.N *= 2
+	resumeInto(t, gap.BFS(small), gap.BFS(big))
+}

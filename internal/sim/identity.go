@@ -1,0 +1,155 @@
+package sim
+
+import (
+	"reflect"
+	"sort"
+	"sync"
+
+	"repro/internal/specfp"
+)
+
+// identityExclusions is the one table of Config fields left out of a
+// request's identity; every other leaf, nested ones included, is in it
+// by default. Each entry names the test proving the field cannot change
+// result bytes (TestFingerprintCoversEveryLeaf checks both).
+var identityExclusions = map[string]string{
+	"Core.Batch":       "TestBatchSizeBitIdentical",
+	"ParallelFrontend": "TestParallelFrontendIdenticalResults",
+	"Clock":            "TestInjectedClockDrivesWall",
+	"Metrics":          "TestObsEnabledBitIdentical",
+	"Trace":            "TestObsEnabledBitIdentical",
+	"ObsLabel":         "TestObsEnabledBitIdentical",
+	"Ctx":              "TestCheckpointResumeBitIdentical",
+	"CheckpointDir":    "TestCheckpointingDisturbsNothing",
+	"CheckpointEvery":  "TestCheckpointingDisturbsNothing",
+	"OnCheckpoint":     "TestCheckpointingDisturbsNothing",
+}
+
+// snapshotExclusions are also left out of a snapshot's identity: the
+// degradation ladder resumes a snapshot one technique rung down.
+var snapshotExclusions = map[string]string{
+	"WP":       "TestExecuteResumeRule",
+	"Watchdog": "TestWatchdogIdleBitIdentical",
+	"Degrade":  "TestExecuteResumeRule",
+}
+
+// field is one compiled Config field: its name, its index in the
+// enclosing struct, and the fields of a struct or of a map's struct
+// elements. Compiling once keeps path strings off wpserved's hit path.
+type field struct {
+	name  string
+	index int
+	sub   []field
+}
+
+// plans holds the compiled request and snapshot encodings of Config.
+var plans = sync.OnceValues(func() (request, snapshot []field) {
+	t := reflect.TypeOf(Config{})
+	return compile(t, "", nil), compile(t, "", snapshotExclusions)
+})
+
+// compile lists t's fields minus the exclusions (dotted paths).
+func compile(t reflect.Type, prefix string, extra map[string]string) []field {
+	var out []field
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		path := prefix + sf.Name
+		if _, ok := identityExclusions[path]; ok {
+			continue
+		}
+		if _, ok := extra[path]; ok {
+			continue
+		}
+		f := field{name: sf.Name, index: i}
+		ft := sf.Type
+		if ft.Kind() == reflect.Map {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
+			f.sub = compile(ft, path+".", extra)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// Fingerprint is the request's content address: the specfp hash of the
+// workload's suite, name and Input and of every Config field outside
+// identityExclusions, so equal fingerprints mean equal result bytes. It
+// is "" for a request that is not addressable — a trace, a workload
+// without an Input, a set Wrap or PolicyFactory — which caches bypass.
+func (r Request) Fingerprint() string { return r.identity(&r.Config, false) }
+
+// identity builds the fingerprint of r run under cfg or, with snapshot
+// set, the identity stamped into snapshots. A trace has no input
+// identity, so its snapshots are tied to the configuration alone.
+func (r *Request) identity(cfg *Config, snapshot bool) string {
+	if r.Wrap != nil {
+		return ""
+	}
+	plan, snap := plans()
+	domain := "sim/Request/v1"
+	if snapshot {
+		plan, domain = snap, "sim/Snapshot/v1"
+	}
+	b := specfp.New(domain)
+	switch w := r.Workload; {
+	case w != nil && w.Input != "":
+		b.String("suite", w.Suite)
+		b.String("name", w.Name)
+		b.String("input", w.Input)
+	case w == nil && snapshot:
+		b.String("input", "trace")
+	default:
+		return ""
+	}
+	if !encodeValue(b, "Config", reflect.ValueOf(cfg).Elem(), plan) {
+		return ""
+	}
+	return b.Sum()
+}
+
+// encodeValue appends one value: scalars as one field, structs as their
+// planned fields, maps as an entry count and entries in key order. A
+// nil func, pointer or interface is absent; a set one, or an unknown
+// kind, reports false (not addressable).
+func encodeValue(b *specfp.Builder, name string, v reflect.Value, sub []field) bool {
+	switch k := v.Kind(); {
+	case v.CanInt():
+		b.Int64(name, v.Int())
+	case v.CanUint():
+		b.Uint64(name, v.Uint())
+	case v.CanFloat():
+		b.Float(name, v.Float())
+	case k == reflect.Bool:
+		b.Bool(name, v.Bool())
+	case k == reflect.String:
+		b.String(name, v.String())
+	case k == reflect.Struct:
+		for _, f := range sub {
+			if !encodeValue(b, f.name, v.Field(f.index), f.sub) {
+				return false
+			}
+		}
+	case k == reflect.Map:
+		keys := v.MapKeys()
+		less := func(i, j int) bool { return keys[i].Int() < keys[j].Int() }
+		if len(keys) > 0 && keys[0].CanUint() {
+			less = func(i, j int) bool { return keys[i].Uint() < keys[j].Uint() }
+		} else if len(keys) > 0 && !keys[0].CanInt() {
+			return false // no canonical key order
+		}
+		sort.Slice(keys, less)
+		b.Int64(name, int64(len(keys)))
+		for _, key := range keys {
+			if !encodeValue(b, "key", key, nil) || !encodeValue(b, "value", v.MapIndex(key), sub) {
+				return false
+			}
+		}
+	case k == reflect.Func || k == reflect.Pointer || k == reflect.Interface:
+		return v.IsNil()
+	default:
+		return false
+	}
+	return true
+}

@@ -23,6 +23,9 @@ type Session struct {
 	policy wrongpath.Policy
 	core   *core.Core
 	view   *obs.View // nil when observability is disabled
+	// ident is the snapshot identity Execute stamps and requires on
+	// restore; "" (Run, NewSession) never restores.
+	ident string
 
 	// restored marks a session whose state was overwritten by a snapshot
 	// (Restore); Run then skips the warmup phase, which the snapshot has

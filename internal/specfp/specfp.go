@@ -1,22 +1,17 @@
-// Package specfp computes canonical, content-addressed fingerprints
-// over simulation specifications. A fingerprint is the SHA-256 of a
-// deterministic field rendering: the caller appends named fields in a
-// fixed order and Sum hashes the accumulated document. Two specs that
-// render the same fields to the same values — regardless of how the
-// spec objects were built — share one fingerprint, which is what makes
-// canonical result bytes content-addressable (the serving layer's
-// result cache and the experiment runner's cell cache both key on it).
+// Package specfp computes canonical, content-addressed fingerprints. A
+// fingerprint is the SHA-256 of a deterministic field rendering: the
+// caller appends named fields in a fixed order and Sum hashes the
+// accumulated document. Two values that render the same fields to the
+// same values — regardless of how they were built — share one
+// fingerprint.
 //
-// Fingerprints deliberately exclude knobs that provably cannot change
-// canonical result bytes (per-job timeouts, decoupling-queue lane
-// sizes, checkpoint cadence, observability labels) — the same exclusion
-// argument the checkpoint fingerprint makes (see sim.Config.Fingerprint):
-// lane batching is bit-exact, resume chains are bit-identical, and
-// cancellation never produces a result document at all. The *caller*
-// owns that exclusion list; this package only guarantees that what was
-// appended is hashed canonically.
+// The package only guarantees that what was appended is hashed
+// canonically; what to append is the caller's decision. The simulator
+// makes that decision in exactly one place, sim.Request.Fingerprint,
+// which walks the whole configuration and keeps its exclusions in one
+// table (see DESIGN.md, "Result cache and submission coalescing").
 //
-// Every builder opens with a domain string ("wpserved/JobSpec/v1") so
+// Every builder opens with a domain string ("sim/Request/v1") so
 // unrelated fingerprint spaces can never collide and a format revision
 // invalidates old content addresses instead of silently aliasing them.
 package specfp
@@ -24,7 +19,6 @@ package specfp
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 )
 
@@ -37,52 +31,54 @@ type Builder struct {
 // New opens a builder for the given fingerprint domain. Distinct
 // domains never collide even over identical fields.
 func New(domain string) *Builder {
-	b := &Builder{buf: make([]byte, 0, 256)}
-	b.raw(domain)
+	b := &Builder{buf: make([]byte, 0, 2048)}
+	b.buf = record(b.buf, domain)
 	return b
 }
 
-// raw appends one length-prefixed record, making the encoding
+// record appends one length-prefixed record, making the encoding
 // injective: no concatenation of field names and values can alias
 // another.
-func (b *Builder) raw(s string) {
-	b.buf = strconv.AppendInt(b.buf, int64(len(s)), 10)
-	b.buf = append(b.buf, ':')
-	b.buf = append(b.buf, s...)
-	b.buf = append(b.buf, '\n')
+func record[T string | []byte](buf []byte, s T) []byte {
+	buf = strconv.AppendInt(buf, int64(len(s)), 10)
+	buf = append(buf, ':')
+	buf = append(buf, s...)
+	return append(buf, '\n')
 }
 
-func (b *Builder) field(name, value string) {
-	b.raw(name)
-	b.raw(value)
+// field appends a name record and a value record; value is rendered
+// into a stack scratch buffer, so numeric fields do not allocate.
+func (b *Builder) field(name string, value []byte) {
+	b.buf = record(record(b.buf, name), value)
 }
 
 // String appends a string field.
-func (b *Builder) String(name, v string) { b.field(name, v) }
+func (b *Builder) String(name, v string) {
+	b.buf = record(record(b.buf, name), v)
+}
+
+// Int64 appends a signed integer field.
+func (b *Builder) Int64(name string, v int64) {
+	var tmp [24]byte
+	b.field(name, strconv.AppendInt(tmp[:0], v, 10))
+}
 
 // Uint64 appends an unsigned integer field.
 func (b *Builder) Uint64(name string, v uint64) {
-	b.field(name, strconv.FormatUint(v, 10))
-}
-
-// Int appends a signed integer field.
-func (b *Builder) Int(name string, v int) {
-	b.field(name, strconv.FormatInt(int64(v), 10))
-}
-
-// Int64 appends a signed 64-bit field.
-func (b *Builder) Int64(name string, v int64) {
-	b.field(name, strconv.FormatInt(v, 10))
+	var tmp [24]byte
+	b.field(name, strconv.AppendUint(tmp[:0], v, 10))
 }
 
 // Bool appends a boolean field.
 func (b *Builder) Bool(name string, v bool) {
-	b.field(name, strconv.FormatBool(v))
+	var tmp [8]byte
+	b.field(name, strconv.AppendBool(tmp[:0], v))
 }
 
 // Float appends a float field in the shortest round-trippable form.
 func (b *Builder) Float(name string, v float64) {
-	b.field(name, strconv.FormatFloat(v, 'g', -1, 64))
+	var tmp [32]byte
+	b.field(name, strconv.AppendFloat(tmp[:0], v, 'g', -1, 64))
 }
 
 // Sum returns the fingerprint: the lowercase hex SHA-256 of the
@@ -92,10 +88,6 @@ func (b *Builder) Sum() string {
 	h := sha256.Sum256(b.buf)
 	return hex.EncodeToString(h[:])
 }
-
-// Document returns the pre-hash canonical rendering — for debugging
-// cache misses, never for storage (store the Sum).
-func (b *Builder) Document() string { return string(b.buf) }
 
 // Valid reports whether s has the shape of a fingerprint this package
 // produced: 64 lowercase hex digits. Stores use it to reject path
@@ -111,18 +103,4 @@ func Valid(s string) bool {
 		}
 	}
 	return true
-}
-
-// Of is the one-shot convenience for ad-hoc keys: a domain plus
-// alternating name/value string pairs. It panics on an odd pair count —
-// a programming error, not input.
-func Of(domain string, pairs ...string) string {
-	if len(pairs)%2 != 0 {
-		panic(fmt.Sprintf("specfp.Of: odd name/value pair count %d", len(pairs)))
-	}
-	b := New(domain)
-	for i := 0; i < len(pairs); i += 2 {
-		b.String(pairs[i], pairs[i+1])
-	}
-	return b.Sum()
 }

@@ -11,7 +11,7 @@ func TestDeterministicAndDistinct(t *testing.T) {
 		b.String("suite", "gap")
 		b.String("bench", "bfs")
 		b.Uint64("seed", 42)
-		b.Int("n", 1024)
+		b.Int64("n", 1024)
 		b.Bool("kron", false)
 		b.Float("scale", 0.5)
 		b.Int64("watchdog_ms", 250)
@@ -77,7 +77,7 @@ func TestInjectiveEncoding(t *testing.T) {
 func TestDocumentRendersLengthPrefixed(t *testing.T) {
 	b := New("dom")
 	b.String("name", "value")
-	doc := b.Document()
+	doc := string(b.buf)
 	for _, want := range []string{"3:dom\n", "4:name\n", "5:value\n"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("document %q missing record %q", doc, want)
@@ -101,19 +101,4 @@ func TestValid(t *testing.T) {
 			t.Errorf("Valid(%q) = %v, want %v", s, !want, want)
 		}
 	}
-}
-
-func TestOf(t *testing.T) {
-	if Of("d", "a", "1") != Of("d", "a", "1") {
-		t.Error("Of is not deterministic")
-	}
-	if Of("d", "a", "1") == Of("d", "a", "2") {
-		t.Error("Of ignores values")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Of with an odd pair count did not panic")
-		}
-	}()
-	Of("d", "only-name")
 }

@@ -76,6 +76,7 @@ func (k proxy) workload(p Params) workloads.Workload {
 	return workloads.Workload{
 		Name:  k.name,
 		Suite: suite,
+		Input: fmt.Sprintf("%+v", p),
 		Build: func() (*workloads.Instance, error) {
 			m := mem.New()
 			rng := graph.NewRNG(p.Seed)

@@ -34,6 +34,10 @@ type Workload struct {
 	// Suite is the suite the benchmark belongs to ("gap", "specint",
 	// "specfp").
 	Suite string
+	// Input is the canonical %+v rendering of the parameters Build
+	// closes over: identity data for sim.Request.Fingerprint, set only
+	// by the suite constructors ("" = not addressable).
+	Input string
 	// Build constructs a fresh instance.
 	Build func() (*Instance, error)
 }
