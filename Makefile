@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-all bench-smoke
+.PHONY: build fmt test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-all bench-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt lists every Go file gofmt would rewrite and fails if there is
+# any (it rewrites nothing; run gofmt -w to fix).
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test -timeout 10m ./...
@@ -71,7 +76,7 @@ serve-cache-smoke:
 	$(GO) test -timeout 10m -count=1 -run 'TestServeCacheSmoke' -v ./cmd/wpserved/
 
 # check is the full CI gate.
-check: build vet lint race faults chaos serve-smoke serve-cache-smoke bench-smoke
+check: build fmt vet lint race faults chaos serve-smoke serve-cache-smoke bench-smoke
 
 # bench runs the end-to-end benchmark (bench/, declared in
 # BENCHMARK.json) on one workload: simulation speed per technique,

@@ -9,14 +9,11 @@
 //	go run ./cmd/wplint -list
 //	go run ./cmd/wplint -fix ./...
 //	go run ./cmd/wplint -sarif wplint.sarif ./...
-//	go run ./cmd/wplint -baseline .wplint-baseline.json ./...
 //
 // Diagnostics are printed one per line as file:line:col: analyzer:
 // message. -fix applies every machine-applicable suggested fix in
 // place (idempotent: a second run changes nothing). -sarif writes a
 // SARIF 2.1.0 log for code scanning alongside the normal output.
-// -baseline filters findings through an accept-then-ratchet file;
-// -update-baseline rewrites that file from the current findings.
 // Exit status: 0 clean, 1 findings, 2 load/usage error.
 package main
 
@@ -33,10 +30,8 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	fix := flag.Bool("fix", false, "apply suggested fixes in place, then re-analyze")
 	sarifOut := flag.String("sarif", "", "write a SARIF 2.1.0 log to this `file` (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "filter findings through this accept-then-ratchet `file`")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from the current findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: wplint [-list] [-fix] [-sarif file] [-baseline file [-update-baseline]] [packages]\n\nRuns the simulator-invariant analyzers over the module's packages\n(default ./...). Patterns: a directory, or dir/... for a subtree.\n")
+		fmt.Fprintf(os.Stderr, "usage: wplint [-list] [-fix] [-sarif file] [packages]\n\nRuns the simulator-invariant analyzers over the module's packages\n(default ./...). Patterns: a directory, or dir/... for a subtree.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -47,10 +42,6 @@ func main() {
 		}
 		return
 	}
-	if *updateBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("-update-baseline requires -baseline"))
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -87,8 +78,8 @@ func main() {
 		}
 	}
 
-	// Module-relative paths: stable across checkouts, clickable from
-	// the repo root, and the key space the baseline ratchets over.
+	// Module-relative paths: stable across checkouts and clickable from
+	// the repo root.
 	for i := range diags {
 		if rel, err := filepath.Rel(loader.ModuleRoot, diags[i].Pos.Filename); err == nil && !filepath.IsAbs(rel) {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
@@ -96,9 +87,6 @@ func main() {
 	}
 
 	if *sarifOut != "" {
-		// The SARIF log always carries every finding — code scanning
-		// tracks which ones it has seen; the baseline only gates the
-		// exit status.
 		data, err := analysis.SARIF(diags, analysis.All(), "")
 		if err != nil {
 			fatal(err)
@@ -110,37 +98,17 @@ func main() {
 		}
 	}
 
-	failing := diags
-	if *baselinePath != "" {
-		if *updateBaseline {
-			if err := analysis.WriteBaseline(*baselinePath, diags); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wplint: baseline %s updated with %d finding(s)\n", *baselinePath, len(diags))
-			return
-		}
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var accepted []analysis.Diagnostic
-		accepted, failing = base.Filter(diags)
-		if len(accepted) > 0 {
-			fmt.Fprintf(os.Stderr, "wplint: %d baselined finding(s) suppressed\n", len(accepted))
-		}
-	}
-
 	// With -sarif -, the SARIF log owns stdout; keep it parseable by
 	// routing the plain-text findings to stderr.
 	findingsOut := os.Stdout
 	if *sarifOut == "-" {
 		findingsOut = os.Stderr
 	}
-	for _, d := range failing {
+	for _, d := range diags {
 		fmt.Fprintln(findingsOut, d)
 	}
-	if len(failing) > 0 {
-		fmt.Fprintf(os.Stderr, "wplint: %d finding(s)\n", len(failing))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "wplint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

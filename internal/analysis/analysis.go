@@ -33,9 +33,8 @@
 // " -- " reason.
 //
 // Diagnostics carry a Severity and may attach machine-applicable
-// SuggestedFixes; cmd/wplint applies them with -fix, renders SARIF
-// 2.1.0 with -sarif, and ratchets pre-existing findings with
-// -baseline.
+// SuggestedFixes; cmd/wplint applies them with -fix and renders SARIF
+// 2.1.0 with -sarif.
 package analysis
 
 import (
@@ -218,7 +217,7 @@ func All() []*Analyzer {
 // analyzer, message). Two analyzers (or one analyzer visiting a node
 // twice) reporting the identical finding collapse to one diagnostic,
 // and equal-position findings always render in the same order, so
-// golden files and baselines never flap with traversal order.
+// golden files never flap with traversal order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -19,18 +18,15 @@ import (
 // of the function) there must be a Restore call between the checkpoint
 // and that return, or a defer that performs the Restore.
 //
-// The analyzer's second rule guards the snapshot codec convention
-// (package checkpoint): a type with a SaveState(*checkpoint.Writer) /
-// RestoreState(*checkpoint.Reader) pair must keep the two methods
-// symmetric. Both must exist, both must reference the same receiver
-// fields (a field serialized on one side but absent on the other is the
-// classic resume-corruption bug: the byte streams silently misalign),
-// and every Section stamp must cite a named version constant — never a
-// literal — so adding a serialized field forces a visible snapshot
-// version bump in review.
+// The analyzer's second rule guards the snapshot codec (package
+// checkpoint): every Stream.Section stamp must cite a named version
+// constant — never a literal — so adding a walked field forces a
+// visible snapshot version bump in review. Each type walks its snapshot
+// state once (State(*checkpoint.Stream)) for both saving and loading,
+// so there is no second method whose fields could drift out of step.
 var Checkpoint = &Analyzer{
 	Name: "checkpoint",
-	Doc:  "functional checkpoints must be restored on every return path; SaveState/RestoreState pairs must stay symmetric and version-stamped",
+	Doc:  "functional checkpoints must be restored on every return path; snapshot sections must be stamped with a named version",
 	Run:  runCheckpoint,
 }
 
@@ -52,171 +48,19 @@ func runCheckpoint(pass *Pass) {
 				continue
 			}
 			checkFuncCheckpoints(pass, fd)
+			checkSectionVersions(pass, fd)
 		}
-	}
-	checkSnapshotPairs(pass)
-}
-
-// snapshotCodecPkg is the import-path suffix of the snapshot codec
-// package whose Writer/Reader parameters identify state methods.
-const snapshotCodecPkg = "internal/checkpoint"
-
-// stateMethods collects the SaveState/RestoreState declarations of one
-// receiver type.
-type stateMethods struct {
-	save, restore *ast.FuncDecl
-}
-
-// checkSnapshotPairs enforces the serialization convention on every
-// SaveState/RestoreState pair in the package.
-func checkSnapshotPairs(pass *Pass) {
-	pairs := map[types.Object]*stateMethods{}
-	var order []types.Object
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			var wantParam string
-			switch fd.Name.Name {
-			case "SaveState":
-				wantParam = "Writer"
-			case "RestoreState":
-				wantParam = "Reader"
-			default:
-				continue
-			}
-			recv, okRecv := receiverTypeObj(pass, fd)
-			if !okRecv || !hasCodecParam(pass, fd, wantParam) {
-				continue
-			}
-			pm := pairs[recv]
-			if pm == nil {
-				pm = &stateMethods{}
-				pairs[recv] = pm
-				order = append(order, recv)
-			}
-			if fd.Name.Name == "SaveState" {
-				pm.save = fd
-			} else {
-				pm.restore = fd
-			}
-		}
-	}
-	for _, recv := range order {
-		pm := pairs[recv]
-		switch {
-		case pm.save == nil:
-			pass.Reportf(pm.restore.Pos(), "%s has RestoreState but no SaveState; a one-sided codec cannot round-trip a snapshot", recv.Name())
-			continue
-		case pm.restore == nil:
-			pass.Reportf(pm.save.Pos(), "%s has SaveState but no RestoreState; a one-sided codec cannot round-trip a snapshot", recv.Name())
-			continue
-		}
-		saved := receiverFields(pass, pm.save)
-		restored := receiverFields(pass, pm.restore)
-		for _, name := range sortedDiff(saved, restored) {
-			pass.Reportf(pm.restore.Pos(), "%s.%s is serialized by SaveState but never referenced by RestoreState; restore it (and bump snapshotVersion) or stop saving it",
-				recv.Name(), name)
-		}
-		for _, name := range sortedDiff(restored, saved) {
-			pass.Reportf(pm.save.Pos(), "%s.%s is referenced by RestoreState but never serialized by SaveState; save it (and bump snapshotVersion) or stop restoring it",
-				recv.Name(), name)
-		}
-		checkSectionVersions(pass, pm.save)
-		checkSectionVersions(pass, pm.restore)
 	}
 }
 
-// receiverTypeObj resolves a method's receiver to the named type it is
-// declared on.
-func receiverTypeObj(pass *Pass, fd *ast.FuncDecl) (types.Object, bool) {
-	fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil, false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil, false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, false
-	}
-	return named.Obj(), true
-}
-
-// hasCodecParam reports whether the method's single parameter is a
-// pointer to the snapshot codec's Writer or Reader.
-func hasCodecParam(pass *Pass, fd *ast.FuncDecl, typeName string) bool {
-	fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	params := fn.Type().(*types.Signature).Params()
-	if params.Len() != 1 {
-		return false
-	}
-	p, ok := params.At(0).Type().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok || named.Obj().Name() != typeName || named.Obj().Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(named.Obj().Pkg().Path(), snapshotCodecPkg)
-}
-
-// receiverFields returns the set of receiver struct fields the method
-// body references (directly or as the base of a deeper selection).
-func receiverFields(pass *Pass, fd *ast.FuncDecl) map[string]bool {
-	out := map[string]bool{}
-	if len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return out // anonymous receiver: nothing to reference
-	}
-	recvObj := pass.Pkg.Info.Defs[fd.Recv.List[0].Names[0]]
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := sel.X.(*ast.Ident)
-		if !ok || pass.Pkg.Info.Uses[base] != recvObj {
-			return true
-		}
-		if s := pass.Pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-			out[sel.Sel.Name] = true
-		}
-		return true
-	})
-	return out
-}
-
-// sortedDiff returns the names in a but not in b, sorted.
-func sortedDiff(a, b map[string]bool) []string {
-	var out []string
-	for name := range a {
-		if !b[name] {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// checkSectionVersions requires every codec Section stamp in the method
-// to cite a named constant: a literal version cannot be bumped without
-// touching every call site, which is exactly how stale stamps happen.
+// checkSectionVersions requires every snapshot Section stamp in the
+// function to cite a named constant: a literal version cannot be bumped
+// without touching every call site, which is exactly how stale stamps
+// happen.
 func checkSectionVersions(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isMethodCall(pass, call, snapshotCodecPkg, "Section") || len(call.Args) != 2 {
+		if !ok || !isMethodCall(pass, call, "internal/checkpoint", "Section") || len(call.Args) != 2 {
 			return true
 		}
 		ver := call.Args[1]
@@ -226,7 +70,7 @@ func checkSectionVersions(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		if _, lit := ver.(*ast.BasicLit); lit {
-			pass.Reportf(ver.Pos(), "%s stamps its section with a literal version; name it (const snapshotVersion) so serialized-field changes force a visible bump", fd.Name.Name)
+			pass.Reportf(ver.Pos(), "%s stamps its section with a literal version; name it (const snapshotVersion) so walked-field changes force a visible bump", fd.Name.Name)
 		}
 		return true
 	})

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,58 +167,4 @@ func TestSARIFGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "wpflow.sarif", string(data))
-}
-
-// TestBaselineRatchet covers the accept-then-ratchet lifecycle: accept
-// current findings, pass while nothing new appears, fail on the first
-// finding beyond the recorded counts — including one more duplicate of
-// an already-baselined message.
-func TestBaselineRatchet(t *testing.T) {
-	mk := func(file, analyzer, msg string, line int) Diagnostic {
-		return Diagnostic{Pos: token.Position{Filename: file, Line: line, Column: 1}, Analyzer: analyzer, Message: msg}
-	}
-	existing := []Diagnostic{
-		mk("a.go", "wpflow", "leak one", 10),
-		mk("a.go", "wpflow", "leak one", 20), // same key twice: count 2
-		mk("b.go", "exhaustive", "missing X", 5),
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, existing); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Identical findings (even at shifted lines) are fully accepted.
-	shifted := []Diagnostic{
-		mk("a.go", "wpflow", "leak one", 11),
-		mk("a.go", "wpflow", "leak one", 22),
-		mk("b.go", "exhaustive", "missing X", 7),
-	}
-	accepted, fresh := base.Filter(shifted)
-	if len(accepted) != 3 || len(fresh) != 0 {
-		t.Fatalf("baseline run: accepted %d fresh %d, want 3/0", len(accepted), len(fresh))
-	}
-
-	// A third duplicate of a key recorded twice must ratchet.
-	grown := append(shifted, mk("a.go", "wpflow", "leak one", 30))
-	if _, fresh = base.Filter(grown); len(fresh) != 1 {
-		t.Fatalf("duplicate beyond recorded count: %d fresh findings, want 1", len(fresh))
-	}
-	// So must a new message.
-	novel := append(shifted, mk("c.go", "wpflow", "leak two", 3))
-	if _, fresh = base.Filter(novel); len(fresh) != 1 || fresh[0].Pos.Filename != "c.go" {
-		t.Fatalf("novel finding not ratcheted: fresh = %v", fresh)
-	}
-
-	// A missing baseline file is an empty baseline.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, fresh = empty.Filter(shifted); len(fresh) != 3 {
-		t.Fatalf("empty baseline accepted findings: %d fresh, want 3", len(fresh))
-	}
 }

@@ -1,5 +1,6 @@
 // Package checkpoint is a wplint fixture: functional checkpoints that
-// are not restored on every return path must be flagged.
+// are not restored on every return path must be flagged, and so must
+// snapshot sections stamped with anything but a named constant.
 package checkpoint
 
 import (
@@ -54,99 +55,19 @@ func DeferredClosureRestore(c *functional.CPU) int {
 	return 1
 }
 
-// --- snapshot codec convention (SaveState/RestoreState symmetry) ---
+// --- snapshot section stamps ---
 
 // snapshotVersion stamps the fixture sections.
 const snapshotVersion = 1
 
-// symmetric saves and restores the same field set: passes.
-type symmetric struct {
-	a, b uint64
-}
-
-func (s *symmetric) SaveState(w *checkpoint.Writer) {
-	w.Section("fixture/symmetric", snapshotVersion)
-	w.Uint64(s.a)
-	w.Uint64(s.b)
-}
-
-func (s *symmetric) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("fixture/symmetric", snapshotVersion); err != nil {
-		return err
-	}
-	s.a = r.Uint64()
-	s.b = r.Uint64()
-	return r.Err()
-}
-
-// delegating references fields only as receivers of nested state
-// calls — still symmetric: passes.
-type delegating struct {
-	inner symmetric
-	n     uint64
-}
-
-func (d *delegating) SaveState(w *checkpoint.Writer) {
-	w.Section("fixture/delegating", snapshotVersion)
-	w.Uint64(d.n)
-	d.inner.SaveState(w)
-}
-
-func (d *delegating) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("fixture/delegating", snapshotVersion); err != nil {
-		return err
-	}
-	d.n = r.Uint64()
-	return d.inner.RestoreState(r)
-}
-
-// lopsided serializes b but never restores it, so every resumed run
-// decodes the rest of the snapshot misaligned: flagged on RestoreState.
-type lopsided struct {
-	a, b uint64
-}
-
-func (s *lopsided) SaveState(w *checkpoint.Writer) {
-	w.Section("fixture/lopsided", snapshotVersion)
-	w.Uint64(s.a)
-	w.Uint64(s.b)
-}
-
-func (s *lopsided) RestoreState(r *checkpoint.Reader) error { // want: lopsided.b is serialized by SaveState but never referenced by RestoreState
-	if err := r.Section("fixture/lopsided", snapshotVersion); err != nil {
-		return err
-	}
-	s.a = r.Uint64()
-	return r.Err()
-}
-
-// phantom restores a field SaveState never wrote: flagged on SaveState.
-type phantom struct {
-	a, b uint64
-}
-
-func (s *phantom) SaveState(w *checkpoint.Writer) { // want: phantom.b is referenced by RestoreState but never serialized by SaveState
-	w.Section("fixture/phantom", snapshotVersion)
-	w.Uint64(s.a)
-}
-
-func (s *phantom) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("fixture/phantom", snapshotVersion); err != nil {
-		return err
-	}
-	s.a = r.Uint64()
-	s.b = r.Uint64()
-	return r.Err()
-}
-
-// oneSided has no RestoreState at all: flagged.
-type oneSided struct {
+// named stamps its section with the named version constant: passes.
+type named struct {
 	a uint64
 }
 
-func (s *oneSided) SaveState(w *checkpoint.Writer) { // want: oneSided has SaveState but no RestoreState
-	w.Section("fixture/oneSided", snapshotVersion)
-	w.Uint64(s.a)
+func (s *named) State(st *checkpoint.Stream) {
+	st.Section("fixture/named", snapshotVersion)
+	st.Uint64(&s.a)
 }
 
 // literalStamp hardcodes its section version, so a field change cannot
@@ -155,15 +76,17 @@ type literalStamp struct {
 	a uint64
 }
 
-func (s *literalStamp) SaveState(w *checkpoint.Writer) {
-	w.Section("fixture/literalStamp", 1) // want: literal version
-	w.Uint64(s.a)
+func (s *literalStamp) State(st *checkpoint.Stream) {
+	st.Section("fixture/literalStamp", 1) // want: literal version
+	st.Uint64(&s.a)
 }
 
-func (s *literalStamp) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("fixture/literalStamp", 1); err != nil { // want: literal version
-		return err
-	}
-	s.a = r.Uint64()
-	return r.Err()
+// computedStamp derives its version at run time: flagged.
+type computedStamp struct {
+	a uint64
+}
+
+func (s *computedStamp) State(st *checkpoint.Stream) {
+	st.Section("fixture/computedStamp", uint32(s.a)) // want: non-constant version
+	st.Uint64(&s.a)
 }

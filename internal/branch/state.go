@@ -1,123 +1,47 @@
 package branch
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// snapshotVersion stamps this package's snapshot sections; bump it when
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the complete predictor state: conditional
-// tables, global history, RAS, indirect table, and TAGE (when
-// configured). Config-derived masks are rebuilt by New on resume, so
-// only the mutable state is written; table lengths are validated on
-// restore so a snapshot from a differently-sized predictor fails loudly
-// instead of aliasing entries.
-func (u *Unit) SaveState(w *checkpoint.Writer) {
-	w.Section("branch/Unit", snapshotVersion)
-	w.Bytes(u.bimodal)
-	w.Bytes(u.gshare)
-	w.Bytes(u.choice)
-	w.Uint64(u.history)
-	w.Uint64s(u.ras)
-	w.Int(u.rasTop)
-	w.Uint64s(u.indirect)
-	w.Bool(u.tage != nil)
-	if u.tage != nil {
-		u.tage.saveState(w)
+// State walks the complete predictor state: conditional tables, global
+// history, RAS, indirect table, and TAGE (when configured).
+// Config-derived masks are rebuilt by New on resume, so only the
+// mutable state is walked; table sizes are configuration dimensions, so
+// a load into a differently-sized predictor fails loudly instead of
+// aliasing entries.
+func (u *Unit) State(s *checkpoint.Stream) {
+	s.Section("branch/Unit", snapshotVersion)
+	s.Table(u.bimodal)
+	s.Table(u.gshare)
+	s.Table(u.choice)
+	s.Uint64(&u.history)
+	s.Uint64s(u.ras)
+	s.Int(&u.rasTop)
+	s.Uint64s(u.indirect)
+	if s.Has(u.tage != nil) {
+		u.tage.state(s)
 	}
 }
 
-// RestoreState overwrites the predictor state with the snapshot. The
-// receiver must be built (New) with the same Config the snapshot was
-// taken under; size mismatches surface as typed decode faults.
-func (u *Unit) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("branch/Unit", snapshotVersion); err != nil {
-		return err
-	}
-	if err := bytesInto(r, u.bimodal, "bimodal"); err != nil {
-		return err
-	}
-	if err := bytesInto(r, u.gshare, "gshare"); err != nil {
-		return err
-	}
-	if err := bytesInto(r, u.choice, "choice"); err != nil {
-		return err
-	}
-	u.history = r.Uint64()
-	r.Uint64sInto(u.ras)
-	u.rasTop = r.Int()
-	r.Uint64sInto(u.indirect)
-	hasTAGE := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasTAGE != (u.tage != nil) {
-		return fmt.Errorf("branch: snapshot tage=%v, configuration tage=%v", hasTAGE, u.tage != nil)
-	}
-	if u.tage != nil {
-		return u.tage.restoreState(r)
-	}
-	return nil
-}
-
-// bytesInto decodes a length-prefixed byte string into dst, requiring
-// an exact length match (these tables are sized by Config).
-func bytesInto(r *checkpoint.Reader, dst []uint8, name string) error {
-	b := r.Bytes()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(b) != len(dst) {
-		return fmt.Errorf("branch: snapshot %s table holds %d entries, want %d", name, len(b), len(dst))
-	}
-	copy(dst, b)
-	return nil
-}
-
-func (t *tage) saveState(w *checkpoint.Writer) {
-	w.Section("branch/tage", snapshotVersion)
-	w.Bytes(t.base)
-	w.Uint64(t.allocClock)
+func (t *tage) state(s *checkpoint.Stream) {
+	s.Section("branch/tage", snapshotVersion)
+	s.Table(t.base)
+	s.Uint64(&t.allocClock)
 	for i := range t.tables {
-		w.Uint64(uint64(len(t.tables[i])))
+		s.Dim(len(t.tables[i]))
 		for j := range t.tables[i] {
 			e := &t.tables[i][j]
-			w.Uint32(uint32(e.tag))
-			w.Byte(byte(e.ctr))
-			w.Byte(e.useful)
-			w.Bool(e.valid)
+			tag, ctr := uint32(e.tag), byte(e.ctr)
+			s.Uint32(&tag)
+			s.Byte(&ctr)
+			s.Byte(&e.useful)
+			s.Bool(&e.valid)
+			if s.Loading() {
+				e.tag, e.ctr = uint16(tag), int8(ctr)
+			}
 		}
 	}
-}
-
-func (t *tage) restoreState(r *checkpoint.Reader) error {
-	if err := r.Section("branch/tage", snapshotVersion); err != nil {
-		return err
-	}
-	if err := bytesInto(r, t.base, "tage base"); err != nil {
-		return err
-	}
-	t.allocClock = r.Uint64()
-	for i := range t.tables {
-		n := r.Uint64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if n != uint64(len(t.tables[i])) {
-			return fmt.Errorf("branch: snapshot tage table %d holds %d entries, want %d", i, n, len(t.tables[i]))
-		}
-		for j := range t.tables[i] {
-			e := &t.tables[i][j]
-			e.tag = uint16(r.Uint32())
-			e.ctr = int8(r.Byte())
-			e.useful = r.Byte()
-			e.valid = r.Bool()
-		}
-	}
-	return r.Err()
 }

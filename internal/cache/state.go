@@ -1,175 +1,71 @@
 package cache
 
-import (
-	"fmt"
+import "repro/internal/checkpoint"
 
-	"repro/internal/checkpoint"
-)
-
-// snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// snapshotVersion stamps this package's snapshot sections; bump it when
+// the walked field set changes.
 const snapshotVersion = 1
 
-// saveStats serializes one level's counter block.
-func saveStats(w *checkpoint.Writer, s *LevelStats) {
-	w.Uint64(s.Correct.Accesses)
-	w.Uint64(s.Correct.Misses)
-	w.Uint64(s.Wrong.Accesses)
-	w.Uint64(s.Wrong.Misses)
-	w.Uint64(s.Writebacks)
+// state walks one level's counter block.
+func (s *LevelStats) state(st *checkpoint.Stream) {
+	st.Uint64(&s.Correct.Accesses)
+	st.Uint64(&s.Correct.Misses)
+	st.Uint64(&s.Wrong.Accesses)
+	st.Uint64(&s.Wrong.Misses)
+	st.Uint64(&s.Writebacks)
 }
 
-func restoreStats(r *checkpoint.Reader, s *LevelStats) {
-	s.Correct.Accesses = r.Uint64()
-	s.Correct.Misses = r.Uint64()
-	s.Wrong.Accesses = r.Uint64()
-	s.Wrong.Misses = r.Uint64()
-	s.Writebacks = r.Uint64()
-}
-
-// SaveState serializes one level's content (tags, valid/dirty bits, LRU
-// stamps) and statistics. Geometry is configuration-derived and not
-// written; the line count is, so a resume under a different geometry
+// State walks one level's content (tags, valid/dirty bits, LRU stamps)
+// and statistics. Geometry is configuration-derived and not walked; the
+// line count is a dimension, so a resume under a different geometry
 // fails loudly.
-func (l *Level) SaveState(w *checkpoint.Writer) { //wplint:allow checkpoint -- cfg is geometry, read by RestoreState only for its mismatch message
-	w.Section("cache/Level", snapshotVersion)
-	w.Uint64(l.useClock)
-	saveStats(w, &l.Stats)
-	w.Uint64(uint64(len(l.lines)))
+func (l *Level) State(s *checkpoint.Stream) {
+	s.Section("cache/Level", snapshotVersion)
+	s.Uint64(&l.useClock)
+	l.Stats.state(s)
+	s.Dim(len(l.lines))
 	for i := range l.lines {
 		ln := &l.lines[i]
-		w.Uint64(ln.tag)
-		w.Bool(ln.valid)
-		w.Bool(ln.dirty)
-		w.Uint64(ln.lastUse)
+		s.Uint64(&ln.tag)
+		s.Bool(&ln.valid)
+		s.Bool(&ln.dirty)
+		s.Uint64(&ln.lastUse)
 	}
 }
 
-// RestoreState overwrites the level's content with the snapshot.
-func (l *Level) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("cache/Level", snapshotVersion); err != nil {
-		return err
-	}
-	l.useClock = r.Uint64()
-	restoreStats(r, &l.Stats)
-	n := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(l.lines)) {
-		return fmt.Errorf("cache: snapshot level %s holds %d lines, want %d", l.cfg.Name, n, len(l.lines))
-	}
-	for i := range l.lines {
-		ln := &l.lines[i]
-		ln.tag = r.Uint64()
-		ln.valid = r.Bool()
-		ln.dirty = r.Bool()
-		ln.lastUse = r.Uint64()
-	}
-	return r.Err()
-}
-
-// SaveState serializes the TLB content and statistics.
-func (t *TLB) SaveState(w *checkpoint.Writer) { //wplint:allow checkpoint -- cfg is geometry, read by RestoreState only for its mismatch message
-	w.Section("cache/TLB", snapshotVersion)
-	w.Uint64(t.useClock)
-	saveStats(w, &t.Stats)
-	w.Uint64(uint64(len(t.entries)))
+// State walks the TLB content and statistics.
+func (t *TLB) State(s *checkpoint.Stream) {
+	s.Section("cache/TLB", snapshotVersion)
+	s.Uint64(&t.useClock)
+	t.Stats.state(s)
+	s.Dim(len(t.entries))
 	for i := range t.entries {
 		e := &t.entries[i]
-		w.Uint64(e.vpn)
-		w.Bool(e.valid)
-		w.Uint64(e.lastUse)
+		s.Uint64(&e.vpn)
+		s.Bool(&e.valid)
+		s.Uint64(&e.lastUse)
 	}
 }
 
-// RestoreState overwrites the TLB content with the snapshot.
-func (t *TLB) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("cache/TLB", snapshotVersion); err != nil {
-		return err
-	}
-	t.useClock = r.Uint64()
-	restoreStats(r, &t.Stats)
-	n := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(t.entries)) {
-		return fmt.Errorf("cache: snapshot tlb %s holds %d entries, want %d", t.cfg.Name, n, len(t.entries))
-	}
-	for i := range t.entries {
-		e := &t.entries[i]
-		e.vpn = r.Uint64()
-		e.valid = r.Bool()
-		e.lastUse = r.Uint64()
-	}
-	return r.Err()
-}
-
-// SaveState serializes the whole hierarchy: all four levels, both TLBs
+// State walks the whole hierarchy: all four levels, both TLBs
 // (presence-flagged — nil means disabled by configuration), and the
-// DRAM-side counters including the channel clock.
-func (h *Hierarchy) SaveState(w *checkpoint.Writer) {
-	w.Section("cache/Hierarchy", snapshotVersion)
-	h.l1i.SaveState(w)
-	h.l1d.SaveState(w)
-	h.l2.SaveState(w)
-	h.llc.SaveState(w)
-	w.Bool(h.itlb != nil)
-	if h.itlb != nil {
-		h.itlb.SaveState(w)
+// DRAM-side counters including the channel clock. A load needs a
+// hierarchy built (NewHierarchy) under the same configuration.
+func (h *Hierarchy) State(s *checkpoint.Stream) {
+	s.Section("cache/Hierarchy", snapshotVersion)
+	h.l1i.State(s)
+	h.l1d.State(s)
+	h.l2.State(s)
+	h.llc.State(s)
+	if s.Has(h.itlb != nil) {
+		h.itlb.State(s)
 	}
-	w.Bool(h.dtlb != nil)
-	if h.dtlb != nil {
-		h.dtlb.SaveState(w)
+	if s.Has(h.dtlb != nil) {
+		h.dtlb.State(s)
 	}
-	w.Uint64(h.MemAccesses)
-	w.Uint64(h.WrongMemAccesses)
-	w.Uint64(h.Prefetches)
-	w.Uint64(h.MemQueueCycles)
-	w.Uint64(h.memNextFree)
-}
-
-// RestoreState overwrites the hierarchy state with the snapshot. The
-// receiver must be built (NewHierarchy) under the same configuration.
-func (h *Hierarchy) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("cache/Hierarchy", snapshotVersion); err != nil {
-		return err
-	}
-	if err := h.l1i.RestoreState(r); err != nil {
-		return err
-	}
-	if err := h.l1d.RestoreState(r); err != nil {
-		return err
-	}
-	if err := h.l2.RestoreState(r); err != nil {
-		return err
-	}
-	if err := h.llc.RestoreState(r); err != nil {
-		return err
-	}
-	for _, tlb := range []struct {
-		name string
-		t    *TLB
-	}{{"itlb", h.itlb}, {"dtlb", h.dtlb}} {
-		has := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if has != (tlb.t != nil) {
-			return fmt.Errorf("cache: snapshot %s=%v, configuration %s=%v", tlb.name, has, tlb.name, tlb.t != nil)
-		}
-		if tlb.t != nil {
-			if err := tlb.t.RestoreState(r); err != nil {
-				return err
-			}
-		}
-	}
-	h.MemAccesses = r.Uint64()
-	h.WrongMemAccesses = r.Uint64()
-	h.Prefetches = r.Uint64()
-	h.MemQueueCycles = r.Uint64()
-	h.memNextFree = r.Uint64()
-	return r.Err()
+	s.Uint64(&h.MemAccesses)
+	s.Uint64(&h.WrongMemAccesses)
+	s.Uint64(&h.Prefetches)
+	s.Uint64(&h.MemQueueCycles)
+	s.Uint64(&h.memNextFree)
 }

@@ -1,8 +1,16 @@
 // Package checkpoint implements the snapshot codec for crash-safe
 // checkpoint/resume: a versioned, checksummed binary container that the
-// stateful simulator packages (functional, queue, core, cache, branch,
-// frontend, wrongpath) serialize themselves into via SaveState and
-// restore themselves from via RestoreState.
+// stateful simulator packages (functional, mem, queue, core, cache,
+// branch, codecache, frontend, wrongpath, trace) walk their state
+// through.
+//
+// A snapshot-capable type has one method, State(*Stream), that walks
+// its fields once, in a fixed order. A saving stream (NewStream)
+// appends every value it is handed; a loading stream (Open, ReadFile)
+// overwrites every value with the next decoded one. Because one walk
+// does both, the two directions cannot drift apart. The few rebuilds
+// only a load needs (memory pages, a code-cache seen-set, a dense queue
+// ring, a trace cursor) branch on Loading.
 //
 // Layout of a finished snapshot:
 //
@@ -10,22 +18,21 @@
 //
 // The payload is a flat little-endian stream of fixed-width values and
 // length-prefixed byte strings. Every package opens its region with a
-// named, versioned section marker (Writer.Section / Reader.Section), so
-// a reader that drifts out of alignment — or a snapshot written by an
-// older field layout — fails loudly with a typed fault instead of
-// silently misinterpreting bytes. The wplint `checkpoint` analyzer
-// enforces the convention: a SaveState/RestoreState pair must reference
-// the same receiver fields and stamp the package's snapshotVersion
-// constant into its section, so adding a serialized field forces a
-// visible version bump.
+// named, versioned section marker (Stream.Section), so a load that
+// drifts out of alignment — or a snapshot written by an older field
+// layout — fails loudly with a typed fault instead of silently
+// misinterpreting bytes. The wplint `checkpoint` analyzer requires every
+// Section stamp to cite a named constant (the package's
+// snapshotVersion), so adding a walked field forces a visible version
+// bump.
 //
-// Decode errors are sticky: the first failure latches into the Reader
-// and every subsequent read returns zero values, so restore code can
-// decode a whole section and check Err once.
+// Decode errors are sticky: the first failure latches into the Stream,
+// every later load yields zero values and empty collections, and the
+// walk's caller checks Err once at the end.
 //
-// Files are written atomically (temp file + rename) so a crash mid-write
-// never leaves a truncated snapshot under the name a resume would pick
-// up; a torn rename is caught by the checksum.
+// Files are written durably and atomically (a unique synced temp file,
+// a rename, a directory sync), so a crash never leaves a truncated
+// snapshot under the name a resume would pick up.
 package checkpoint
 
 import (
@@ -52,270 +59,253 @@ const magic = "WPSNAP\x00\n"
 // sectionMark precedes every section header in the payload.
 const sectionMark byte = 0xA5
 
-// Writer accumulates a snapshot payload.
-type Writer struct {
-	buf []byte
-}
-
-// NewWriter returns an empty snapshot writer.
-func NewWriter() *Writer {
-	return &Writer{buf: make([]byte, 0, 1<<16)}
-}
-
-// Section opens a named, versioned region. Every SaveState method calls
-// it first with its package's snapshotVersion constant.
-func (w *Writer) Section(name string, version uint32) {
-	w.Byte(sectionMark)
-	w.String(name)
-	w.Uint32(version)
-}
-
-// Uint64 appends a fixed-width little-endian value.
-func (w *Writer) Uint64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-// Uint32 appends a fixed-width little-endian value.
-func (w *Writer) Uint32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-// Int64 appends a signed value (two's-complement in a Uint64 slot).
-func (w *Writer) Int64(v int64) { w.Uint64(uint64(v)) }
-
-// Int appends a host int (serialized as Int64).
-func (w *Writer) Int(v int) { w.Int64(int64(v)) }
-
-// Byte appends one byte.
-func (w *Writer) Byte(v byte) { w.buf = append(w.buf, v) }
-
-// Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-}
-
-// Bytes appends a length-prefixed byte string.
-func (w *Writer) Bytes(p []byte) {
-	w.Uint64(uint64(len(p)))
-	w.buf = append(w.buf, p...)
-}
-
-// String appends a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Uint64(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Uint64s appends a length-prefixed slice of fixed-width values.
-func (w *Writer) Uint64s(v []uint64) {
-	w.Uint64(uint64(len(v)))
-	for _, x := range v {
-		w.Uint64(x)
-	}
-}
-
-// Len returns the current payload size in bytes.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Finish frames the payload with the magic, format version and checksum
-// and returns the complete snapshot bytes. The writer remains usable
-// (further appends extend the payload for a later Finish).
-func (w *Writer) Finish() []byte {
-	out := make([]byte, 0, len(magic)+4+len(w.buf)+4)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
-	out = append(out, w.buf...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(w.buf))
-	return out
-}
-
-// Reader decodes a snapshot payload. The first decode failure latches
-// (subsequent reads return zero values); check Err after a section.
-type Reader struct {
-	data []byte
-	off  int
+// Stream walks a snapshot payload in one direction. A saving stream
+// only reads through the pointers it is handed; a loading stream
+// overwrites them.
+type Stream struct {
+	buf  []byte // saving: the payload so far; loading: the whole payload
+	off  int    // loading: the decode cursor
+	load bool
+	sect string // the last section walked, for error context
 	err  error
 }
 
-// corrupt builds the package's typed decode fault: a snapshot that
-// fails structural validation is the same fault class as a corrupt
-// trace — bytes that cannot mean what they claim to mean.
-func corrupt(op string, at uint64, cause error) error {
-	return simerr.Corrupt(op, at, cause)
+// NewStream returns an empty saving stream.
+func NewStream() *Stream {
+	return &Stream{buf: make([]byte, 0, 1<<16)}
 }
 
 // Open validates the container framing (magic, format version,
-// checksum) and returns a Reader positioned at the start of the
-// payload. Every failure is a typed simerr.ErrTraceCorrupt fault.
-func Open(data []byte) (*Reader, error) {
+// checksum) and returns a loading stream positioned at the start of the
+// payload. Every failure is a typed simerr.ErrTraceCorrupt fault: a
+// snapshot that fails validation is the same fault class as a corrupt
+// trace — bytes that cannot mean what they claim to mean.
+func Open(data []byte) (*Stream, error) {
 	min := len(magic) + 4 + 4
 	if len(data) < min {
-		return nil, corrupt("opening snapshot", uint64(len(data)),
+		return nil, simerr.Corrupt("opening snapshot", uint64(len(data)),
 			fmt.Errorf("checkpoint: %d bytes is shorter than the %d-byte frame", len(data), min))
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, corrupt("opening snapshot", 0,
+		return nil, simerr.Corrupt("opening snapshot", 0,
 			fmt.Errorf("checkpoint: bad magic %q", data[:len(magic)]))
 	}
 	ver := binary.LittleEndian.Uint32(data[len(magic):])
 	if ver != FormatVersion {
-		return nil, corrupt("opening snapshot", uint64(len(magic)),
+		return nil, simerr.Corrupt("opening snapshot", uint64(len(magic)),
 			fmt.Errorf("checkpoint: format version %d, want %d", ver, FormatVersion))
 	}
 	payload := data[len(magic)+4 : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, corrupt("opening snapshot", uint64(len(data)-4),
+		return nil, simerr.Corrupt("opening snapshot", uint64(len(data)-4),
 			fmt.Errorf("checkpoint: checksum %#x, want %#x", got, want))
 	}
-	return &Reader{data: payload}, nil
+	return &Stream{buf: payload, load: true}, nil
 }
 
-// fail latches the first decode error.
-func (r *Reader) fail(cause error) {
-	if r.err == nil {
-		r.err = corrupt("decoding snapshot", uint64(r.off), cause)
-	}
+// Finish frames a saving stream's payload with the magic, format
+// version and checksum and returns the complete snapshot bytes. The
+// stream remains usable (further walks extend the payload for a later
+// Finish).
+func (s *Stream) Finish() []byte {
+	out := make([]byte, 0, len(magic)+4+len(s.buf)+4)
+	out = append(out, magic...)
+	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
+	out = append(out, s.buf...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(s.buf))
 }
+
+// Loading reports whether the stream overwrites the walked values.
+func (s *Stream) Loading() bool { return s.load }
 
 // Err returns the latched decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (s *Stream) Err() error { return s.err }
 
-// Section validates a section header written by Writer.Section. A name
-// or version mismatch latches and returns the typed fault, so restore
-// paths abort before misreading another package's bytes.
-func (r *Reader) Section(name string, version uint32) error {
-	if b := r.Byte(); r.err == nil && b != sectionMark {
-		r.fail(fmt.Errorf("checkpoint: expected section %q, found stray byte %#x", name, b))
-	}
-	got := r.String()
-	if r.err == nil && got != name {
-		r.fail(fmt.Errorf("checkpoint: section %q, want %q", got, name))
-	}
-	ver := r.Uint32()
-	if r.err == nil && ver != version {
-		r.fail(fmt.Errorf("checkpoint: section %q version %d, want %d", name, ver, version))
-	}
-	return r.err
-}
-
-// Uint64 decodes a fixed-width value.
-func (r *Reader) Uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return v
-}
-
-// Uint32 decodes a fixed-width value.
-func (r *Reader) Uint32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.data) {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return v
-}
-
-// Int64 decodes a signed value.
-func (r *Reader) Int64() int64 { return int64(r.Uint64()) }
-
-// Int decodes a host int.
-func (r *Reader) Int() int { return int(r.Int64()) }
-
-// Byte decodes one byte.
-func (r *Reader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail(io.ErrUnexpectedEOF)
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-// Bool decodes a boolean.
-func (r *Reader) Bool() bool {
-	switch b := r.Byte(); {
-	case r.err != nil:
-		return false
-	case b > 1:
-		r.fail(fmt.Errorf("checkpoint: bool byte %#x", b))
-		return false
-	default:
-		return b == 1
+// Fail latches cause as a typed decode fault, unless cause is nil or an
+// earlier fault already latched. Walks call it for the load-time checks
+// the primitives cannot see (a duplicate entry, a cursor that cannot
+// seek).
+func (s *Stream) Fail(cause error) {
+	if cause != nil && s.err == nil {
+		s.err = simerr.Corrupt("decoding snapshot", uint64(s.off), fmt.Errorf("section %q: %w", s.sect, cause))
 	}
 }
 
-// Bytes decodes a length-prefixed byte string. The returned slice
-// aliases the snapshot buffer; copy it to retain it.
-func (r *Reader) Bytes() []byte {
-	n := r.Uint64()
-	if r.err != nil {
+// take consumes the next n payload bytes of a loading stream. Past a
+// latched error, or past the payload's end, it returns nil (latching).
+func (s *Stream) take(n uint64) []byte {
+	if s.err == nil && n > uint64(len(s.buf)-s.off) {
+		s.Fail(fmt.Errorf("checkpoint: %d bytes wanted, %d left: %w", n, len(s.buf)-s.off, io.ErrUnexpectedEOF))
+	}
+	if s.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail(fmt.Errorf("checkpoint: byte string of %d with %d bytes left", n, len(r.data)-r.off))
-		return nil
-	}
-	v := r.data[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v
+	s.off += int(n)
+	return s.buf[s.off-int(n) : s.off]
 }
 
-// String decodes a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// Uint64s decodes a slice written by Writer.Uint64s.
-func (r *Reader) Uint64s() []uint64 {
-	n := r.Uint64()
-	if r.err != nil {
-		return nil
+// Section walks a named, versioned section header. Every State walk
+// that frames a region calls it first with its package's
+// snapshotVersion constant; a load latches a typed fault on a name or
+// version mismatch, so a walk never misreads another package's bytes.
+func (s *Stream) Section(name string, version uint32) {
+	mark, got, ver := sectionMark, name, version
+	if s.Byte(&mark); mark != sectionMark {
+		s.Fail(fmt.Errorf("checkpoint: expected section %q, found stray byte %#x", name, mark))
 	}
-	if n > uint64(len(r.data)-r.off)/8 {
-		r.fail(fmt.Errorf("checkpoint: uint64 slice of %d with %d bytes left", n, len(r.data)-r.off))
-		return nil
+	if s.String(&got); got != name {
+		s.Fail(fmt.Errorf("checkpoint: section %q, want %q", got, name))
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uint64()
+	if s.Uint32(&ver); ver != version {
+		s.Fail(fmt.Errorf("checkpoint: section %q version %d, want %d", name, ver, version))
 	}
-	return out
+	s.sect = name
 }
 
-// Uint64sInto decodes a slice written by Writer.Uint64s into dst,
-// failing when the stored length differs — the validator for
-// configuration-sized state (predictor tables, pipeline rings) whose
-// dimensions must match the resuming configuration.
-func (r *Reader) Uint64sInto(dst []uint64) {
-	n := r.Uint64()
-	if r.err != nil {
+// Uint64 walks a fixed-width little-endian value.
+func (s *Stream) Uint64(p *uint64) {
+	if !s.load {
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, *p)
 		return
 	}
-	if n != uint64(len(dst)) {
-		r.fail(fmt.Errorf("checkpoint: uint64 slice of %d, want %d (configuration mismatch?)", n, len(dst)))
+	*p = 0
+	if b := s.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// Uint32 walks a fixed-width little-endian value.
+func (s *Stream) Uint32(p *uint32) {
+	if !s.load {
+		s.buf = binary.LittleEndian.AppendUint32(s.buf, *p)
 		return
 	}
-	for i := range dst {
-		dst[i] = r.Uint64()
+	*p = 0
+	if b := s.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
 	}
+}
+
+// Byte walks one byte.
+func (s *Stream) Byte(p *byte) {
+	if !s.load {
+		s.buf = append(s.buf, *p)
+		return
+	}
+	*p = 0
+	if b := s.take(1); b != nil {
+		*p = b[0]
+	}
+}
+
+// Int64 walks a signed value (two's complement in a Uint64 slot).
+func (s *Stream) Int64(p *int64) {
+	v := uint64(*p)
+	if s.Uint64(&v); s.load {
+		*p = int64(v)
+	}
+}
+
+// Int walks a host int (in an Int64 slot).
+func (s *Stream) Int(p *int) {
+	v := uint64(*p)
+	if s.Uint64(&v); s.load {
+		*p = int(v)
+	}
+}
+
+// Bool walks a boolean as one byte.
+func (s *Stream) Bool(p *bool) {
+	var b byte
+	if *p {
+		b = 1
+	}
+	if s.Byte(&b); b > 1 {
+		s.Fail(fmt.Errorf("checkpoint: bool byte %#x", b))
+	}
+	if s.load {
+		*p = b == 1
+	}
+}
+
+// Bytes walks a length-prefixed byte string; a load replaces *p's
+// contents, reusing its capacity.
+func (s *Stream) Bytes(p *[]byte) {
+	n := uint64(len(*p))
+	if s.Uint64(&n); s.load {
+		*p = append((*p)[:0], s.take(n)...)
+	} else {
+		s.buf = append(s.buf, *p...)
+	}
+}
+
+// String walks a length-prefixed string.
+func (s *Stream) String(p *string) {
+	n := uint64(len(*p))
+	if s.Uint64(&n); s.load {
+		*p = string(s.take(n))
+	} else {
+		s.buf = append(s.buf, *p...)
+	}
+}
+
+// Dim walks a configuration-derived size: a table length, a ring size,
+// a lookahead. A load latches a typed fault unless the snapshot was
+// taken with the same value, so a resume under another configuration
+// fails loudly instead of aliasing entries.
+func (s *Stream) Dim(n int) {
+	v := uint64(n)
+	if s.Uint64(&v); v != uint64(n) {
+		s.Fail(fmt.Errorf("checkpoint: snapshot size %d, configuration %d (configuration mismatch?)", v, n))
+	}
+}
+
+// Has walks a configuration-derived presence flag (an optional TLB,
+// TAGE, the wpemul predictor copy) and returns has, so the caller walks
+// the optional part exactly when its configuration has it. A load
+// latches a typed fault unless the snapshot agrees.
+func (s *Stream) Has(has bool) bool {
+	got := has
+	if s.Bool(&got); got != has {
+		s.Fail(fmt.Errorf("checkpoint: snapshot presence %v, configuration %v (configuration mismatch?)", got, has))
+	}
+	return has
+}
+
+// Table walks a configuration-sized byte table in place: a
+// length-prefixed byte string whose length is a Dim.
+func (s *Stream) Table(v []byte) {
+	if s.Dim(len(v)); s.load {
+		copy(v, s.take(uint64(len(v))))
+	} else {
+		s.buf = append(s.buf, v...)
+	}
+}
+
+// Uint64s walks a configuration-sized slice in place: its length (a
+// Dim), then its elements.
+func (s *Stream) Uint64s(v []uint64) {
+	s.Dim(len(v))
+	for i := range v {
+		s.Uint64(&v[i])
+	}
+}
+
+// Count walks the length of a variable-size collection and returns the
+// walked length, which the caller's element walk then follows. A load
+// bounds it by the payload left — each element takes at least minSize
+// (≥ 1) bytes — so a corrupt count latches a typed fault (and yields 0)
+// instead of driving an allocation.
+func (s *Stream) Count(n, minSize int) int {
+	v := uint64(n)
+	if s.Uint64(&v); s.load && v > uint64(len(s.buf)-s.off)/uint64(minSize) {
+		s.Fail(fmt.Errorf("checkpoint: %d elements of at least %d bytes with %d bytes left", v, minSize, len(s.buf)-s.off))
+	}
+	if s.err != nil {
+		return 0
+	}
+	return int(v)
 }
 
 // --- snapshot files ---
@@ -333,23 +323,49 @@ func FileName(insts uint64) string {
 	return fmt.Sprintf("%s%020d%s", filePrefix, insts, fileSuffix)
 }
 
-// WriteFile atomically writes a finished snapshot: the bytes land in a
-// temp file first and are renamed into place, so a crash mid-write
-// leaves no partially-written file under a name Latest would return.
+// WriteFile durably and atomically writes data to path. The bytes land
+// in a temp file of their own in path's directory (a hidden name Latest
+// never matches), are synced, and are renamed into place; the directory
+// is synced after the rename so the new name survives a crash too.
+// Concurrent writers to one path never share a temp file: the last
+// rename wins and the file always holds one whole payload. On error the
+// temp file is removed.
 func WriteFile(path string, data []byte) error {
-	tmp := path + tmpSuffix
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*"+tmpSuffix)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
 		return err
 	}
-	return nil
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// ReadFile opens a snapshot file and validates its framing.
-func ReadFile(path string) (*Reader, error) {
+// ReadFile opens a snapshot file as a loading stream.
+func ReadFile(path string) (*Stream, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

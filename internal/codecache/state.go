@@ -9,37 +9,57 @@ import (
 )
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the seen-set and the lookup statistics. The
-// seen-set IS simulation state: a Lookup miss ends a wrong-path
-// reconstruction (§III-A), so which PCs the functional simulator has
-// delivered by the checkpoint instant must survive a resume exactly —
-// predecoding alone cannot recover it, and for trace sources there is
-// no program to predecode at all. Entries are written as (pc, inst)
-// pairs in ascending PC order (pages and the unaligned fallback map
-// are both sorted) so the snapshot bytes are deterministic; Meta is
-// recomputed on restore via MetaOf, and predecoded-only entries are
-// rebuilt by the session's usual Predecode call.
-func (c *Cache) SaveState(w *checkpoint.Writer) {
-	w.Section("codecache/Cache", snapshotVersion)
-	w.Uint64(c.lookups)
-	w.Uint64(c.misses)
+// seenEntry is one walked seen-set entry.
+type seenEntry struct {
+	pc uint64
+	in isa.Inst
+}
 
-	type seenEntry struct {
-		pc uint64
-		in isa.Inst
+// State walks the lookup statistics and the seen-set. The seen-set IS
+// simulation state: a Lookup miss ends a wrong-path reconstruction
+// (§III-A), so which PCs the functional simulator has delivered by the
+// checkpoint instant must survive a resume exactly — predecoding alone
+// cannot recover it, and for trace sources there is no program to
+// predecode at all. Entries are walked as (pc, inst) pairs in ascending
+// PC order so the snapshot bytes are deterministic. A load re-inserts
+// them, recomputing Meta via MetaOf; the cache is typically fresh (New,
+// optionally Predecoded), and predecoded entries are upgraded in place.
+func (c *Cache) State(s *checkpoint.Stream) {
+	s.Section("codecache/Cache", snapshotVersion)
+	s.Uint64(&c.lookups)
+	s.Uint64(&c.misses)
+	var ents []seenEntry
+	if !s.Loading() {
+		ents = c.seenEntries()
 	}
+	n := s.Count(len(ents), 8+isa.InstStateBytes)
+	if s.Loading() {
+		ents = make([]seenEntry, n)
+	}
+	for i := range ents {
+		se := &ents[i]
+		s.Uint64(&se.pc)
+		se.in.State(s)
+		if !s.Loading() {
+			continue
+		}
+		e := c.entryFor(se.pc, true)
+		if e.state == entrySeen {
+			s.Fail(fmt.Errorf("codecache: snapshot pc %#x already seen (duplicate entry)", se.pc))
+		}
+		e.in, e.meta, e.state = se.in, MetaOf(&se.in), entrySeen
+		c.seen++
+	}
+}
+
+// seenEntries lists the seen-set in ascending PC order (the pages and
+// the unaligned fallback map together).
+func (c *Cache) seenEntries() []seenEntry {
 	ents := make([]seenEntry, 0, c.seen)
-	pageIdxs := make([]uint64, 0, len(c.pages))
-	for idx := range c.pages {
-		pageIdxs = append(pageIdxs, idx)
-	}
-	sort.Slice(pageIdxs, func(i, j int) bool { return pageIdxs[i] < pageIdxs[j] })
-	for _, idx := range pageIdxs {
-		p := c.pages[idx]
+	for idx, p := range c.pages {
 		for slot := range p.ents {
 			if p.ents[slot].state == entrySeen {
 				pc := ((idx << pageShift) | uint64(slot)) << 2
@@ -53,56 +73,5 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 		}
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].pc < ents[j].pc })
-
-	w.Uint64(uint64(len(ents)))
-	for i := range ents {
-		e := &ents[i]
-		w.Uint64(e.pc)
-		w.Byte(byte(e.in.Op))
-		w.Byte(byte(e.in.Rd))
-		w.Byte(byte(e.in.Rs1))
-		w.Byte(byte(e.in.Rs2))
-		w.Byte(byte(e.in.Rs3))
-		w.Int64(e.in.Imm)
-		w.Uint64(e.in.Target)
-	}
-}
-
-// RestoreState re-inserts the serialized seen-set into the cache and
-// restores the lookup statistics. The receiver is typically fresh
-// (New, optionally Predecoded); existing predecoded entries are
-// upgraded in place.
-func (c *Cache) RestoreState(r *checkpoint.Reader) error { //wplint:allow checkpoint -- pages/slow are rebuilt through entryFor, not referenced directly
-	if err := r.Section("codecache/Cache", snapshotVersion); err != nil {
-		return err
-	}
-	c.lookups = r.Uint64()
-	c.misses = r.Uint64()
-	n := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		pc := r.Uint64()
-		var in isa.Inst
-		in.Op = isa.Op(r.Byte())
-		in.Rd = isa.Reg(r.Byte())
-		in.Rs1 = isa.Reg(r.Byte())
-		in.Rs2 = isa.Reg(r.Byte())
-		in.Rs3 = isa.Reg(r.Byte())
-		in.Imm = r.Int64()
-		in.Target = r.Uint64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		e := c.entryFor(pc, true)
-		if e.state == entrySeen {
-			return fmt.Errorf("codecache: snapshot pc %#x already seen (duplicate entry)", pc)
-		}
-		e.in = in
-		e.meta = MetaOf(&in)
-		e.state = entrySeen
-		c.seen++
-	}
-	return r.Err()
+	return ents
 }

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"repro/internal/batch"
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/workloads"
 	"repro/internal/wrongpath"
@@ -9,14 +10,20 @@ import (
 
 // runWith simulates a workload under an arbitrary configuration
 // (bypassing the memoization cache, which is keyed on the default
-// configuration).
+// configuration). The cell runs under the sweep's context and its stall
+// budget, and a run-ending fault (a cancellation among them) is an
+// error, as in simulate. It inherits nothing else from the base
+// request: no ladder, wrapper, cache or snapshots.
 func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	if cfg.Watchdog == 0 {
-		// Custom-config runs inherit the runner's stall budget; an idle
-		// watchdog leaves their statistics bit-identical.
+		// An idle watchdog leaves the statistics bit-identical.
 		cfg.Watchdog = r.opt.Base.Config.Watchdog
 	}
+	cfg.Ctx = r.opt.Base.Config.Ctx
 	res, _, err := sim.Execute(sim.Request{Config: cfg, Workload: &w})
+	if err == nil && res.Err != nil {
+		return nil, fmt.Errorf("functional error: %w", res.Err)
+	}
 	return res, err
 }
 
@@ -25,16 +32,18 @@ func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, err
 // simulation statistics only (no wall clocks), so concurrency cannot
 // perturb their output.
 func (r *Runner) runBatch(works []workloads.Workload, cfgs []sim.Config) ([]*sim.Result, error) {
+	keys := make([]string, len(works))
 	jobs := make([]func() (*sim.Result, error), len(works))
 	for i := range jobs {
 		w, cfg := works[i], cfgs[i]
+		keys[i] = cacheKey(w, cfg.WP)
 		jobs[i] = func() (*sim.Result, error) { return r.runWith(w, cfg) }
 	}
-	results := batch.Run(jobs, r.workers())
-	if err := batch.FirstErr(results); err != nil {
+	out := make([]*sim.Result, len(jobs))
+	if err := r.runCells(keys, jobs, r.workers(), func(i int, res *sim.Result) { out[i] = res }); err != nil {
 		return nil, err
 	}
-	return batch.Values(results), nil
+	return out, nil
 }
 
 // Ablations reports the design-choice studies DESIGN.md calls out.

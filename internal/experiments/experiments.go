@@ -254,41 +254,41 @@ func (r *Runner) record(key string, res *sim.Result) {
 // progress lines happen on the calling goroutine in pair order, so the
 // runner's behaviour is deterministic for any worker count.
 func (r *Runner) prefetch(works []workloads.Workload, kinds []wrongpath.Kind) error {
-	type unit struct {
-		w   workloads.Workload
-		k   wrongpath.Kind
-		key string
-	}
-	var todo []unit
+	var keys []string
+	var jobs []func() (*sim.Result, error)
 	for _, w := range works {
 		for _, k := range kinds {
 			key := cacheKey(w, k)
 			if _, ok := r.cache[key]; !ok {
-				todo = append(todo, unit{w, k, key})
+				keys = append(keys, key)
+				jobs = append(jobs, func() (*sim.Result, error) { return r.simulate(w, k) })
 			}
 		}
 	}
-	jobs := make([]func() (*sim.Result, error), len(todo))
-	for i := range jobs {
-		u := todo[i]
-		jobs[i] = func() (*sim.Result, error) { return r.simulate(u.w, u.k) }
-	}
-	// Cancellation sweeps through here: cells in flight stop at a lane
-	// boundary with a canceled fault, cells not yet started are skipped
-	// with one. Every canceled cell is annotated before the sweep's
-	// error propagates, so the flushed partial report names them all.
+	return r.runCells(keys, jobs, r.workers(), func(i int, res *sim.Result) { r.record(keys[i], res) })
+}
+
+// runCells runs the cells named by keys through the batch engine under
+// the sweep's context and hands each finished one to done, in cell
+// order, on the calling goroutine. Cancellation sweeps through here:
+// cells in flight stop at a lane boundary with a canceled fault, cells
+// not yet started are skipped with one. Every canceled cell is noted
+// for the INCOMPLETE footnote before the sweep's error propagates, so
+// the flushed partial report names them all; any other failure ends the
+// sweep at once.
+func (r *Runner) runCells(keys []string, jobs []func() (*sim.Result, error), workers int, done func(i int, res *sim.Result)) error {
 	var canceled error
-	for i, br := range batch.RunContext(r.opt.Base.Config.Ctx, jobs, r.workers()) {
+	for i, br := range batch.RunContext(r.opt.Base.Config.Ctx, jobs, workers) {
 		switch {
 		case br.Err == nil:
-			r.record(todo[i].key, br.Value)
+			done(i, br.Value)
 		case errors.Is(br.Err, simerr.ErrCanceled):
-			r.noteIncomplete(todo[i].key, br.Err)
+			r.noteIncomplete(keys[i], br.Err)
 			if canceled == nil {
-				canceled = fmt.Errorf("%s: %w", todo[i].key, br.Err)
+				canceled = fmt.Errorf("%s: %w", keys[i], br.Err)
 			}
 		default:
-			return fmt.Errorf("%s: %w", todo[i].key, br.Err)
+			return fmt.Errorf("%s: %w", keys[i], br.Err)
 		}
 	}
 	return canceled

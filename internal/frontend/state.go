@@ -1,57 +1,27 @@
 package frontend
 
-import (
-	"fmt"
-
-	"repro/internal/checkpoint"
-)
+import "repro/internal/checkpoint"
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the production cursor, the emulation statistics,
-// the wpemul predictor copy (presence-flagged), and the functional CPU
-// underneath. The arena (wpArena/wpOff) is an allocation detail, not
-// state — emulated paths already handed to the queue were serialized
+// State walks the production cursor, the emulation statistics, the
+// wpemul predictor copy (presence-flagged: a load into a frontend built
+// with another wpemul setting fails as a typed decode fault, so resume
+// falls back to a fresh run instead of diverging), and the functional
+// CPU underneath. The arena (wpArena/wpOff) is an allocation detail,
+// not state — emulated paths already handed to the queue are walked
 // with their records, and a fresh arena block produces identical bytes
 // for the next one. A latched err is terminal (the run faulted), so a
 // checkpointed frontend never carries one.
-func (f *Frontend) SaveState(w *checkpoint.Writer) {
-	w.Section("frontend/Frontend", snapshotVersion)
-	w.Uint64(f.produced)
-	w.Uint64(f.wpEmulations)
-	w.Uint64(f.wpEmulated)
-	w.Bool(f.pred != nil)
-	if f.pred != nil {
-		f.pred.SaveState(w)
+func (f *Frontend) State(s *checkpoint.Stream) {
+	s.Section("frontend/Frontend", snapshotVersion)
+	s.Uint64(&f.produced)
+	s.Uint64(&f.wpEmulations)
+	s.Uint64(&f.wpEmulated)
+	if s.Has(f.pred != nil) {
+		f.pred.State(s)
 	}
-	f.cpu.SaveState(w)
-}
-
-// RestoreState overwrites the frontend state with the snapshot. The
-// receiver must be built (New) with the same options: a wpemul/non-
-// wpemul mismatch is a configuration error, surfaced as a typed decode
-// failure so resume falls back to a fresh run instead of diverging.
-func (f *Frontend) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("frontend/Frontend", snapshotVersion); err != nil {
-		return err
-	}
-	f.produced = r.Uint64()
-	f.wpEmulations = r.Uint64()
-	f.wpEmulated = r.Uint64()
-	hasPred := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasPred != (f.pred != nil) {
-		return fmt.Errorf("frontend: snapshot wpemul=%v, configuration wpemul=%v", hasPred, f.pred != nil)
-	}
-	if f.pred != nil {
-		if err := f.pred.RestoreState(r); err != nil {
-			return err
-		}
-	}
-	return f.cpu.RestoreState(r)
+	f.cpu.State(s)
 }

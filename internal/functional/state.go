@@ -3,53 +3,28 @@ package functional
 import "repro/internal/checkpoint"
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the complete architectural state — registers,
-// PC, halt/exit status, retirement counters, program output, and the
-// full memory image. The program itself is not serialized: resume
-// rebuilds the instance (workloads.Workload.Build is deterministic) and
-// this state overwrites everything execution has changed since.
-func (c *CPU) SaveState(w *checkpoint.Writer) {
-	w.Section("functional/CPU", snapshotVersion)
+// State walks the complete architectural state — registers, PC,
+// halt/exit status, retirement counters, program output, and the full
+// memory image. The program itself is not walked: resume rebuilds the
+// instance (workloads.Workload.Build is deterministic) and a load
+// overwrites everything execution has changed since.
+func (c *CPU) State(s *checkpoint.Stream) {
+	s.Section("functional/CPU", snapshotVersion)
 	for i := range c.regs {
-		w.Uint64(c.regs[i])
+		s.Uint64(&c.regs[i])
 	}
 	for i := range c.fregs {
-		w.Uint64(c.fregs[i])
+		s.Uint64(&c.fregs[i])
 	}
-	w.Uint64(c.pc)
-	w.Bool(c.halted)
-	w.Int64(c.exitCode)
-	w.Uint64(c.instret)
-	w.Uint64(c.seq)
-	w.Bool(c.suppressStores)
-	w.Bytes(c.Output)
-	c.Mem.SaveState(w)
-}
-
-// RestoreState overwrites the architectural state with the snapshot.
-func (c *CPU) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("functional/CPU", snapshotVersion); err != nil {
-		return err
-	}
-	for i := range c.regs {
-		c.regs[i] = r.Uint64()
-	}
-	for i := range c.fregs {
-		c.fregs[i] = r.Uint64()
-	}
-	c.pc = r.Uint64()
-	c.halted = r.Bool()
-	c.exitCode = r.Int64()
-	c.instret = r.Uint64()
-	c.seq = r.Uint64()
-	c.suppressStores = r.Bool()
-	c.Output = append(c.Output[:0], r.Bytes()...)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return c.Mem.RestoreState(r)
+	s.Uint64(&c.pc)
+	s.Bool(&c.halted)
+	s.Int64(&c.exitCode)
+	s.Uint64(&c.instret)
+	s.Uint64(&c.seq)
+	s.Bool(&c.suppressStores)
+	s.Bytes(&c.Output)
+	c.Mem.State(s)
 }

@@ -1,53 +1,40 @@
 package mem
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/checkpoint"
 )
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the resident pages. Pages are emitted in sorted
-// key order so the snapshot bytes are a deterministic function of the
-// memory contents (map iteration order never leaks into the output).
-func (m *Memory) SaveState(w *checkpoint.Writer) {
-	w.Section("mem/Memory", snapshotVersion)
-	keys := make([]uint64, 0, len(m.pages))
-	for k := range m.pages {
-		keys = append(keys, k)
+// State walks the resident pages as (key, page) pairs in ascending key
+// order, so the snapshot bytes are a deterministic function of the
+// memory contents (map iteration order never leaks into the output). A
+// load replaces the page map.
+func (m *Memory) State(s *checkpoint.Stream) {
+	s.Section("mem/Memory", snapshotVersion)
+	var keys []uint64
+	if !s.Loading() {
+		for k := range m.pages {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Uint64(uint64(len(keys)))
+	n := s.Count(len(keys), 8+8+PageSize)
+	if s.Loading() {
+		keys = make([]uint64, n)
+		m.pages = make(map[uint64]*[PageSize]byte, n)
+	}
 	for _, k := range keys {
-		w.Uint64(k)
-		w.Bytes(m.pages[k][:])
-	}
-}
-
-// RestoreState replaces the memory contents with the serialized pages.
-func (m *Memory) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("mem/Memory", snapshotVersion); err != nil {
-		return err
-	}
-	n := r.Uint64()
-	m.pages = make(map[uint64]*[PageSize]byte, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		k := r.Uint64()
-		b := r.Bytes()
-		if r.Err() != nil {
-			break
+		s.Uint64(&k)
+		p := m.pages[k]
+		if p == nil {
+			p = new([PageSize]byte)
+			m.pages[k] = p
 		}
-		if len(b) != PageSize {
-			return fmt.Errorf("mem: snapshot page %#x holds %d bytes, want %d", k, len(b), PageSize)
-		}
-		p := new([PageSize]byte)
-		copy(p[:], b)
-		m.pages[k] = p
+		s.Table(p[:])
 	}
-	return r.Err()
 }

@@ -8,63 +8,38 @@ import (
 )
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the queue's consumer-visible state: the live
-// ring contents (in pop order), the pop counter, the producer-exhausted
-// flag, and the lookahead target (as a configuration cross-check). The
-// ring's physical layout (capacity, head index) is not state — the
-// records are rewritten densely from index 0 on restore, which is
+// State walks the queue's consumer-visible state: the record layout
+// version, the lookahead target (a configuration cross-check: the
+// buffered prefix plus the producer cursor the sim layer restores
+// alongside only reproduce the run under the same fill discipline), the
+// producer-exhausted flag, the pop counter, and the live ring contents
+// in pop order. The ring's physical layout (capacity, head index) is
+// not state: a load rewrites the records densely from index 0, which is
 // observationally identical to the old ring for every Pop/Peek.
-func (q *Queue) SaveState(w *checkpoint.Writer) {
-	w.Section("queue/Queue", snapshotVersion)
-	w.Uint32(trace.SnapshotVersion())
-	w.Int(q.lookahead)
-	w.Bool(q.done)
-	w.Uint64(q.popped.Load())
-	w.Int(q.n)
-	for j := 0; j < q.n; j++ {
-		q.buf[(q.head+j)&(len(q.buf)-1)].SaveState(w)
+func (q *Queue) State(s *checkpoint.Stream) {
+	s.Section("queue/Queue", snapshotVersion)
+	layout := trace.SnapshotVersion()
+	if s.Uint32(&layout); layout != trace.SnapshotVersion() {
+		s.Fail(fmt.Errorf("queue: snapshot record layout version %d, want %d", layout, trace.SnapshotVersion()))
 	}
-}
-
-// RestoreState overwrites the queue's state with the snapshot. The
-// receiver must be built (New) with the same lookahead the snapshot was
-// taken under — the buffered prefix plus the producer cursor the
-// sim layer restores alongside only reproduce the run under the same
-// fill discipline.
-func (q *Queue) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("queue/Queue", snapshotVersion); err != nil {
-		return err
-	}
-	if v := r.Uint32(); r.Err() == nil && v != trace.SnapshotVersion() {
-		return fmt.Errorf("queue: snapshot record layout version %d, want %d", v, trace.SnapshotVersion())
-	}
-	la := r.Int()
-	if r.Err() == nil && la != q.lookahead {
-		return fmt.Errorf("queue: snapshot lookahead %d, configuration lookahead %d", la, q.lookahead)
-	}
-	q.done = r.Bool()
-	q.popped.Store(r.Uint64())
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > MaxCapacity {
-		return fmt.Errorf("queue: snapshot holds %d buffered records", n)
-	}
-	if n >= len(q.buf) && !q.grow(n+1) {
-		return fmt.Errorf("queue: snapshot's %d buffered records exceed capacity ceiling", n)
-	}
-	clear(q.buf)
-	q.head = 0
-	q.n = n
-	for j := 0; j < n; j++ {
-		if err := q.buf[j].RestoreState(r); err != nil {
-			return err
+	s.Dim(q.lookahead)
+	s.Bool(&q.done)
+	popped := q.popped.Load()
+	s.Uint64(&popped)
+	n := s.Count(q.n, trace.MinStateBytes)
+	if s.Loading() {
+		q.popped.Store(popped)
+		if n >= len(q.buf) && !q.grow(n+1) {
+			s.Fail(fmt.Errorf("queue: snapshot's %d buffered records exceed capacity ceiling", n))
+			return
 		}
+		clear(q.buf)
+		q.head, q.n = 0, n
 	}
-	return r.Err()
+	for j := 0; j < q.n; j++ {
+		q.buf[(q.head+j)&(len(q.buf)-1)].State(s)
+	}
 }

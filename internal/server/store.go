@@ -25,7 +25,8 @@ import (
 // next daemon run re-admits it and sim.Execute resumes it from the
 // newest snapshot in ckpt/, so a SIGTERM'd or crashed daemon resumes
 // every in-flight and queued job bit-identically. Every document is
-// written atomically (checkpoint.WriteFile: temp file + rename).
+// written durably and atomically (checkpoint.WriteFile: synced temp
+// file, rename, directory sync).
 
 const jobDirPrefix = "job-"
 

@@ -16,11 +16,10 @@ const sessionSnapshotVersion = 2
 
 // stateSource is the capability a Source needs for checkpointing: its
 // complete production-side state (functional CPU + memory + frontend
-// cursor, or trace cursor) serializes and restores deterministically.
+// cursor, or trace cursor) walks deterministically.
 type stateSource interface {
 	Source
-	SaveState(w *checkpoint.Writer)
-	RestoreState(r *checkpoint.Reader) error
+	State(st *checkpoint.Stream)
 }
 
 // checkpointState returns src's snapshot capability, or the typed fault
@@ -120,22 +119,13 @@ func (ck *checkpointer) onLane() {
 	}
 }
 
-// write serializes the session: header (snapshot identity, instruction
-// count, technique), then source → queue → core → policy statistics. The
-// policy section is last so a technique-mismatched resume (ladder
-// downgrade) can stop reading before it.
+// write saves the session into the snapshot for insts instructions.
 func (ck *checkpointer) write(insts uint64) (string, int, error) {
-	s := ck.s
-	w := checkpoint.NewWriter()
-	w.Section("sim/Session", sessionSnapshotVersion)
-	w.String(s.ident)
-	w.Uint64(insts)
-	w.String(s.cfg.WP.String())
-	ck.src.SaveState(w)
-	s.queue.SaveState(w)
-	s.core.SaveState(w)
-	s.policy.Stats().SaveState(w)
-	data := w.Finish()
+	st := checkpoint.NewStream()
+	if err := ck.s.state(st, ck.src, &insts); err != nil {
+		return "", 0, err
+	}
+	data := st.Finish()
 	path := filepath.Join(ck.dir, checkpoint.FileName(insts))
 	if err := checkpoint.WriteFile(path, data); err != nil {
 		return "", 0, err
@@ -151,46 +141,47 @@ func (ck *checkpointer) write(insts uint64) (string, int, error) {
 // snapshot without one, is a typed simerr.ErrConfig fault; decode
 // failures are typed corruption faults. On any error the session is
 // left partially overwritten and must be discarded.
-func (s *Session) Restore(r *checkpoint.Reader) error {
+func (s *Session) Restore(st *checkpoint.Stream) error {
 	cs, err := checkpointState(s.src)
 	if err != nil {
 		return err
 	}
-	if err := r.Section("sim/Session", sessionSnapshotVersion); err != nil {
+	var insts uint64
+	if err := s.state(st, cs, &insts); err != nil {
 		return err
-	}
-	ident := r.String()
-	insts := r.Uint64()
-	kind := r.String()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if ident == "" || ident != s.ident {
-		return simerr.Config("restoring snapshot",
-			fmt.Errorf("sim: snapshot identity %q does not match the resuming request's %q", ident, s.ident))
-	}
-	if err := cs.RestoreState(r); err != nil {
-		return err
-	}
-	if err := s.queue.RestoreState(r); err != nil {
-		return err
-	}
-	if err := s.core.RestoreState(r); err != nil {
-		return err
-	}
-	if kind == s.cfg.WP.String() {
-		// Same technique: the policy statistics continue. On a ladder
-		// downgrade the snapshot's policy counters belong to the higher
-		// rung; the fresh policy starts its own count (the result is
-		// annotated as degraded either way).
-		if err := s.policy.Stats().RestoreState(r); err != nil {
-			return err
-		}
 	}
 	s.restored = true
 	s.restoredInsts = insts
 	s.view.CheckpointRestore(insts)
 	return nil
+}
+
+// state walks the session: a header (snapshot identity, instruction
+// count, technique), then source → queue → core → policy statistics.
+// The policy section is last so a load under another technique (a
+// ladder downgrade) can stop before it: the snapshot's policy counters
+// belong to the higher rung, and the fresh policy starts its own count
+// (the result is annotated as degraded either way).
+func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) error {
+	ident, kind := s.ident, s.cfg.WP.String()
+	st.Section("sim/Session", sessionSnapshotVersion)
+	st.String(&ident)
+	st.Uint64(insts)
+	st.String(&kind)
+	if err := st.Err(); err != nil {
+		return err
+	}
+	if st.Loading() && (ident == "" || ident != s.ident) {
+		return simerr.Config("restoring snapshot",
+			fmt.Errorf("sim: snapshot identity %q does not match the resuming request's %q", ident, s.ident))
+	}
+	src.State(st)
+	s.queue.State(st)
+	s.core.State(st)
+	if kind == s.cfg.WP.String() {
+		s.policy.Stats().State(st)
+	}
+	return st.Err()
 }
 
 // canceler is the cancellation watcher: a goroutine that interrupts the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -349,6 +350,61 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	}
 	if err := restoreInto(t, Request{Config: cfg, Workload: &w}, mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
 		t.Fatalf("corrupt restore err = %v, want ErrTraceCorrupt", err)
+	}
+}
+
+// TestCheckpointStateRoundTrip: loading a snapshot into a fresh session
+// built the way Execute builds one and saving it again reproduces the
+// snapshot byte for byte — every State walk loads exactly what it saves.
+// It covers every technique on a GAP input and every technique but
+// wpemul (which needs a functional source) on a trace input.
+func TestCheckpointStateRoundTrip(t *testing.T) {
+	w := gap.BFS(gap.TestParams())
+	trace := traceOpener(recordTrace(t))
+	for _, k := range wrongpath.Kinds() {
+		reqs := map[string]Request{"gap": {Workload: &w}}
+		if k != wrongpath.WPEmul {
+			reqs["trace"] = Request{Trace: trace}
+		}
+		for input, req := range reqs {
+			t.Run(k.String()+"/"+input, func(t *testing.T) {
+				req.Config = chaosConfig(k, 64)
+				req.Config.CheckpointDir = t.TempDir()
+				req.Config.CheckpointEvery = 8_000
+				writeSnapshots(t, req)
+				snaps, err := filepath.Glob(filepath.Join(req.Config.CheckpointDir, "*.wpsnap"))
+				if err != nil || len(snaps) < 2 {
+					t.Fatalf("snapshots: %v, %v", snaps, err)
+				}
+				for _, snap := range snaps {
+					data, err := os.ReadFile(snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st, err := checkpoint.Open(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := req.Config
+					s, src, err := req.session(&cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Restore(st); err != nil {
+						t.Fatalf("%s: %v", filepath.Base(snap), err)
+					}
+					again := checkpoint.NewStream()
+					insts := s.restoredInsts
+					if err := s.state(again, src.(stateSource), &insts); err != nil {
+						t.Fatal(err)
+					}
+					src.Close()
+					if !bytes.Equal(again.Finish(), data) {
+						t.Errorf("%s: save(load(snapshot)) differs from the snapshot", filepath.Base(snap))
+					}
+				}
+			})
+		}
 	}
 }
 

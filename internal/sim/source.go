@@ -112,19 +112,12 @@ func (s *functionalSource) Interrupt() {
 	interrupt(s.producer)
 }
 
-// SaveState serializes the complete production-side state — frontend
-// cursor, emulation predictor copy, functional CPU and memory — by
-// delegating to the frontend. Only the synchronous mode checkpoints
-// (the session layer rejects the parallel frontend), so no goroutine
-// state exists to capture.
-func (s *functionalSource) SaveState(w *checkpoint.Writer) {
-	s.fe.SaveState(w)
-}
-
-// RestoreState overwrites the production-side state with the snapshot.
-func (s *functionalSource) RestoreState(r *checkpoint.Reader) error {
-	return s.fe.RestoreState(r)
-}
+// State walks the complete production-side state — frontend cursor,
+// emulation predictor copy, functional CPU and memory — by delegating
+// to the frontend. Only the synchronous mode checkpoints (the session
+// layer rejects the parallel frontend), so no goroutine state exists to
+// capture.
+func (s *functionalSource) State(st *checkpoint.Stream) { s.fe.State(st) }
 
 func (s *functionalSource) Collect(res *Result) {
 	paths, insts := s.fe.WPEmulations()
@@ -170,32 +163,23 @@ func (s traceSource) Close() {}
 // blocks, so it has no interrupt to forward).
 func (s traceSource) Interrupt() { interrupt(s.src) }
 
-// SaveState serializes the trace cursor: the number of records decoded
-// so far. The trace bytes themselves are the durable artifact; resume
-// re-opens the file and skips forward.
-func (s traceSource) SaveState(w *checkpoint.Writer) {
-	w.Section("sim/traceSource", sessionSnapshotVersion)
+// State walks the trace cursor: the number of records decoded so far.
+// The trace bytes themselves are the durable artifact; a load skips a
+// fresh reader (positioned at record 0, supporting Skip as
+// tracefile.Reader does) forward to the cursor.
+func (s traceSource) State(st *checkpoint.Stream) {
+	st.Section("sim/traceSource", sessionSnapshotVersion)
 	// checkpointState gates on this capability before any snapshot is
 	// attempted, so the assertion cannot fail here.
-	pos := s.src.(interface{ Pos() uint64 })
-	w.Uint64(pos.Pos())
-}
-
-// RestoreState replays the cursor: the wrapped reader must be fresh
-// (positioned at record 0) and support Skip — tracefile.Reader does.
-func (s traceSource) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("sim/traceSource", sessionSnapshotVersion); err != nil {
-		return err
+	pos := s.src.(interface{ Pos() uint64 }).Pos()
+	if st.Uint64(&pos); !st.Loading() || st.Err() != nil {
+		return
 	}
-	n := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
+	if sk, ok := s.src.(interface{ Skip(uint64) error }); ok {
+		st.Fail(sk.Skip(pos))
+	} else {
+		st.Fail(fmt.Errorf("sim: trace producer %T cannot skip to the snapshot cursor", s.src))
 	}
-	sk, ok := s.src.(interface{ Skip(uint64) error })
-	if !ok {
-		return fmt.Errorf("sim: trace producer %T cannot skip to the snapshot cursor", s.src)
-	}
-	return sk.Skip(n)
 }
 
 func (s traceSource) Collect(res *Result) {

@@ -1,82 +1,42 @@
 package trace
 
 import (
-	"fmt"
-
 	"repro/internal/checkpoint"
 	"repro/internal/isa"
 )
 
-// snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// snapshotVersion stamps the record layout (the queue frames records
+// under its own section and stamps this version alongside); bump it
+// when the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes one dynamic record, including the decoded
-// instruction and any attached wpemul wrong-path excursion (recursion
-// is one level deep by construction: WP records never carry WP).
-// Records are only checkpointed while in flight in the decoupling
-// queue, so no per-record section header is written; the queue frames
-// the batch.
-func (d *DynInst) SaveState(w *checkpoint.Writer) {
-	w.Uint64(d.Seq)
-	w.Uint64(d.PC)
-	w.Byte(byte(d.In.Op))
-	w.Byte(byte(d.In.Rd))
-	w.Byte(byte(d.In.Rs1))
-	w.Byte(byte(d.In.Rs2))
-	w.Byte(byte(d.In.Rs3))
-	w.Int64(d.In.Imm)
-	w.Uint64(d.In.Target)
-	w.Uint64(d.MemAddr)
-	w.Bool(d.HasAddr)
-	w.Bool(d.Recovered)
-	w.Bool(d.Taken)
-	w.Uint64(d.NextPC)
-	w.Bool(d.WrongPath)
-	w.Bool(d.Exit)
-	w.Uint64(uint64(len(d.WP)))
-	for i := range d.WP {
-		d.WP[i].SaveState(w)
-	}
-}
+// MinStateBytes is the encoded size of a record without a WP excursion,
+// the smallest one a State walk produces.
+const MinStateBytes = 8 + 8 + isa.InstStateBytes + 8 + 3 + 8 + 2 + 8
 
-// RestoreState overwrites the record with the snapshot.
-func (d *DynInst) RestoreState(r *checkpoint.Reader) error {
-	d.Seq = r.Uint64()
-	d.PC = r.Uint64()
-	d.In.Op = isa.Op(r.Byte())
-	d.In.Rd = isa.Reg(r.Byte())
-	d.In.Rs1 = isa.Reg(r.Byte())
-	d.In.Rs2 = isa.Reg(r.Byte())
-	d.In.Rs3 = isa.Reg(r.Byte())
-	d.In.Imm = r.Int64()
-	d.In.Target = r.Uint64()
-	d.MemAddr = r.Uint64()
-	d.HasAddr = r.Bool()
-	d.Recovered = r.Bool()
-	d.Taken = r.Bool()
-	d.NextPC = r.Uint64()
-	d.WrongPath = r.Bool()
-	d.Exit = r.Bool()
-	n := r.Uint64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	const maxWP = 1 << 20 // sanity bound: a WP excursion is core-window sized
-	if n > maxWP {
-		return fmt.Errorf("trace: snapshot wrong-path excursion of %d records", n)
-	}
-	d.WP = nil
-	if n > 0 {
+// State walks one dynamic record, including the decoded instruction and
+// any attached wpemul wrong-path excursion (recursion is one level deep
+// by construction: WP records never carry WP). Records are only
+// checkpointed while in flight in the decoupling queue, so no
+// per-record section header is written; the queue frames the batch.
+func (d *DynInst) State(s *checkpoint.Stream) {
+	s.Uint64(&d.Seq)
+	s.Uint64(&d.PC)
+	d.In.State(s)
+	s.Uint64(&d.MemAddr)
+	s.Bool(&d.HasAddr)
+	s.Bool(&d.Recovered)
+	s.Bool(&d.Taken)
+	s.Uint64(&d.NextPC)
+	s.Bool(&d.WrongPath)
+	s.Bool(&d.Exit)
+	n := s.Count(len(d.WP), MinStateBytes)
+	if s.Loading() {
 		d.WP = make([]DynInst, n)
-		for i := range d.WP {
-			if err := d.WP[i].RestoreState(r); err != nil {
-				return err
-			}
-		}
 	}
-	return r.Err()
+	for i := range d.WP {
+		d.WP[i].State(s)
+	}
 }
 
 // SnapshotVersion exposes the record layout version even though

@@ -3,38 +3,21 @@ package wrongpath
 import "repro/internal/checkpoint"
 
 // snapshotVersion stamps this package's snapshot section; bump it when
-// the serialized field set changes (enforced by wplint's checkpoint
-// analyzer).
+// the walked field set changes.
 const snapshotVersion = 1
 
-// SaveState serializes the policy statistics — the only persistent
-// policy state. The reconstruction scratch (record buffer, RAS copy) is
-// rebuilt from scratch inside every Begin call, so it never needs to
-// survive a checkpoint.
-func (s *Stats) SaveState(w *checkpoint.Writer) {
-	w.Section("wrongpath/Stats", snapshotVersion)
-	w.Uint64(s.Mispredicts)
-	w.Uint64(s.WPGenerated)
-	w.Uint64(s.ConvChecked)
-	w.Uint64(s.ConvDetected)
-	w.Uint64(s.ConvDistSum)
-	w.Uint64(s.ConvMatchLenSum)
-	w.Uint64(s.WPMemOps)
-	w.Uint64(s.WPAddrRecovered)
-}
-
-// RestoreState overwrites the statistics with the snapshot.
-func (s *Stats) RestoreState(r *checkpoint.Reader) error {
-	if err := r.Section("wrongpath/Stats", snapshotVersion); err != nil {
-		return err
-	}
-	s.Mispredicts = r.Uint64()
-	s.WPGenerated = r.Uint64()
-	s.ConvChecked = r.Uint64()
-	s.ConvDetected = r.Uint64()
-	s.ConvDistSum = r.Uint64()
-	s.ConvMatchLenSum = r.Uint64()
-	s.WPMemOps = r.Uint64()
-	s.WPAddrRecovered = r.Uint64()
-	return r.Err()
+// State walks the policy statistics — the only persistent policy state.
+// The reconstruction scratch (record buffer, RAS copy) is rebuilt from
+// scratch inside every Begin call, so it never needs to survive a
+// checkpoint.
+func (s *Stats) State(st *checkpoint.Stream) {
+	st.Section("wrongpath/Stats", snapshotVersion)
+	st.Uint64(&s.Mispredicts)
+	st.Uint64(&s.WPGenerated)
+	st.Uint64(&s.ConvChecked)
+	st.Uint64(&s.ConvDetected)
+	st.Uint64(&s.ConvDistSum)
+	st.Uint64(&s.ConvMatchLenSum)
+	st.Uint64(&s.WPMemOps)
+	st.Uint64(&s.WPAddrRecovered)
 }
