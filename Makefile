@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-all bench-smoke
+.PHONY: build fmt test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke check bench bench-all bench-smoke loc
 
 build:
 	$(GO) build ./...
@@ -94,3 +94,8 @@ bench-all:
 # under bench/): the golden digests and record schema, in seconds.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the net non-test Go line count (ROADMAP's code-size
+# metric): every tracked .go file except tests, bench/ and testdata/.
+loc:
+	@git ls-files '*.go' | grep -Ev '_test\.go$$|^bench/|(^|/)testdata/' | xargs cat | wc -l

@@ -1,5 +1,10 @@
-// Command wpsim runs one workload on the functional-first simulator
-// under one wrong-path modeling technique and prints the statistics.
+// Command wpsim runs one workload — or one recorded trace — on the
+// functional-first simulator under one wrong-path modeling technique
+// and prints the statistics. The two inputs are the paper's frontend
+// kinds (§III-B): the live functional frontend, and the trace
+// interpreter fed by a trace that -record writes. Every other flag
+// applies to both; a trace cannot run wpemul (it holds only
+// correct-path instructions), so -wp all skips it there.
 //
 // Usage:
 //
@@ -7,15 +12,18 @@
 //	wpsim -suite specint -bench chase -wp nowp -max-insts 1000000
 //	wpsim -suite gap -bench pr -wp wpemul -n 8192 -degree 8
 //	wpsim -suite gap -bench bfs -wp all -jobs 4   # compare all techniques
+//	wpsim -suite gap -bench bfs -n 4096 -record bfs.trace
+//	wpsim -replay bfs.trace -wp all -rob 128      # re-time the trace
 //
-// Exit codes: 0 clean, 1 hard failure, 3 completed but annotated
-// (degraded, faulted, or canceled cells). The observability outputs
-// (-metrics-out, -trace-out, -pprof) flush on every exit path,
+// Exit codes: 0 clean, 1 hard failure, 2 usage, 3 completed but
+// annotated (degraded, faulted, or canceled cells). The observability
+// outputs (-metrics-out, -trace-out, -pprof) flush on every exit path,
 // including 1 and 3 — a faulted run's metrics are exactly the ones
 // worth keeping.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -31,9 +39,13 @@ import (
 	"repro/internal/cliobs"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/frontend"
+	"repro/internal/functional"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
+	"repro/internal/tracefile"
+	"repro/internal/workloads"
 	"repro/internal/workloads/catalog"
 	"repro/internal/wrongpath"
 )
@@ -86,6 +98,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
 		resume   = fs.Bool("resume", false, "resume from the latest snapshot in -checkpoint-dir instead of starting from zero")
 		inject   = fs.String("inject", "", "fault drill: panic@N panics the frontend at instruction N on the first attempt (requires -degrade; exercises the ladder deterministically)")
+		record   = fs.String("record", "", "write the workload's instruction trace (up to -max-insts) to this file and exit")
+		replay   = fs.String("replay", "", "simulate this trace file (from -record) instead of -suite/-bench; wpemul unsupported")
 	)
 	var obsFlags cliobs.Flags
 	obsFlags.Register(fs)
@@ -115,16 +129,30 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exitClean
 	}
 
+	if *record != "" && *replay != "" {
+		fmt.Fprintln(stderr, "wpsim: -record and -replay are exclusive")
+		return exitUsage
+	}
 	drill, err := parseInject(*inject, *degrade, *ckptDir)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpsim: %v\n", err)
 		return exitUsage
 	}
-	w, err := catalog.Find(*suite, *bench, catalog.Params{
-		N: *n, Degree: *degree, Kron: *kron, Grid: *grid, Seed: *seed, Scale: *scale})
-	if err != nil {
-		fmt.Fprintf(stderr, "wpsim: %v\n", err)
-		return exitFailure
+	var w workloads.Workload
+	if *replay == "" {
+		w, err = catalog.Find(*suite, *bench, catalog.Params{
+			N: *n, Degree: *degree, Kron: *kron, Grid: *grid, Seed: *seed, Scale: *scale})
+		if err != nil {
+			fmt.Fprintf(stderr, "wpsim: %v\n", err)
+			return exitFailure
+		}
+	}
+	if *record != "" {
+		if err := recordTrace(stdout, w, *maxInsts, *record); err != nil {
+			fmt.Fprintf(stderr, "wpsim: recording: %v\n", err)
+			return exitFailure
+		}
+		return exitClean
 	}
 
 	metrics, tsink, err := obsFlags.Start()
@@ -156,18 +184,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ParallelFrontend: *parallel, Watchdog: *watchdog,
 		Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
 		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN},
-		Workload: &w, Resume: *resume}
+		Resume: *resume}
+	if *replay == "" {
+		req.Workload = &w
+	} else {
+		data, err := os.ReadFile(*replay)
+		if err != nil {
+			fmt.Fprintf(stderr, "wpsim: %v\n", err)
+			return exitFailure
+		}
+		// Every attempt (ladder retry, resume) replays a fresh reader
+		// over the same bytes.
+		req.Trace = func() (queue.Producer, error) { return tracefile.NewReader(bytes.NewReader(data)) }
+		req.Config.ObsLabel = "trace:" + *replay
+	}
 	if *degrade {
 		req.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
 	}
 
 	if *wp == "all" {
-		faulted, err := compareAll(stdout, req, *suite, *bench, *jobs)
-		if err != nil {
-			fmt.Fprintf(stderr, "wpsim: %v\n", err)
-			return exitFailure
-		}
-		if faulted {
+		if compareAll(stdout, req, *jobs) {
 			return exitAnnotated
 		}
 		return exitClean
@@ -185,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "wpsim: simulating: %v\n", err)
 		return exitFailure
 	}
-	printResult(stdout, *suite, *bench, kind, res)
+	printResult(stdout, req.Config.ObsLabel, kind, res)
 	if res.Err != nil || res.Degraded {
 		return exitAnnotated
 	}
@@ -228,13 +264,64 @@ func parseInject(spec string, degrade bool, ckptDir string) (func(sim.Source, si
 	}, nil
 }
 
+// recordTrace writes the workload's correct-path instruction stream,
+// capped at maxInsts (0 = the workload's suggested budget), to the
+// trace file path — the input -replay re-times under any core settings.
+func recordTrace(stdout io.Writer, w workloads.Workload, maxInsts uint64, path string) error {
+	inst, err := w.Build()
+	if err != nil {
+		return err
+	}
+	if maxInsts == 0 {
+		maxInsts = inst.SuggestedMaxInsts
+	}
+	fe := frontend.New(functional.New(inst.Prog, inst.Mem, inst.StackTop),
+		frontend.WithMaxInstructions(maxInsts))
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	tw, err := tracefile.NewWriter(f)
+	var n uint64
+	if err == nil {
+		n, err = tracefile.Record(fe, tw)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	perInst := 0.0
+	if n > 0 {
+		perInst = float64(st.Size()) / float64(n)
+	}
+	fmt.Fprintf(stdout, "recorded %d instructions to %s (%d bytes, %.2f B/inst)\n",
+		n, path, st.Size(), perInst)
+	return nil
+}
+
 // compareAll runs the request under every technique (in
 // wrongpath.Kinds() order) on the batch engine and prints a one-line
-// comparison per kind, with wpemul as the error reference. It returns
-// whether any cell carries a fault annotation — the caller turns that
-// into a nonzero exit after the full table has printed.
-func compareAll(stdout io.Writer, req sim.Request, suite, bench string, jobs int) (bool, error) {
-	kinds := wrongpath.Kinds()
+// comparison per kind, with wpemul as the error reference. A trace
+// cannot emulate wrong paths (paper §III-B), so on a trace input wpemul
+// is skipped. A cell that carries a fault annotation, or whose Execute
+// failed (including a cell a cancellation never started), still prints
+// its row; the returned flag makes the caller exit annotated after the
+// full table.
+func compareAll(stdout io.Writer, req sim.Request, jobs int) (faulted bool) {
+	var kinds []wrongpath.Kind
+	for _, k := range wrongpath.Kinds() {
+		if k == wrongpath.WPEmul && req.Trace != nil {
+			fmt.Fprintf(stdout, "(skipping %v: unsupported on a trace frontend, paper §III-B)\n\n", k)
+			continue
+		}
+		kinds = append(kinds, k)
+	}
 	cells := make([]func() (*sim.Result, error), len(kinds))
 	for i, k := range kinds {
 		cells[i] = func() (*sim.Result, error) {
@@ -247,31 +334,31 @@ func compareAll(stdout io.Writer, req sim.Request, suite, bench string, jobs int
 				r.Config.CheckpointDir = filepath.Join(dir, k.String())
 			}
 			res, _, err := sim.Execute(r)
-			if err != nil {
-				return nil, fmt.Errorf("running %s/%s under %v: %w", suite, bench, k, err)
-			}
-			return res, nil
+			return res, err
 		}
 	}
-	cellResults := batch.RunContext(req.Config.Ctx, cells, jobs)
-	if err := batch.FirstErr(cellResults); err != nil {
-		return false, err
-	}
-	results := batch.Values(cellResults)
+	results := batch.RunContext(req.Config.Ctx, cells, jobs)
 	var ref *sim.Result
 	for i, k := range kinds {
 		if k == wrongpath.WPEmul {
-			ref = results[i]
+			ref = results[i].Value
 		}
 	}
-	fmt.Fprintf(stdout, "workload   %s/%s\n\n", suite, bench)
+	fmt.Fprintf(stdout, "workload   %s\n\n", req.Config.ObsLabel)
 	fmt.Fprintf(stdout, "%-10s %12s %12s %8s %10s %12s %12s\n",
 		"technique", "insts", "cycles", "IPC", "vs wpemul", "WP executed", "wall")
-	faulted := false
 	for i, k := range kinds {
-		res := results[i]
-		errCol := "(ref)"
-		if k != wrongpath.WPEmul && ref != nil {
+		res, err := results[i].Value, results[i].Err
+		if err != nil {
+			fmt.Fprintf(stdout, "%-10s FAULT: %v\n", k, simerr.FirstLine(err))
+			faulted = true
+			continue
+		}
+		errCol := "-"
+		switch {
+		case k == wrongpath.WPEmul:
+			errCol = "(ref)"
+		case ref != nil:
 			errCol = fmt.Sprintf("%+.1f%%", 100*sim.Error(res, ref))
 		}
 		note := ""
@@ -290,11 +377,13 @@ func compareAll(stdout io.Writer, req sim.Request, suite, bench string, jobs int
 	if jobs != 1 {
 		fmt.Fprintf(stdout, "\n(wall clocks from concurrent runs; use -jobs 1 for calibrated timing)\n")
 	}
-	return faulted, nil
+	return faulted
 }
 
-func printResult(stdout io.Writer, suite, bench string, kind wrongpath.Kind, res *sim.Result) {
-	fmt.Fprintf(stdout, "workload            %s/%s\n", suite, bench)
+// printResult prints one run's statistics; input is the run's ObsLabel
+// (suite/bench, or trace:FILE).
+func printResult(stdout io.Writer, input string, kind wrongpath.Kind, res *sim.Result) {
+	fmt.Fprintf(stdout, "workload            %s\n", input)
 	fmt.Fprintf(stdout, "technique           %s\n", kind)
 	if res.Degraded {
 		fmt.Fprintf(stdout, "DEGRADED            ran as %v (requested %v): %v\n", res.WP, res.RequestedWP, res.DegradeFault)

@@ -7,9 +7,9 @@
 // result slice and captures each job's error individually, so one
 // failed simulation does not discard the rest of a sweep.
 //
-// Every sweep (experiments.Runner, wpsim/wptrace -wp all) fans
-// sim.Execute out through this package; wall-clock-measuring
-// experiments pass workers=1 (timing runs must not contend for cores).
+// Every sweep (experiments.Runner, wpsim -wp all) fans sim.Execute out
+// through this package; wall-clock-measuring experiments pass
+// workers=1 (timing runs must not contend for cores).
 package batch
 
 import (
@@ -29,33 +29,30 @@ type Result[T any] struct {
 	Err   error
 }
 
-// DefaultWorkers is the worker count selected by Run for workers <= 0:
-// one per host core.
+// DefaultWorkers is the worker count selected by RunContext for
+// workers <= 0: one per host core.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// Run executes the jobs on a pool of worker goroutines and returns
-// their results indexed exactly like jobs, regardless of completion
-// order. workers <= 0 selects DefaultWorkers; workers == 1 runs every
-// job serially on the calling goroutine (the escape hatch for
-// wall-clock measurements); workers > len(jobs) is clamped. A nil job
-// produces a zero Result.
+// RunContext executes the jobs on a pool of worker goroutines and
+// returns their results indexed exactly like jobs, regardless of
+// completion order. workers <= 0 selects DefaultWorkers; workers == 1
+// runs every job serially on the calling goroutine (the escape hatch
+// for wall-clock measurements); workers > len(jobs) is clamped. A nil
+// job produces a zero Result.
 //
 // Fault containment: a panic inside a job is recovered — in the worker
 // and in serial mode alike — and lands in that job's Result.Err as a
 // typed simerr.ErrWorkerPanic fault with the captured stack. The other
 // jobs run to completion and result order is preserved, so one
 // crashing cell never takes down a sweep.
-func Run[T any](jobs []func() (T, error), workers int) []Result[T] {
-	return RunContext(context.Background(), jobs, workers)
-}
-
-// RunContext is Run with cancellation: once ctx is done, no new job is
-// started. Jobs already in flight run to completion — each job is
-// expected to observe the same context itself (sim.Config.Ctx) and
-// return early with its own typed cancellation fault — and every job
-// that never started gets a simerr.ErrCanceled Result.Err, so a
-// canceled sweep reports exactly which cells ran and which were
-// skipped. A nil ctx behaves like context.Background.
+//
+// Cancellation: once ctx is done, no new job is started. Jobs already
+// in flight run to completion — each job is expected to observe the
+// same context itself (sim.Config.Ctx) and return early with its own
+// typed cancellation fault — and every job that never started gets a
+// simerr.ErrCanceled Result.Err, so a canceled sweep reports exactly
+// which cells ran and which were skipped. A nil ctx behaves like
+// context.Background.
 func RunContext[T any](ctx context.Context, jobs []func() (T, error), workers int) []Result[T] {
 	if ctx == nil {
 		ctx = context.Background()
@@ -103,25 +100,5 @@ func RunContext[T any](ctx context.Context, jobs []func() (T, error), workers in
 		}()
 	}
 	wg.Wait()
-	return out
-}
-
-// FirstErr returns the error of the lowest-indexed failed job, or nil.
-func FirstErr[T any](results []Result[T]) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
-}
-
-// Values unwraps the result values, in job order. Call FirstErr first:
-// failed jobs contribute their zero value.
-func Values[T any](results []Result[T]) []T {
-	out := make([]T, len(results))
-	for i := range results {
-		out[i] = results[i].Value
-	}
 	return out
 }

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4, 64} {
 		jobs := squareJobs(20)
 		jobs[7] = func() (int, error) { panic("injected fault in job 7") }
-		results := Run(jobs, workers)
+		results := RunContext(context.Background(), jobs, workers)
 		for i, r := range results {
 			if i == 7 {
 				continue
@@ -52,7 +53,7 @@ func TestMultiplePanicsAllContained(t *testing.T) {
 	for _, i := range []int{0, 13, 29} {
 		jobs[i] = func() (int, error) { panic(i) }
 	}
-	results := Run(jobs, 3) // fewer workers than panics: each worker survives at least one
+	results := RunContext(context.Background(), jobs, 3) // fewer workers than panics: each worker survives at least one
 	for _, i := range []int{0, 13, 29} {
 		if !errors.Is(results[i].Err, simerr.ErrWorkerPanic) {
 			t.Errorf("job %d err = %v, want ErrWorkerPanic class", i, results[i].Err)
@@ -68,16 +69,16 @@ func TestMultiplePanicsAllContained(t *testing.T) {
 	}
 }
 
-// TestPanicAndErrorCoexist: FirstErr surfaces the lowest-indexed
-// failure whether it came from a returned error or a recovered panic.
+// TestPanicAndErrorCoexist: a recovered panic and a returned error in
+// the same batch each land in their own job's slot.
 func TestPanicAndErrorCoexist(t *testing.T) {
 	sentinel := errors.New("plain failure")
 	jobs := squareJobs(8)
 	jobs[2] = func() (int, error) { panic("boom") }
 	jobs[5] = func() (int, error) { return 0, sentinel }
-	results := Run(jobs, 4)
-	if !errors.Is(FirstErr(results), simerr.ErrWorkerPanic) {
-		t.Errorf("FirstErr = %v, want the job-2 panic", FirstErr(results))
+	results := RunContext(context.Background(), jobs, 4)
+	if !errors.Is(results[2].Err, simerr.ErrWorkerPanic) {
+		t.Errorf("job 2 err = %v, want the recovered panic", results[2].Err)
 	}
 	if !errors.Is(results[5].Err, sentinel) {
 		t.Errorf("job 5 err = %v, want sentinel", results[5].Err)
@@ -89,7 +90,7 @@ func TestPanicAndErrorCoexist(t *testing.T) {
 func TestPanicWithErrorValue(t *testing.T) {
 	jobs := squareJobs(3)
 	jobs[1] = func() (int, error) { panic(simerr.ErrStall) }
-	results := Run(jobs, 2)
+	results := RunContext(context.Background(), jobs, 2)
 	if !errors.Is(results[1].Err, simerr.ErrWorkerPanic) {
 		t.Errorf("err = %v, want ErrWorkerPanic class", results[1].Err)
 	}

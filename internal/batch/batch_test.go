@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -27,7 +28,7 @@ func squareJobs(n int) []func() (int, error) {
 // worker count, including counts above the job count.
 func TestOrderPreserved(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 64} {
-		for i, r := range Run(squareJobs(33), workers) {
+		for i, r := range RunContext(context.Background(), squareJobs(33), workers) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
 			}
@@ -42,8 +43,8 @@ func TestOrderPreserved(t *testing.T) {
 // bit-identical between workers=1 and workers=N — the batch engine's
 // core guarantee. The test body races under -race via CI's make check.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial := Run(squareJobs(50), 1)
-	parallel := Run(squareJobs(50), 8)
+	serial := RunContext(context.Background(), squareJobs(50), 1)
+	parallel := RunContext(context.Background(), squareJobs(50), 8)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("job %d: serial %+v != parallel %+v", i, serial[i], parallel[i])
@@ -52,13 +53,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestPerJobErrors: a failing job must not disturb its neighbours, and
-// FirstErr must surface the lowest-indexed failure.
+// each failure lands in its own job's slot.
 func TestPerJobErrors(t *testing.T) {
 	sentinel := errors.New("job 3 broke")
 	jobs := squareJobs(6)
 	jobs[3] = func() (int, error) { return 0, sentinel }
 	jobs[5] = func() (int, error) { return 0, fmt.Errorf("job 5 broke too") }
-	results := Run(jobs, 4)
+	results := RunContext(context.Background(), jobs, 4)
 	for _, i := range []int{0, 1, 2, 4} {
 		if results[i].Err != nil || results[i].Value != i*i {
 			t.Errorf("job %d disturbed by neighbour failure: %+v", i, results[i])
@@ -67,23 +68,8 @@ func TestPerJobErrors(t *testing.T) {
 	if !errors.Is(results[3].Err, sentinel) {
 		t.Errorf("job 3 error = %v, want sentinel", results[3].Err)
 	}
-	if !errors.Is(FirstErr(results), sentinel) {
-		t.Errorf("FirstErr = %v, want the lowest-indexed failure", FirstErr(results))
-	}
-}
-
-func TestFirstErrNilOnSuccess(t *testing.T) {
-	if err := FirstErr(Run(squareJobs(4), 2)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValues(t *testing.T) {
-	vals := Values(Run(squareJobs(5), 2))
-	for i, v := range vals {
-		if v != i*i {
-			t.Errorf("Values[%d] = %d, want %d", i, v, i*i)
-		}
+	if results[5].Err == nil {
+		t.Error("job 5 error lost")
 	}
 }
 
@@ -98,7 +84,7 @@ func TestEveryJobRunsOnce(t *testing.T) {
 			return 0, nil
 		}
 	}
-	Run(jobs, 16)
+	RunContext(context.Background(), jobs, 16)
 	for i := range runs {
 		if got := runs[i].Load(); got != 1 {
 			t.Errorf("job %d ran %d times", i, got)
@@ -107,10 +93,10 @@ func TestEveryJobRunsOnce(t *testing.T) {
 }
 
 func TestEmptyAndNilJobs(t *testing.T) {
-	if got := Run[int](nil, 8); len(got) != 0 {
+	if got := RunContext[int](context.Background(), nil, 8); len(got) != 0 {
 		t.Errorf("nil jobs produced %d results", len(got))
 	}
-	results := Run([]func() (int, error){nil, func() (int, error) { return 7, nil }}, 2)
+	results := RunContext(context.Background(), []func() (int, error){nil, func() (int, error) { return 7, nil }}, 2)
 	if results[0].Value != 0 || results[0].Err != nil {
 		t.Errorf("nil job result = %+v, want zero", results[0])
 	}
@@ -124,10 +110,11 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
 	// workers <= 0 must select the default pool, not deadlock or panic.
-	if err := FirstErr(Run(squareJobs(9), 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstErr(Run(squareJobs(9), -3)); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{0, -3} {
+		for i, r := range RunContext(context.Background(), squareJobs(9), workers) {
+			if r.Err != nil || r.Value != i*i {
+				t.Errorf("workers=%d job %d: %+v", workers, i, r)
+			}
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package cliobs is the shared observability surface of the CLIs
-// (wpsim, wpexp, wptrace, wpserved): the -pprof, -metrics-out and
+// (wpsim, wpexp, wpserved): the -pprof, -metrics-out and
 // -trace-out flags, and the start/finish lifecycle around a run. It
 // exists so the commands expose identical flags with identical
 // semantics and the README documents them once.

@@ -149,8 +149,8 @@ type Core struct {
 	// lane is the batched consumption buffer: PopBatch fills it, the run
 	// loop walks it record by record. lane[lanePos] is the record being
 	// processed; lane[lanePos+1:laneN] are already-popped future records
-	// that peekFuture/windowFuture serve before falling through to the
-	// queue — which keeps the future every policy sees identical to
+	// that windowFuture serves before falling through to the queue —
+	// which keeps the future every policy sees identical to
 	// per-instruction consumption.
 	lane    []trace.DynInst
 	laneN   int
@@ -202,7 +202,6 @@ func New(cfg Config, q *queue.Queue, policy wrongpath.Policy) (*Core, error) {
 	c.ctx = wrongpath.Context{
 		Code:    c.code,
 		Pred:    c.bp,
-		Peek:    c.peekFuture,
 		Window:  c.windowFuture,
 		ROBSize: cfg.ROBSize,
 		MaxLen:  cfg.WPMaxLen(),
@@ -210,22 +209,13 @@ func New(cfg Config, q *queue.Queue, policy wrongpath.Policy) (*Core, error) {
 	return c, nil
 }
 
-// peekFuture returns the i-th future correct-path record: the lane
-// remainder first, then the queue. Because PopBatch's refill keeps the
-// queue in the per-instruction steady state, the combined view — both
-// the records and the hit/miss boundary — is exactly what a
-// per-instruction consumer's q.Peek(i) would see.
-func (c *Core) peekFuture(i int) (trace.DynInst, bool) {
-	r := c.laneN - c.lanePos - 1
-	if i < r {
-		return c.lane[c.lanePos+1+i], true
-	}
-	return c.q.Peek(i - r)
-}
-
-// windowFuture is the windowed form: a contiguous read-only view of
-// the future starting at i, at most max records, possibly shorter
-// (callers re-request at i+len). Same combined view as peekFuture.
+// windowFuture returns a contiguous read-only view of the future
+// correct path starting at i, at most max records, possibly shorter
+// (callers re-request at i+len): the lane remainder first, then the
+// queue. Because PopBatch's refill keeps the queue in the
+// per-instruction steady state, the combined view — both the records
+// and the hit/miss boundary — is exactly what a per-instruction
+// consumer's q.Peek would see.
 func (c *Core) windowFuture(i, max int) []trace.DynInst {
 	r := c.laneN - c.lanePos - 1
 	if i < r {

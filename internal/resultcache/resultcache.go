@@ -13,8 +13,10 @@
 //   - entries are content-addressed — the fingerprint covers every spec
 //     field that can influence the canonical bytes, so a key can only
 //     ever map to one value;
-//   - disk writes are atomic (temp file + rename), so a crash mid-write
-//     never leaves a torn entry under a readable name;
+//   - disk writes are atomic and durable (checkpoint.WriteFile: a synced
+//     temp file renamed into place, then a directory sync), so a crash
+//     mid-write never leaves a torn entry under a readable name, and an
+//     entry Put has returned survives a crash;
 //   - disk reads are self-verifying — every entry embeds the SHA-256 of
 //     its body, and a mismatch (bit rot, manual truncation, a torn
 //     rename on a non-atomic filesystem) discards the entry and reports
@@ -36,6 +38,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/specfp"
 )
 
@@ -143,8 +146,9 @@ func (c *Cache) Get(fp string) (data []byte, hit, corrupt bool) {
 }
 
 // Put stores data under fp in both tiers. The persistent write is
-// atomic: a crash can lose the entry but never tear it. The caller
-// must not mutate data afterwards.
+// atomic and durable before Put returns: a crash during Put can lose
+// the entry but never tear it. The caller must not mutate data
+// afterwards.
 func (c *Cache) Put(fp string, data []byte) error {
 	if c == nil {
 		return nil
@@ -185,8 +189,8 @@ func (c *Cache) note(field *uint64) {
 	c.mu.Unlock()
 }
 
-// writeEntry persists one entry atomically: header + body checksum +
-// body into a temp file, fsync-free rename onto the final name.
+// writeEntry persists one entry — header + body checksum + body —
+// atomically and durably.
 func (c *Cache) writeEntry(fp string, data []byte) error {
 	sum := sha256.Sum256(data)
 	var buf bytes.Buffer
@@ -195,23 +199,7 @@ func (c *Cache) writeEntry(fp string, data []byte) error {
 	buf.WriteString(hex.EncodeToString(sum[:]))
 	buf.WriteByte('\n')
 	buf.Write(data)
-
-	tmp, err := os.CreateTemp(c.dir, ".wpres-*")
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	if err := os.Rename(tmpName, c.path(fp)); err != nil {
-		os.Remove(tmpName)
+	if err := checkpoint.WriteFile(c.path(fp), buf.Bytes()); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
 	return nil

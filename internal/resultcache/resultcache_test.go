@@ -66,15 +66,17 @@ func TestPersistsAcrossReopen(t *testing.T) {
 	if err := c1.Put(key, want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// No temp files may survive a completed Put.
+	// A completed Put leaves exactly the entry file: no temp file.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".wpres-") {
-			t.Errorf("temp file %s left behind", e.Name())
+	if len(ents) != 1 || ents[0].Name() != key+".wpres" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
 		}
+		t.Errorf("directory after Put holds %v, want only %s.wpres", names, key)
 	}
 
 	c2, err := New(dir, 4)

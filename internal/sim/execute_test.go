@@ -33,11 +33,14 @@ func sweep(t *testing.T, cfg Config, w workloads.Workload, kinds []wrongpath.Kin
 			return res, err
 		}
 	}
-	results := batch.RunContext(cfg.Ctx, jobs, workers)
-	if err := batch.FirstErr(results); err != nil {
-		t.Fatal(err)
+	out := make([]*Result, len(kinds))
+	for i, r := range batch.RunContext(cfg.Ctx, jobs, workers) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		out[i] = r.Value
 	}
-	return batch.Values(results)
+	return out
 }
 
 // traceOpener reopens an in-memory trace at its first record.

@@ -1,9 +1,10 @@
 // Package catalog is the single place a benchmark name resolves to a
-// workloads.Workload. The CLIs (wpsim, wptrace) and the serving daemon
-// (wpserved) all accept "suite/bench plus input-shape overrides" and
-// must resolve them identically — a job submitted to the daemon has to
-// build the exact instance a direct CLI run of the same parameters
-// builds, or the byte-identity guarantee between the two is vacuous.
+// workloads.Workload. The CLI (wpsim, which also records traces from
+// it) and the serving daemon (wpserved) both accept "suite/bench plus
+// input-shape overrides" and must resolve them identically — a job
+// submitted to the daemon has to build the exact instance a direct CLI
+// run of the same parameters builds, or the byte-identity guarantee
+// between the two is vacuous.
 package catalog
 
 import (

@@ -112,20 +112,12 @@ func Downgrade(k Kind) (Kind, bool) {
 	return NoWP, false
 }
 
-// ParseKind converts a policy name ("nowp", "instrec", "conv",
-// "convres", "wpemul") to its Kind.
+// ParseKind converts a policy name (a Kind's String) to its Kind.
 func ParseKind(s string) (Kind, bool) {
-	switch s {
-	case "nowp":
-		return NoWP, true
-	case "instrec":
-		return InstRec, true
-	case "conv":
-		return Conv, true
-	case "convres":
-		return ConvResolve, true
-	case "wpemul":
-		return WPEmul, true
+	for _, k := range kinds {
+		if k.String() == s {
+			return k, true
+		}
 	}
 	return NoWP, false
 }
@@ -138,16 +130,12 @@ type Context struct {
 	// but must not update state (wrong-path execution does not train the
 	// predictor in this model).
 	Pred *branch.Unit
-	// Peek returns the i-th future correct-path instruction (0 = the
-	// instruction the core will consume next); ok is false past program
-	// end or past the queue's lookahead.
-	Peek func(i int) (trace.DynInst, bool)
-	// Window, when non-nil, returns a read-only contiguous view of the
-	// future correct-path instructions starting at i — at most max
-	// records, possibly fewer (callers walk on by re-requesting at
-	// i+len(window)); empty exactly where Peek(i) reports false. The
-	// batched core provides it so convergence walks scan queued records
-	// in place instead of copying one DynInst per probe.
+	// Window returns a read-only contiguous view of the future
+	// correct-path instructions starting at i (0 = the instruction the
+	// core will consume next) — at most max records, possibly fewer
+	// (callers walk on by re-requesting at i+len(window)); empty past
+	// program end or past the queue's lookahead. Convergence walks scan
+	// the queued records in place through it.
 	Window func(i, max int) []trace.DynInst
 	// ROBSize bounds the convergence search (the paper: at most
 	// 2 × ROB-size comparisons).
@@ -155,23 +143,6 @@ type Context struct {
 	// MaxLen caps the reconstructed wrong path: ROB size plus the
 	// front-end buffers (§III-B).
 	MaxLen int
-}
-
-// win returns a view of the future correct path starting at i, at most
-// max records: the batched Window accessor when the core provides one,
-// else a one-record window copied through Peek into *scratch. Either
-// way the walk visits the same record sequence, so policy decisions —
-// and therefore results — do not depend on which accessor is wired.
-func (ctx *Context) win(i, max int, scratch *[1]trace.DynInst) []trace.DynInst {
-	if ctx.Window != nil {
-		return ctx.Window(i, max)
-	}
-	di, ok := ctx.Peek(i)
-	if !ok {
-		return nil
-	}
-	scratch[0] = di
-	return scratch[:1]
 }
 
 // Stats aggregates policy-level counters; the conv fields feed the
@@ -277,12 +248,14 @@ func (p *nowpPolicy) Begin(_ *Context, _ *trace.DynInst, _ uint64) []trace.DynIn
 // indirect target, or at an environment call — the same conditions
 // under which the paper's implementation falls back to halting fetch.
 //
-// The records are appended to buf (reused across calls) and have no
-// memory addresses: HasAddr is false. ras is the caller's pooled
-// scratch stack, re-seeded from the predictor on entry.
-func reconstruct(ctx *Context, startPC uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
+// The walk starts from the speculative global history hist (the
+// predictor's own at a misprediction; the history a partial rebuild has
+// reached when conv's resolving walk falls back to plain
+// reconstruction). The records are appended to buf (reused across
+// calls) and have no memory addresses: HasAddr is false. ras is the
+// caller's pooled scratch stack, re-seeded from the predictor on entry.
+func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
 	ctx.Pred.SnapshotRASInto(ras)
-	hist := ctx.Pred.SpecHistory()
 	pc := startPC
 	for len(buf) < ctx.MaxLen {
 		in, m, ok := ctx.Code.LookupMeta(pc)
@@ -340,7 +313,7 @@ func (p *instrecPolicy) Stats() *Stats { return &p.stats }
 
 func (p *instrecPolicy) Begin(ctx *Context, _ *trace.DynInst, predictedTarget uint64) []trace.DynInst {
 	p.stats.Mispredicts++
-	p.buf = reconstruct(ctx, predictedTarget, p.buf[:0], &p.ras)
+	p.buf = reconstruct(ctx, predictedTarget, ctx.Pred.SpecHistory(), p.buf[:0], &p.ras)
 	p.stats.WPGenerated += uint64(len(p.buf))
 	for i := range p.buf {
 		if p.buf[i].In.Op.IsMem() {
@@ -393,7 +366,7 @@ func (p *convPolicy) Stats() *Stats { return &p.stats }
 
 func (p *convPolicy) Begin(ctx *Context, br *trace.DynInst, predictedTarget uint64) []trace.DynInst {
 	p.stats.Mispredicts++
-	p.buf = reconstruct(ctx, predictedTarget, p.buf[:0], &p.ras)
+	p.buf = reconstruct(ctx, predictedTarget, ctx.Pred.SpecHistory(), p.buf[:0], &p.ras)
 	wp := p.buf
 	// Convergence is only checked for one-sided conditional branches
 	// (paper §III-C1); indirect mispredictions keep the plain
@@ -422,8 +395,7 @@ func (p *convPolicy) Begin(ctx *Context, br *trace.DynInst, predictedTarget uint
 // path), the pre-convergence distance, and whether convergence was
 // found at all, updating the detection statistics.
 func (p *convPolicy) detect(ctx *Context, wp []trace.DynInst) (caseA bool, dist int, ok bool) {
-	var scratch [1]trace.DynInst
-	w0 := ctx.win(0, 1, &scratch)
+	w0 := ctx.Window(0, 1)
 	if len(w0) == 0 {
 		return false, 0, false // program end: skip the check
 	}
@@ -439,7 +411,7 @@ func (p *convPolicy) detect(ctx *Context, wp []trace.DynInst) (caseA bool, dist 
 	wp0PC := wp[0].PC
 scanB:
 	for k := 1; k <= ctx.ROBSize; {
-		w := ctx.win(k, ctx.ROBSize+1-k, &scratch)
+		w := ctx.Window(k, ctx.ROBSize+1-k)
 		if len(w) == 0 {
 			break
 		}
@@ -487,10 +459,9 @@ func (p *convPolicy) recoverAddresses(ctx *Context, wp []trace.DynInst) {
 	// reconstructed wrong path diverged — e.g. a differently-predicted
 	// branch inside the window). Correct-path records are scanned
 	// through ring windows; decode facts come from the precomputed Meta.
-	var scratch [1]trace.DynInst
 walk:
 	for wpIdx < len(wp) {
-		w := ctx.win(cpIdx, len(wp)-wpIdx, &scratch)
+		w := ctx.Window(cpIdx, len(wp)-wpIdx)
 		if len(w) == 0 {
 			break
 		}
@@ -546,9 +517,8 @@ func (p *convPolicy) preConvergence(ctx *Context, wp []trace.DynInst, caseA bool
 		}
 		return dirty, dist, 0, true
 	}
-	var scratch [1]trace.DynInst
 	for i := 0; i < dist; {
-		w := ctx.win(i, dist-i, &scratch)
+		w := ctx.Window(i, dist-i)
 		if len(w) == 0 {
 			return 0, 0, 0, false
 		}
@@ -582,10 +552,9 @@ func (p *convPolicy) recoverResolving(ctx *Context, wp []trace.DynInst) []trace.
 	// from the precomputed Meta.
 	out := wp[:wpIdx]
 	hist := ctx.Pred.SpecHistory()
-	var scratch [1]trace.DynInst
 outer:
 	for len(out) < ctx.MaxLen {
-		w := ctx.win(cpIdx, ctx.MaxLen-len(out), &scratch)
+		w := ctx.Window(cpIdx, ctx.MaxLen-len(out))
 		if len(w) == 0 {
 			break
 		}
@@ -634,7 +603,8 @@ outer:
 						di.NextPC = ci.In.Target
 					}
 					out = append(out, di)
-					return p.continueReconstruct(ctx, di.NextPC, hist, out)
+					// p.ras is free here: the initial walk has finished.
+					return reconstruct(ctx, di.NextPC, hist, out, &p.ras)
 				}
 				if !m.IsCondBranch() {
 					// Dirty indirect target: cannot follow further.
@@ -657,53 +627,6 @@ outer:
 				break outer
 			}
 		}
-	}
-	return out
-}
-
-// continueReconstruct extends a partially rebuilt wrong path by plain
-// predicted-path reconstruction (no addresses) from pc.
-func (p *convPolicy) continueReconstruct(ctx *Context, pc uint64, hist uint64, out []trace.DynInst) []trace.DynInst {
-	ras := &p.ras // free here: the initial reconstruct walk has finished
-	ctx.Pred.SnapshotRASInto(ras)
-	for len(out) < ctx.MaxLen {
-		in, m, ok := ctx.Code.LookupMeta(pc)
-		if !ok || m.IsEcall() {
-			break
-		}
-		di := trace.DynInst{PC: pc, In: *in, WrongPath: true}
-		next := pc + isa.InstBytes
-		switch {
-		case m.IsCondBranch():
-			di.Taken, hist = ctx.Pred.PredictCondSpec(pc, hist)
-			if di.Taken {
-				next = in.Target
-			}
-		case in.Op == isa.OpJal:
-			di.Taken = true
-			next = in.Target
-			if branch.IsCall(*in) {
-				ras.Push(pc + isa.InstBytes)
-			}
-		case in.Op == isa.OpJalr:
-			di.Taken = true
-			var t uint64
-			if branch.IsReturn(*in) {
-				t, ok = ras.Pop()
-			} else {
-				t, ok = ctx.Pred.PredictIndirect(pc)
-				if branch.IsCall(*in) {
-					ras.Push(pc + isa.InstBytes)
-				}
-			}
-			if !ok {
-				return append(out, di)
-			}
-			next = t
-		}
-		di.NextPC = next
-		out = append(out, di)
-		pc = next
 	}
 	return out
 }

@@ -61,12 +61,14 @@ func takenCP(iters int) []trace.DynInst {
 	return cp
 }
 
-func peekOf(cp []trace.DynInst) func(int) (trace.DynInst, bool) {
-	return func(i int) (trace.DynInst, bool) {
+// windowOf serves cp as the queued correct path: the view starting at
+// i, at most max records, empty past the end.
+func windowOf(cp []trace.DynInst) func(i, max int) []trace.DynInst {
+	return func(i, max int) []trace.DynInst {
 		if i < 0 || i >= len(cp) {
-			return trace.DynInst{}, false
+			return nil
 		}
-		return cp[i], true
+		return cp[i:min(i+max, len(cp))]
 	}
 }
 
@@ -74,7 +76,7 @@ func newCtx(cp []trace.DynInst) *Context {
 	return &Context{
 		Code:    newCode(),
 		Pred:    branch.New(branch.DefaultConfig()),
-		Peek:    peekOf(cp),
+		Window:  windowOf(cp),
 		ROBSize: 64,
 		MaxLen:  72,
 	}
@@ -391,7 +393,7 @@ func TestConvResolveDirtyBranchDiverges(t *testing.T) {
 	ctx := &Context{
 		Code:    code,
 		Pred:    branch.New(branch.DefaultConfig()),
-		Peek:    peekOf(cp),
+		Window:  windowOf(cp),
 		ROBSize: 64,
 		MaxLen:  72,
 	}
