@@ -33,11 +33,11 @@ race:
 	$(GO) test -race -timeout 15m ./...
 
 # faults runs the fault-injection suites (deterministic injected
-# panics, frozen producers, corrupt traces) under the race detector —
-# the acceptance gate for the fault-tolerance layer (see DESIGN.md,
-# "Failure model and degradation ladder").
+# panics, corrupt traces) under the race detector — the acceptance gate
+# for the fault-tolerance layer (see DESIGN.md, "Failure model and
+# degradation ladder").
 faults:
-	$(GO) test -race -timeout 10m -run 'Fault|Panic|Ladder|Watchdog|Corrupt|Truncat|Sweep' \
+	$(GO) test -race -timeout 10m -run 'Fault|Panic|Ladder|Corrupt|Truncat|Sweep' \
 		./internal/faultinject/ ./internal/simerr/ ./internal/tracefile/ \
 		./internal/frontend/ ./internal/batch/ ./internal/sim/ ./internal/experiments/
 
@@ -45,10 +45,13 @@ faults:
 # kill runs at randomized (seeded) checkpoint boundaries, resume from
 # the latest snapshot, and require results and reports byte-identical
 # to uninterrupted runs (see DESIGN.md, "Checkpoint, resume, and
-# cancellation"). The Fingerprint tests pin the content address that
-# snapshots and both result caches key on.
+# cancellation"). The WriteFile and Damage tests cover the snapshot
+# file's atomic write and its rejection of torn bytes; the Fingerprint
+# tests and specfp's encoding tests pin the content address that
+# snapshots and both result caches key on. Every listed package runs
+# at least one test: check with go test -list '<pattern>' <pkg>.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak|Fingerprint' \
+	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective' \
 		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/ \
 		./internal/server/ ./internal/specfp/
 

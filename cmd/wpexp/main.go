@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; report text identical at any size)")
 		verbose  = fs.Bool("v", false, "print one line per simulation run")
 		jobs     = fs.Int("jobs", 1, "batch worker count for independent simulations (0 = one per host core)")
-		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget per simulation (0 = disabled); stalled cells abort with a typed error")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry a cell one technique rung down instead of failing the sweep (degraded cells are annotated)")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed per cell (with -degrade)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write per-cell crash-safe snapshots under this directory (empty = disabled)")
@@ -113,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opt.Progress = stderr
 	}
 	opt.Jobs = *jobs
-	opt.Base.Config.Watchdog = *watchdog
 	if *degrade {
 		opt.Base.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
 	}

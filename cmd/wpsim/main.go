@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		memLat   = fs.Int("mem-latency", 0, "memory latency override (cycles)")
 		showCfg  = fs.Bool("config", false, "print the core configuration and exit")
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
-		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget (0 = disabled); aborts with a typed error if the run stops advancing")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry one technique rung down instead of failing")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed (with -degrade)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write crash-safe state snapshots into this directory (empty = disabled)")
@@ -181,8 +179,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	req := sim.Request{Config: sim.Config{Core: cfg, MaxInsts: *maxInsts, WarmupInsts: *warmup,
-		ParallelFrontend: *parallel, Watchdog: *watchdog,
-		Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
+		ParallelFrontend: *parallel, Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
 		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN},
 		Resume: *resume}
 	if *replay == "" {
@@ -193,9 +190,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "wpsim: %v\n", err)
 			return exitFailure
 		}
-		// Every attempt (ladder retry, resume) replays a fresh reader
-		// over the same bytes.
-		req.Trace = func() (queue.Producer, error) { return tracefile.NewReader(bytes.NewReader(data)) }
+		req.Trace = data
 		req.Config.ObsLabel = "trace:" + *replay
 	}
 	if *degrade {

@@ -122,12 +122,20 @@ func TestInjectValidation(t *testing.T) {
 }
 
 // TestCompareAllAnnotatedExit: -wp all with an induced per-cell fault
-// (a 1ns watchdog budget trips instantly) prints the full table and
-// exits annotated, and the metrics still flush.
+// (a trace cut mid-record, so every cell's reader reports corruption)
+// prints the full table and exits annotated, and the metrics still
+// flush.
 func TestCompareAllAnnotatedExit(t *testing.T) {
+	trace := recordSmallTrace(t)
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(trace, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	metricsOut := filepath.Join(t.TempDir(), "metrics.json")
-	code, out, stderr := runWpsim(t, quickArgs(
-		"-wp", "all", "-jobs", "2", "-watchdog", "1ns", "-metrics-out", metricsOut)...)
+	code, out, stderr := runWpsim(t, "-replay", trace, "-wp", "all", "-jobs", "2", "-metrics-out", metricsOut)
 	if code != exitAnnotated {
 		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitAnnotated, out, stderr)
 	}

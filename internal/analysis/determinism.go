@@ -47,7 +47,7 @@ var randConstructors = map[string]bool{
 
 func runDeterminism(pass *Pass) {
 	if !strings.Contains(pass.Pkg.Path, "/internal/") {
-		return // CLIs and examples may read the clock and environment
+		return // CLIs may read the clock and environment
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {

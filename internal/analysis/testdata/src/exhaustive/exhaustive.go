@@ -131,8 +131,6 @@ func RenamedExhaustive(k localKind) bool {
 // half the taxonomy: flagged.
 func SentinelSwitch(err error) string {
 	switch err { // want: missing ErrCanceled, ErrConfig, ErrDegraded, ErrTraceCorrupt
-	case simerr.ErrStall:
-		return "stall"
 	case simerr.ErrWorkerPanic:
 		return "panic"
 	case simerr.ErrUnsupported:
@@ -144,8 +142,8 @@ func SentinelSwitch(err error) string {
 // SentinelSwitchDefaulted handles the remainder explicitly: passes.
 func SentinelSwitchDefaulted(err error) string {
 	switch err {
-	case simerr.ErrStall:
-		return "stall"
+	case simerr.ErrWorkerPanic:
+		return "panic"
 	default:
 		return "other"
 	}
@@ -154,7 +152,7 @@ func SentinelSwitchDefaulted(err error) string {
 // SentinelSwitchComplete names every sentinel: passes.
 func SentinelSwitchComplete(err error) bool {
 	switch err {
-	case simerr.ErrTraceCorrupt, simerr.ErrStall, simerr.ErrWorkerPanic:
+	case simerr.ErrTraceCorrupt, simerr.ErrWorkerPanic:
 		return true
 	case simerr.ErrUnsupported, simerr.ErrDegraded, simerr.ErrConfig, simerr.ErrCanceled:
 		return false

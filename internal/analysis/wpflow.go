@@ -154,7 +154,6 @@ var wpflowSources = []struct {
 	{"time", "Since", taintWall},
 	{"time", "Until", taintWall},
 	{"internal/sim", "Now", taintWall}, // the Clock interface shim
-	{"internal/obs", "WPGenStart", taintWall},
 }
 
 // wpflowApproved are the sanitioned crossing points: calling one of
@@ -178,9 +177,6 @@ var wpflowApproved = []struct {
 	{"internal/obs", "FetchStall"}, // carries an explicit wrongPath tag
 	{"internal/obs", "Mispredict"},
 	{"internal/obs", "Convergence"},
-	{"internal/obs", "WPGenDone"},
-	{"internal/obs", "WatchdogSample"},
-	{"internal/obs", "WatchdogStall"},
 }
 
 // wpflowSinkMethods are calls whose arguments must be untainted: writes

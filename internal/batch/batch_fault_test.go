@@ -89,12 +89,12 @@ func TestPanicAndErrorCoexist(t *testing.T) {
 // that error matchable through the fault chain.
 func TestPanicWithErrorValue(t *testing.T) {
 	jobs := squareJobs(3)
-	jobs[1] = func() (int, error) { panic(simerr.ErrStall) }
+	jobs[1] = func() (int, error) { panic(simerr.ErrUnsupported) }
 	results := RunContext(context.Background(), jobs, 2)
 	if !errors.Is(results[1].Err, simerr.ErrWorkerPanic) {
 		t.Errorf("err = %v, want ErrWorkerPanic class", results[1].Err)
 	}
-	if !strings.Contains(results[1].Err.Error(), simerr.ErrStall.Error()) {
+	if !strings.Contains(results[1].Err.Error(), simerr.ErrUnsupported.Error()) {
 		t.Errorf("panic error value missing from rendering: %v", results[1].Err)
 	}
 }

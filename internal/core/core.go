@@ -215,7 +215,7 @@ func New(cfg Config, q *queue.Queue, policy wrongpath.Policy) (*Core, error) {
 // queue. Because PopBatch's refill keeps the queue in the
 // per-instruction steady state, the combined view — both the records
 // and the hit/miss boundary — is exactly what a per-instruction
-// consumer's q.Peek would see.
+// consumer's peek would see.
 func (c *Core) windowFuture(i, max int) []trace.DynInst {
 	r := c.laneN - c.lanePos - 1
 	if i < r {
@@ -628,9 +628,7 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 		st := c.policy.Stats()
 		prevConvDet, prevConvDist = st.ConvDetected, st.ConvDistSum
 	}
-	genStart := c.obs.WPGenStart()
 	wp := c.policy.Begin(&c.ctx, br, target)
-	c.obs.WPGenDone(genStart)
 	if c.obs != nil {
 		if st := c.policy.Stats(); st.ConvDetected > prevConvDet {
 			c.obs.Convergence(br.PC, c.fetchCycle, st.ConvDistSum-prevConvDist)

@@ -10,15 +10,11 @@ import (
 
 // runWith simulates a workload under an arbitrary configuration
 // (bypassing the memoization cache, which is keyed on the default
-// configuration). The cell runs under the sweep's context and its stall
-// budget, and a run-ending fault (a cancellation among them) is an
-// error, as in simulate. It inherits nothing else from the base
-// request: no ladder, wrapper, cache or snapshots.
+// configuration). The cell runs under the sweep's context, and a
+// run-ending fault (a cancellation among them) is an error, as in
+// simulate. It inherits nothing else from the base request: no ladder,
+// wrapper, cache or snapshots.
 func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, error) {
-	if cfg.Watchdog == 0 {
-		// An idle watchdog leaves the statistics bit-identical.
-		cfg.Watchdog = r.opt.Base.Config.Watchdog
-	}
 	cfg.Ctx = r.opt.Base.Config.Ctx
 	res, _, err := sim.Execute(sim.Request{Config: cfg, Workload: &w})
 	if err == nil && res.Err != nil {

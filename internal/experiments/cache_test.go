@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/resultcache"
 	"repro/internal/sim"
@@ -60,7 +59,7 @@ func TestCellCacheSkipsResimulation(t *testing.T) {
 // TestCellCacheCacheabilityRule: the sweep cache follows the rule both
 // result caches share — store only addressable requests whose result is
 // clean and not degraded, under the request fingerprint. An injected
-// (Wrap) sweep stores nothing. A watchdog-armed sweep caches under its
+// (Wrap) sweep stores nothing. A ladder-armed sweep caches under its
 // own key: it neither serves nor is served by unarmed entries, and it
 // hits on its own repeat.
 func TestCellCacheCacheabilityRule(t *testing.T) {
@@ -83,7 +82,7 @@ func TestCellCacheCacheabilityRule(t *testing.T) {
 	injected := func(o *Options) {
 		o.Base.Wrap = func(src sim.Source, _ sim.Config) sim.Source { return src }
 	}
-	armed := func(o *Options) { o.Base.Config.Watchdog = time.Minute }
+	armed := func(o *Options) { o.Base.Config.Degrade = sim.DegradePolicy{MaxRetries: 1} }
 	plain := func(*Options) {}
 
 	if sweep(injected); entries() != 0 {

@@ -69,7 +69,7 @@ type Options struct {
 	// Base is the request template every cell runs from: its Config
 	// carries the core configuration (zero value: default; set
 	// Core.Batch to override the decoupling-queue lane size), the fault
-	// layer (Watchdog, Degrade, Wrap), observability (Metrics, Trace),
+	// layer (Degrade, Wrap), observability (Metrics, Trace),
 	// cancellation (Ctx) and crash safety (CheckpointDir,
 	// CheckpointEvery, OnCheckpoint, Resume). A cell fills in the
 	// workload and technique; with CheckpointDir set, each cell
@@ -96,9 +96,9 @@ type Options struct {
 	// Cache, when non-nil, memoizes cell results across runner
 	// lifetimes (and, with a persistent tier, across processes):
 	// repeated sweeps over the same cells skip re-simulation. Cells are
-	// keyed by sim.Request.Fingerprint, so an armed watchdog or ladder
-	// caches under its own key; only addressable cells (no Wrap) whose
-	// result is clean and not degraded are stored. Report text is
+	// keyed by sim.Request.Fingerprint, so an armed ladder caches under
+	// its own key; only addressable cells (no Wrap) whose result is
+	// clean and not degraded are stored. Report text is
 	// identical with or without it; only Wall times (and thus the speed
 	// experiment's ratios) reflect the original run instead of a fresh
 	// one.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/frontend"
@@ -19,10 +18,9 @@ import (
 )
 
 // faultyRunner arms the full fault-tolerance layer and injects the
-// acceptance scenario's three faults into the GAP sweep:
+// acceptance scenario's two faults into the GAP sweep:
 //
 //   - bfs under wpemul: a forced producer panic (ErrWorkerPanic)
-//   - cc under conv: a frozen producer (watchdog ErrStall)
 //   - pr under instrec: a corrupt (mid-record truncated) trace tail
 //
 // Each injector keys on the attempt's workload label and technique, so
@@ -37,17 +35,12 @@ func faultyRunner(t *testing.T) (*Runner, *strings.Builder) {
 		Out:  &out,
 		Jobs: 2,
 		Base: sim.Request{Config: sim.Config{
-			Watchdog: 500 * time.Millisecond,
-			Degrade:  sim.DegradePolicy{MaxRetries: 2},
+			Degrade: sim.DegradePolicy{MaxRetries: 2},
 		}, Wrap: func(src sim.Source, c sim.Config) sim.Source {
 			switch {
 			case c.ObsLabel == "gap/bfs" && c.WP == wrongpath.WPEmul:
 				return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
 					return faultinject.PanicAt(p, 500, "injected sweep fault")
-				})
-			case c.ObsLabel == "gap/cc" && c.WP == wrongpath.Conv:
-				return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
-					return faultinject.FreezeAt(p, 1000)
 				})
 			case c.ObsLabel == "gap/pr" && c.WP == wrongpath.InstRec:
 				// Swap in a trace source over a mid-record-truncated
@@ -90,8 +83,7 @@ func recordWorkloadTrace(t *testing.T, w workloads.Workload, maxInsts uint64) []
 }
 
 // TestSweepSurvivesInjectedFaults is the acceptance scenario: with a
-// corrupt trace tail, a forced worker panic, and a frozen producer all
-// injected, the full GAP×techniques sweep (fig4gap fans out every cell)
+// corrupt trace tail and a forced worker panic both injected, the full GAP×techniques sweep (fig4gap fans out every cell)
 // must complete with no crash; the faulted cells are retried-degraded
 // and annotated, and every fault-free cell is bit-identical to a run
 // without the fault-tolerance layer.
@@ -113,7 +105,7 @@ func TestSweepSurvivesInjectedFaults(t *testing.T) {
 	if !strings.Contains(report, "DEGRADED CELLS") {
 		t.Error("report missing the degraded-cells footnote")
 	}
-	for _, cell := range []string{"gap/bfs/wpemul", "gap/cc/conv", "gap/pr/instrec"} {
+	for _, cell := range []string{"gap/bfs/wpemul", "gap/pr/instrec"} {
 		if !strings.Contains(report, cell) {
 			t.Errorf("degraded cell %s not annotated in report", cell)
 		}
@@ -127,7 +119,6 @@ func TestSweepSurvivesInjectedFaults(t *testing.T) {
 	}
 	for _, wnt := range []want{
 		{"gap/bfs/wpemul", wrongpath.WPEmul, wrongpath.Conv},
-		{"gap/cc/conv", wrongpath.Conv, wrongpath.InstRec},
 		{"gap/pr/instrec", wrongpath.InstRec, wrongpath.InstRec}, // partial prefix, same rung
 	} {
 		res := faulty.cache[wnt.key]
@@ -141,7 +132,7 @@ func TestSweepSurvivesInjectedFaults(t *testing.T) {
 	}
 
 	// Every fault-free cell bit-identical to the clean runner.
-	faulted := map[string]bool{"gap/bfs/wpemul": true, "gap/cc/conv": true, "gap/pr/instrec": true}
+	faulted := map[string]bool{"gap/bfs/wpemul": true, "gap/pr/instrec": true}
 	compared := 0
 	for key, cres := range clean.cache {
 		if faulted[key] {
@@ -165,8 +156,8 @@ func TestSweepSurvivesInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestCleanSweepByteIdenticalWithLayerArmed: arming watchdog + ladder
-// without injecting anything must leave the report bytes untouched.
+// TestCleanSweepByteIdenticalWithLayerArmed: arming the ladder without
+// injecting anything must leave the report bytes untouched.
 func TestCleanSweepByteIdenticalWithLayerArmed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("miniature experiment sweep skipped in -short mode")
@@ -181,8 +172,7 @@ func TestCleanSweepByteIdenticalWithLayerArmed(t *testing.T) {
 		Spec: specproxy.Params{Scale: 0.01, Seed: 99},
 		Out:  &armedOut,
 		Base: sim.Request{Config: sim.Config{
-			Watchdog: time.Minute,
-			Degrade:  sim.DegradePolicy{MaxRetries: 2},
+			Degrade: sim.DegradePolicy{MaxRetries: 2},
 		}},
 	})
 	if err := armed.Run("fig1"); err != nil {

@@ -1,24 +1,18 @@
 // Package faultinject deterministically injects the runtime faults the
 // fault-tolerance layer must survive: corrupted or truncated trace
-// bytes, a panic at a chosen instruction inside a producer, and a
-// frozen (never-returning) producer. It is the test harness for
-// internal/simerr, the sim.Session stall watchdog and the
-// graceful-degradation ladder — every injector is a pure function of
-// its arguments (seeded where randomness is wanted), so a faulted run
-// reproduces bit-identically.
+// bytes, and a panic at a chosen instruction inside a producer. It is
+// the test harness for internal/simerr and the graceful-degradation
+// ladder — every injector is a pure function of its arguments (seeded
+// where randomness is wanted), so a faulted run reproduces
+// bit-identically.
 //
-// Producer injectors wrap any instruction source (a
-// frontend, a tracefile.Reader, another injector) behind the same
-// Next() interface the decoupling queue consumes. The Freezer blocks
-// until Interrupt is called, which is exactly the release path the
-// session watchdog uses, so frozen-producer tests neither hang nor leak
-// goroutines.
+// The producer injector wraps any instruction source (a frontend, a
+// tracefile.Reader, another injector) behind the same Next() interface
+// the decoupling queue consumes.
 package faultinject
 
 import (
-	"io"
 	"math/rand"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -72,24 +66,6 @@ func CorruptTail(data []byte, seed int64) []byte {
 	return FlipByte(data, int64(lo+rng.Intn(len(data)-lo)), 0)
 }
 
-// Reader returns an io.Reader over data — the usual way to hand
-// corrupted bytes back to tracefile.NewReader.
-func Reader(data []byte) io.Reader { return &byteReader{data: data} }
-
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
 // --- producer-level faults ---
 
 // PanicAt wraps src so that the n-th Next call (1-based) panics with
@@ -112,69 +88,4 @@ func (p *panicker) Next() (trace.DynInst, bool) {
 		panic("faultinject: " + p.msg) //wplint:allow-panic -- the injected fault itself; the runtime under test must contain it
 	}
 	return p.src.Next()
-}
-
-// Freezer wraps a producer so that one chosen Next call blocks — the
-// frozen-producer fault. The block is released by Interrupt (the
-// session watchdog's abort path, also honored by frontend.Parallel's
-// Close), after which Next reports end-of-stream forever; a Freezer
-// therefore never leaks a goroutine in a watchdogged run.
-type Freezer struct {
-	src Producer
-	at  uint64
-	n   uint64
-
-	frozen    chan struct{} // closed when the freeze engages
-	release   chan struct{} // closed by Interrupt
-	frozeOnce sync.Once
-	relOnce   sync.Once
-}
-
-// FreezeAt wraps src so the n-th Next call (1-based) freezes.
-func FreezeAt(src Producer, n uint64) *Freezer {
-	return &Freezer{src: src, at: n, frozen: make(chan struct{}), release: make(chan struct{})}
-}
-
-// Next produces from the wrapped source until the freeze point, then
-// blocks until Interrupt and reports end-of-stream.
-func (f *Freezer) Next() (trace.DynInst, bool) {
-	select {
-	case <-f.release:
-		return trace.DynInst{}, false
-	default:
-	}
-	f.n++
-	if f.n >= f.at {
-		f.frozeOnce.Do(func() { close(f.frozen) })
-		<-f.release
-		return trace.DynInst{}, false
-	}
-	return f.src.Next()
-}
-
-// Frozen is closed once the freeze has engaged — deterministic watchdog
-// tests key their fake clock's tick off it.
-func (f *Freezer) Frozen() <-chan struct{} { return f.frozen }
-
-// Interrupt releases the freeze; every blocked and future Next returns
-// end-of-stream. It is idempotent and safe from any goroutine.
-func (f *Freezer) Interrupt() {
-	f.relOnce.Do(func() { close(f.release) })
-}
-
-// Limit wraps src to end the stream cleanly after n instructions — the
-// shape of a truncated-but-valid trace, useful as a fault-free control.
-func Limit(src Producer, n uint64) Producer { return &limiter{src: src, left: n} }
-
-type limiter struct {
-	src  Producer
-	left uint64
-}
-
-func (l *limiter) Next() (trace.DynInst, bool) {
-	if l.left == 0 {
-		return trace.DynInst{}, false
-	}
-	l.left--
-	return l.src.Next()
 }

@@ -2,9 +2,7 @@ package faultinject
 
 import (
 	"bytes"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -74,23 +72,6 @@ func TestCorruptTailDeterministicAndInTail(t *testing.T) {
 	}
 }
 
-func TestReader(t *testing.T) {
-	data := []byte{1, 2, 3}
-	r := Reader(data)
-	buf := make([]byte, 2)
-	n, err := r.Read(buf)
-	if n != 2 || err != nil {
-		t.Fatalf("Read = %d, %v", n, err)
-	}
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), []byte{3}) {
-		t.Fatalf("remainder = %v", out.Bytes())
-	}
-}
-
 func TestPanicAt(t *testing.T) {
 	p := PanicAt(&seqSource{}, 3, "injected")
 	for i := 0; i < 2; i++ {
@@ -104,49 +85,4 @@ func TestPanicAt(t *testing.T) {
 		}
 	}()
 	p.Next()
-}
-
-func TestFreezerBlocksThenReleases(t *testing.T) {
-	f := FreezeAt(&seqSource{}, 3)
-	for i := 0; i < 2; i++ {
-		if _, ok := f.Next(); !ok {
-			t.Fatal("stream ended before freeze point")
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var ok bool
-	go func() {
-		defer wg.Done()
-		_, ok = f.Next() // the frozen call
-	}()
-
-	select {
-	case <-f.Frozen():
-	case <-time.After(5 * time.Second):
-		t.Fatal("freeze never engaged")
-	}
-
-	f.Interrupt()
-	f.Interrupt() // idempotent
-	wg.Wait()
-	if ok {
-		t.Fatal("frozen Next returned an instruction after Interrupt")
-	}
-	if _, ok := f.Next(); ok {
-		t.Fatal("Next after Interrupt did not report end-of-stream")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	l := Limit(&seqSource{}, 2)
-	for i := 0; i < 2; i++ {
-		if _, ok := l.Next(); !ok {
-			t.Fatal("stream ended early")
-		}
-	}
-	if _, ok := l.Next(); ok {
-		t.Fatal("stream did not end at the limit")
-	}
 }

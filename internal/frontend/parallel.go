@@ -24,9 +24,7 @@ import (
 // Fault containment: a panic inside the wrapped producer is recovered
 // in the goroutine, surfaced as a typed simerr.ErrWorkerPanic fault via
 // Err, and the stream ends cleanly — the consumer's process never
-// crashes. Interrupt unblocks both sides without waiting for the
-// producer (the stall watchdog's abort path); Close is idempotent and
-// safe after a producer panic.
+// crashes. Close is idempotent and safe after a producer panic.
 type Parallel struct {
 	src      interface{ Next() (trace.DynInst, bool) }
 	ch       chan []trace.DynInst
@@ -165,8 +163,8 @@ func (p *Parallel) Err() error {
 }
 
 // Next implements queue.Producer from the consumer side. It also
-// returns end-of-stream when Interrupt has fired, so a consumer never
-// stays blocked on a producer that has stopped making progress.
+// returns end-of-stream when the run context is done, so a canceled
+// consumer never stays blocked on the producer.
 func (p *Parallel) Next() (trace.DynInst, bool) {
 	for p.idx >= len(p.cur) {
 		if p.eof {
@@ -179,9 +177,6 @@ func (p *Parallel) Next() (trace.DynInst, bool) {
 				return trace.DynInst{}, false
 			}
 			p.cur, p.idx = batch, 0
-		case <-p.stop:
-			p.eof = true
-			return trace.DynInst{}, false
 		case <-p.done:
 			p.eof = true
 			return trace.DynInst{}, false
@@ -210,9 +205,6 @@ func (p *Parallel) NextBatch(dst []trace.DynInst) int {
 					return n
 				}
 				p.cur, p.idx = batch, 0
-			case <-p.stop:
-				p.eof = true
-				return n
 			case <-p.done:
 				p.eof = true
 				return n
@@ -225,28 +217,14 @@ func (p *Parallel) NextBatch(dst []trace.DynInst) int {
 	return n
 }
 
-// Interrupt asks both sides of the channel to stop: the producer's next
-// send aborts, a consumer blocked in Next unblocks with end-of-stream,
-// and a wrapped producer that itself supports Interrupt (a blocked
-// source) is released. It is idempotent, safe from any goroutine, and
-// does not wait — the stall watchdog calls it from outside the
-// simulation goroutine.
-func (p *Parallel) Interrupt() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	if i, ok := p.src.(interface{ Interrupt() }); ok {
-		i.Interrupt()
-	}
-}
-
 // Close stops the producer goroutine and waits for it to exit. It is
 // idempotent and safe to call after the producer has already finished
 // or panicked (the recovered panic is reported by Err, and the drain
 // below cannot hang because the producer's goroutine has exited).
-// A producer goroutine blocked *inside* an uninterruptible src.Next
-// would make the wg.Wait below hang; blocked sources must implement
-// Interrupt (faultinject.Freezer does) to be releasable.
+// The producer's next send aborts; a producer goroutine blocked
+// *inside* src.Next would make the wg.Wait below hang.
 func (p *Parallel) Close() {
-	p.Interrupt()
+	p.stopOnce.Do(func() { close(p.stop) })
 	// Drain so a producer blocked on send can observe stop/finish. After
 	// the goroutine exits the channel is closed, so ranging terminates —
 	// including on a second Close.

@@ -58,40 +58,6 @@ func TestParallelCloseAfterPanicNoLeak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestParallelInterruptUnblocksFrozenProducer: the watchdog's abort
-// path. A producer frozen inside the goroutine would normally wedge
-// both the consumer (empty channel) and Close (wg.Wait); Interrupt
-// releases the freeze and unblocks everything.
-func TestParallelInterruptUnblocksFrozenProducer(t *testing.T) {
-	before := runtime.NumGoroutine()
-	// batch=4, depth=1 bounds the producer's run-ahead to 8 Next calls
-	// (one sent batch + one full buffer), so a freeze at call 6 engages
-	// before the producer blocks on the channel.
-	fz := faultinject.FreezeAt(&countProducer{max: 1000}, 6)
-	p := frontend.NewParallel(fz, 4, 1)
-
-	select {
-	case <-fz.Frozen():
-	case <-time.After(5 * time.Second):
-		t.Fatal("freeze never engaged")
-	}
-
-	done := make(chan int)
-	go func() { done <- drainParallel(p) }()
-
-	p.Interrupt() // forwards to the Freezer and wakes the consumer
-	select {
-	case n := <-done:
-		if n > 6 {
-			t.Errorf("consumer got %d instructions, want <= 6", n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("consumer still blocked after Interrupt")
-	}
-	p.Close()
-	waitForGoroutines(t, before)
-}
-
 // TestParallelCloseNoLeak: the plain lifecycle leaves no goroutines —
 // both a fully drained stream and an early Close.
 func TestParallelCloseNoLeak(t *testing.T) {

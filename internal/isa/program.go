@@ -64,7 +64,7 @@ func (p *Program) MustSymbol(name string) uint64 {
 }
 
 // Disassemble renders the whole program with addresses and labels, for
-// debugging and for the examples.
+// debugging and for wpasm -disasm.
 func (p *Program) Disassemble() string {
 	// Iterate the symbol table in sorted-name order so the label lists
 	// are built deterministically (map iteration order must never reach

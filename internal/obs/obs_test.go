@@ -55,9 +55,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	v.Convergence(1, 2, 3)
 	v.Serialize(1, 2)
 	v.QueueDepth(1, 2)
-	v.WPGenDone(v.WPGenStart())
-	v.WatchdogSample(1, 2)
-	v.WatchdogStall(1, 2, 3)
 }
 
 func TestKey(t *testing.T) {
@@ -183,7 +180,7 @@ func TestTraceSinkValidJSON(t *testing.T) {
 }
 
 // TestTraceSinkConcurrent: emits from many goroutines must interleave
-// into valid JSON (the batch engine and the watchdog share one sink).
+// into valid JSON (the batch engine's workers share one sink).
 func TestTraceSinkConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)

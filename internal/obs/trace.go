@@ -16,7 +16,7 @@ import (
 //
 // A nil *TraceSink is a valid disabled sink: Track returns a nil
 // *Track, whose emit methods are no-ops. The sink is safe for
-// concurrent use from batch workers and the watchdog goroutine.
+// concurrent use from batch workers.
 type TraceSink struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -90,8 +90,7 @@ func (t *TraceSink) Track(name string) *Track {
 }
 
 // Track is one run's lane in the trace. The zero tid is used for every
-// event: a run is single-threaded from the viewer's perspective (the
-// watchdog samples land on the same lane as instants).
+// event: a run is single-threaded.
 type Track struct {
 	sink *TraceSink
 	pid  int64

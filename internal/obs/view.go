@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // View bundles one run's live instrumentation: the registry series the
 // run publishes into (pre-resolved so the hot path never takes the
 // registry lock) and the run's trace track. A nil *View disables every
@@ -9,7 +7,7 @@ import "time"
 // disabled run bit-identical to an uninstrumented build.
 //
 // Views carry *sampling* instrumentation only (distributions, spans,
-// watchdog ticks). Run-level aggregate counters — wrong-path generation
+// instants). Run-level aggregate counters — wrong-path generation
 // counts, instructions, degradations — are published by the sim layer
 // once per *accepted* result, so a sweep's totals count every cell
 // exactly once no matter how many degraded-ladder attempts ran.
@@ -22,9 +20,6 @@ type View struct {
 	Queue QueueObs
 
 	track        *Track
-	wpGenNS      *Histogram
-	wdSamples    *Counter
-	wdStalls     *Counter
 	ckptWrites   *Counter
 	ckptRestores *Counter
 }
@@ -32,17 +27,18 @@ type View struct {
 // QueueObs is the decoupling queue's hook bundle; internal/queue holds
 // a pointer to one (nil when uninstrumented).
 type QueueObs struct {
-	// Occupancy samples the buffered-entry count on every Pop.
+	// Occupancy samples the buffered-entry count on every PopBatch.
 	Occupancy *Histogram
-	// PeekDepth samples the requested lookahead index of every Peek.
+	// PeekDepth samples the requested lookahead index of every
+	// PeekWindow.
 	PeekDepth *Histogram
-	// PeekMiss counts Peeks answered false (program end or clip).
+	// PeekMiss counts peeks answered empty (program end or clip).
 	PeekMiss *Counter
-	// PeekClipped counts Peeks refused at the capacity ceiling while
+	// PeekClipped counts peeks refused at the capacity ceiling while
 	// the producer still had instructions — the silent-truncation case
 	// the queue otherwise grows past.
 	PeekClipped *Counter
-	// Grows counts ring-buffer growths triggered by deep Peeks.
+	// Grows counts ring-buffer growths triggered by deep peeks.
 	Grows *Counter
 }
 
@@ -64,9 +60,6 @@ func NewView(reg *Registry, sink *TraceSink, workload, technique string) *View {
 		Workload:     workload,
 		Technique:    technique,
 		track:        sink.Track(Key("run", workload, technique)),
-		wpGenNS:      reg.Histogram(Key("wrongpath_gen_latency_ns", workload, technique)),
-		wdSamples:    reg.Counter(Key("watchdog_samples_total", workload, technique)),
-		wdStalls:     reg.Counter(Key("watchdog_stalls_total", workload, technique)),
 		ckptWrites:   reg.Counter(Key("checkpoint_writes_total", workload, technique)),
 		ckptRestores: reg.Counter(Key("checkpoint_restores_total", workload, technique)),
 	}
@@ -136,46 +129,6 @@ func (v *View) QueueDepth(ts uint64, occupancy int) {
 	v.track.Counter("queue occupancy", ts, uint64(occupancy))
 }
 
-// --- wrong-path generation latency (host time, never fed back into
-// simulation) ---
-
-// WPGenStart begins a wrong-path generation latency measurement.
-func (v *View) WPGenStart() time.Time {
-	if v == nil {
-		return time.Time{}
-	}
-	return now()
-}
-
-// WPGenDone completes a measurement started by WPGenStart.
-func (v *View) WPGenDone(start time.Time) {
-	if v == nil {
-		return
-	}
-	v.wpGenNS.Observe(uint64(now().Sub(start).Nanoseconds()))
-}
-
-// now is the observability layer's single wall-clock read: it feeds
-// latency histograms only, never simulated state, so disabled-path
-// output stays bit-identical.
-func now() time.Time {
-	return time.Now() //wplint:allow determinism -- observability-only latency probe; never influences simulated state
-}
-
-// --- watchdog hooks (called from the watchdog goroutine) ---
-
-// WatchdogSample records one liveness sample: the producer/consumer
-// progress counters at the sample. The trace timestamp is the consumer
-// position (cycles are not visible to the watchdog goroutine), keeping
-// samples ordered along the run.
-func (v *View) WatchdogSample(produced, popped uint64) {
-	if v == nil {
-		return
-	}
-	v.wdSamples.Inc()
-	v.track.Instant("watchdog-sample", popped, Arg{"produced", produced}, Arg{"popped", popped})
-}
-
 // --- checkpoint hooks (called from the simulation goroutine at lane
 // boundaries) ---
 
@@ -199,14 +152,4 @@ func (v *View) CheckpointRestore(insts uint64) {
 	}
 	v.ckptRestores.Inc()
 	v.track.Instant("checkpoint-restore", insts, Arg{"insts", insts})
-}
-
-// WatchdogStall records a fired stall verdict.
-func (v *View) WatchdogStall(pc, produced, popped uint64) {
-	if v == nil {
-		return
-	}
-	v.wdStalls.Inc()
-	v.track.Instant("watchdog-stall", popped,
-		Arg{"pc", pc}, Arg{"produced", produced}, Arg{"popped", popped})
 }

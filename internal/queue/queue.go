@@ -2,21 +2,21 @@
 // functional and the performance simulator. The functional side runs
 // ahead, filling the queue; the performance side consumes from it.
 //
-// The queue exposes the run-ahead to its consumer through Peek: the
-// convergence-exploitation technique "exploits the fact that the
+// The queue exposes the run-ahead to its consumer through PeekWindow:
+// the convergence-exploitation technique "exploits the fact that the
 // functional model runs ahead of the performance model, so we can take
 // a peek in the future correct-path instructions" (§III-C). The queue
 // guarantees a configurable minimum lookahead by refilling from the
-// producer on demand; near program end, Peek simply reports that fewer
-// instructions remain (the paper's "skip the convergence check" case).
-// A Peek deeper than the current ring grows it (power-of-two steps, up
-// to MaxCapacity), so a deep convergence search is answered from the
-// program rather than silently refused at an allocation boundary.
+// producer on demand; near program end, a peek simply reports that
+// fewer instructions remain (the paper's "skip the convergence check"
+// case). A peek deeper than the current ring grows it (power-of-two
+// steps, up to MaxCapacity), so a deep convergence search is answered
+// from the program rather than silently refused at an allocation
+// boundary.
 package queue
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/simerr"
@@ -51,9 +51,9 @@ type BatchProducer interface {
 // NextBatchOf fills dst from p, using the batched path when p supports
 // it and falling back to per-record Next calls otherwise. It returns
 // the number of records written; 0 means end of stream only if dst is
-// non-empty. Producer wrappers (fault injectors, progress taps) use it
-// to forward batches without caring which interface their inner
-// producer implements.
+// non-empty. The queue refills through it, and producer wrappers (fault
+// injectors, sources) use it to forward batches without caring which
+// interface their inner producer implements.
 func NextBatchOf(p Producer, dst []trace.DynInst) int {
 	if bp, ok := p.(BatchProducer); ok {
 		return bp.NextBatch(dst)
@@ -75,23 +75,20 @@ func NextBatchOf(p Producer, dst []trace.DynInst) int {
 // the queue.
 type Queue struct {
 	src  Producer
-	bsrc BatchProducer   // non-nil when src supports batched refills
 	buf  []trace.DynInst // ring buffer; len is a power of two
 	head int             // index of next instruction to pop
 	n    int             // live entries
 	done bool            // producer exhausted
 
-	// lookahead is the fill target maintained before every Pop.
+	// lookahead is the fill target maintained before every PopBatch.
 	lookahead int
 
 	// obs is the optional instrumentation bundle (nil when disabled; the
 	// handles inside are themselves nil-safe).
 	obs *obs.QueueObs
 
-	// popped is atomic so the stall watchdog can sample consumer
-	// progress from its own goroutine; the queue itself remains
-	// single-consumer.
-	popped atomic.Uint64
+	// popped counts the records consumed so far.
+	popped uint64
 }
 
 // New creates a queue that keeps at least lookahead instructions
@@ -110,47 +107,33 @@ func New(src Producer, lookahead int) (*Queue, error) {
 	for cap_ < lookahead+1 {
 		cap_ *= 2
 	}
-	q := &Queue{src: src, buf: make([]trace.DynInst, cap_), lookahead: lookahead}
-	q.bsrc, _ = src.(BatchProducer)
-	return q, nil
+	return &Queue{src: src, buf: make([]trace.DynInst, cap_), lookahead: lookahead}, nil
 }
 
 // SetObs attaches the instrumentation bundle; nil detaches it. The
 // uninstrumented hot path pays one nil check per operation.
 func (q *Queue) SetObs(o *obs.QueueObs) { q.obs = o }
 
+// fill refills the ring up to target records (at most its capacity),
+// handing the producer contiguous ring segments — at most two per wrap
+// — instead of one slot per call. The record sequence, and therefore
+// every simulated statistic, is that of per-record Next calls.
 func (q *Queue) fill(target int) {
 	if target > len(q.buf) {
 		target = len(q.buf)
 	}
-	if q.bsrc != nil {
-		// Batched refill: hand the producer contiguous ring segments (at
-		// most two per wrap) instead of one slot per interface call. The
-		// record sequence — and therefore every simulated statistic — is
-		// identical to the per-record path.
-		for !q.done && q.n < target {
-			w := (q.head + q.n) & (len(q.buf) - 1)
-			k := target - q.n
-			if room := len(q.buf) - w; k > room {
-				k = room
-			}
-			got := q.bsrc.NextBatch(q.buf[w : w+k])
-			if got == 0 {
-				q.done = true
-				return
-			}
-			q.n += got
-		}
-		return
-	}
 	for !q.done && q.n < target {
-		di, ok := q.src.Next()
-		if !ok {
+		w := (q.head + q.n) & (len(q.buf) - 1)
+		k := target - q.n
+		if room := len(q.buf) - w; k > room {
+			k = room
+		}
+		got := NextBatchOf(q.src, q.buf[w:w+k])
+		if got == 0 {
 			q.done = true
 			return
 		}
-		q.buf[(q.head+q.n)&(len(q.buf)-1)] = di
-		q.n++
+		q.n += got
 	}
 }
 
@@ -177,24 +160,6 @@ func (q *Queue) grow(min int) bool {
 	return true
 }
 
-// Pop removes and returns the next instruction; ok is false when the
-// program has ended.
-func (q *Queue) Pop() (trace.DynInst, bool) {
-	q.fill(q.lookahead)
-	if q.obs != nil {
-		q.obs.Occupancy.Observe(uint64(q.n))
-	}
-	if q.n == 0 {
-		return trace.DynInst{}, false
-	}
-	di := q.buf[q.head]
-	q.buf[q.head] = trace.DynInst{} // release any attached WP stream
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	q.popped.Add(1)
-	return di, true
-}
-
 // PopBatch removes up to len(dst) instructions into dst and returns
 // how many were written; 0 means the program has ended. The batch
 // stops after (and includes) an Exit record, so records beyond a
@@ -202,11 +167,12 @@ func (q *Queue) Pop() (trace.DynInst, bool) {
 // would leave behind.
 //
 // Refill discipline: the pull pattern from the producer is identical
-// to len(dst) successive Pops — the queue tops up to the lookahead
-// target before copying and restores the lookahead-1 steady state
-// afterwards — so the functional side executes exactly as many
-// instructions as it would under per-instruction consumption, keeping
-// batched results bit-identical (including FunctionalInsts).
+// to len(dst) successive per-record pops (each topping up to the
+// lookahead first) — the queue tops up to the lookahead target before
+// copying and restores the lookahead-1 steady state afterwards — so
+// the functional side executes exactly as many instructions as it
+// would under per-instruction consumption, keeping batched results
+// bit-identical (including FunctionalInsts).
 func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	if len(dst) == 0 {
 		return 0
@@ -248,7 +214,7 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	}
 	q.head = (q.head + n) & mask
 	q.n -= n
-	q.popped.Add(uint64(n))
+	q.popped += uint64(n)
 	// Restore the per-instruction steady state (lookahead-1 buffered):
 	// a per-record consumer would have refilled before each of the n
 	// pops, ending one short of the target.
@@ -256,52 +222,21 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	return n
 }
 
-// Peek returns the i-th instruction ahead (0 = the one the next Pop
-// returns) without consuming it, refilling from the producer — and
-// growing the ring, up to MaxCapacity — as needed. ok is false when
-// fewer than i+1 instructions remain in the program, or when i is
-// beyond the capacity ceiling (counted as a clipped peek).
-func (q *Queue) Peek(i int) (trace.DynInst, bool) {
-	if q.obs != nil {
-		q.obs.PeekDepth.Observe(uint64(i))
-	}
-	if i >= len(q.buf) && !q.grow(i+1) {
-		if q.obs != nil {
-			if !q.done {
-				// The producer may still have instructions; the refusal
-				// is the ceiling's doing, not the program end's.
-				q.obs.PeekClipped.Inc()
-			}
-			q.obs.PeekMiss.Inc()
-		}
-		return trace.DynInst{}, false
-	}
-	if i >= q.n {
-		q.fill(i + 1)
-		if i >= q.n {
-			if q.obs != nil {
-				q.obs.PeekMiss.Inc()
-			}
-			return trace.DynInst{}, false
-		}
-	}
-	return q.buf[(q.head+i)&(len(q.buf)-1)], true
-}
-
 // PeekWindow returns a contiguous read-only view of the buffered
-// future instructions starting at index i (same indexing as Peek), at
-// most max records and at most up to the ring's wrap point — callers
-// walk forward by re-requesting at i+len(window). An empty window
-// means what a false Peek(i) means: program end past i, or i beyond
-// the capacity ceiling.
+// future instructions starting at index i (0 = the next record
+// PopBatch returns), at most max records and at most up to the ring's
+// wrap point — callers walk forward by re-requesting at
+// i+len(window). An empty window means program end past i, or i
+// beyond the capacity ceiling (counted as a clipped peek), and the
+// ring grows, up to MaxCapacity, for deeper peeks.
 //
-// Refill parity: the window only refills the producer up to i+1 (like
-// Peek) and otherwise serves what is already buffered, so a windowed
-// walk pulls exactly the records a peek-by-one walk would have pulled
-// — the guarantee that keeps batched convergence searches bit-exact.
+// Refill parity: the window only refills the producer up to i+1 and
+// otherwise serves what is already buffered, so a windowed walk pulls
+// exactly the records a peek-by-one walk would have pulled — the
+// guarantee that keeps batched convergence searches bit-exact.
 //
 // The returned slice aliases the ring: it stays valid until the next
-// Pop/PopBatch (deeper peeks may re-ring the buffer, but the old
+// PopBatch (deeper peeks may re-ring the buffer, but the old
 // backing array keeps its records, so earlier windows stay readable).
 func (q *Queue) PeekWindow(i, max int) []trace.DynInst {
 	if i < 0 || max < 1 {
@@ -343,9 +278,8 @@ func (q *Queue) PeekWindow(i, max int) []trace.DynInst {
 // Len returns the number of currently buffered instructions.
 func (q *Queue) Len() int { return q.n }
 
-// Popped returns the number of instructions consumed so far. It is
-// safe to call concurrently with Pop (the watchdog samples it).
-func (q *Queue) Popped() uint64 { return q.popped.Load() }
+// Popped returns the number of instructions consumed so far.
+func (q *Queue) Popped() uint64 { return q.popped }
 
 // Lookahead returns the guaranteed fill target.
 func (q *Queue) Lookahead() int { return q.lookahead }

@@ -10,6 +10,57 @@ import (
 	"repro/internal/trace"
 )
 
+// Pop removes and returns the next instruction; ok is false when the
+// program has ended. Pop and Peek are the per-record reference that
+// PopBatch and PeekWindow are checked against.
+func (q *Queue) Pop() (trace.DynInst, bool) {
+	q.fill(q.lookahead)
+	if q.obs != nil {
+		q.obs.Occupancy.Observe(uint64(q.n))
+	}
+	if q.n == 0 {
+		return trace.DynInst{}, false
+	}
+	di := q.buf[q.head]
+	q.buf[q.head] = trace.DynInst{} // release any attached WP stream
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	q.popped++
+	return di, true
+}
+
+// Peek returns the i-th instruction ahead (0 = the one the next Pop
+// returns) without consuming it, refilling from the producer — and
+// growing the ring, up to MaxCapacity — as needed. ok is false when
+// fewer than i+1 instructions remain in the program, or when i is
+// beyond the capacity ceiling (counted as a clipped peek).
+func (q *Queue) Peek(i int) (trace.DynInst, bool) {
+	if q.obs != nil {
+		q.obs.PeekDepth.Observe(uint64(i))
+	}
+	if i >= len(q.buf) && !q.grow(i+1) {
+		if q.obs != nil {
+			if !q.done {
+				// The producer may still have instructions; the refusal
+				// is the ceiling's doing, not the program end's.
+				q.obs.PeekClipped.Inc()
+			}
+			q.obs.PeekMiss.Inc()
+		}
+		return trace.DynInst{}, false
+	}
+	if i >= q.n {
+		q.fill(i + 1)
+		if i >= q.n {
+			if q.obs != nil {
+				q.obs.PeekMiss.Inc()
+			}
+			return trace.DynInst{}, false
+		}
+	}
+	return q.buf[(q.head+i)&(len(q.buf)-1)], true
+}
+
 // sliceProducer yields a fixed sequence.
 type sliceProducer struct {
 	seq []trace.DynInst

@@ -18,7 +18,8 @@ const snapshotVersion = 1
 // producer-exhausted flag, the pop counter, and the live ring contents
 // in pop order. The ring's physical layout (capacity, head index) is
 // not state: a load rewrites the records densely from index 0, which is
-// observationally identical to the old ring for every Pop/Peek.
+// observationally identical to the old ring for every PopBatch and
+// PeekWindow.
 func (q *Queue) State(s *checkpoint.Stream) {
 	s.Section("queue/Queue", snapshotVersion)
 	layout := trace.SnapshotVersion()
@@ -27,11 +28,9 @@ func (q *Queue) State(s *checkpoint.Stream) {
 	}
 	s.Dim(q.lookahead)
 	s.Bool(&q.done)
-	popped := q.popped.Load()
-	s.Uint64(&popped)
+	s.Uint64(&q.popped)
 	n := s.Count(q.n, trace.MinStateBytes)
 	if s.Loading() {
-		q.popped.Store(popped)
 		if n >= len(q.buf) && !q.grow(n+1) {
 			s.Fail(fmt.Errorf("queue: snapshot's %d buffered records exceed capacity ceiling", n))
 			return

@@ -543,7 +543,6 @@ func TestFingerprintResolvesDefaults(t *testing.T) {
 	for _, other := range []JobSpec{
 		{Suite: "gap", Bench: "bfs", N: 1024},
 		{Suite: "gap", Bench: "cc"},
-		{Suite: "gap", Bench: "bfs", WatchdogMS: 1},
 		{Suite: "gap", Bench: "bfs", Degrade: true},
 	} {
 		if got := other.Fingerprint(); got == fp || got == "" {

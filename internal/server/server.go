@@ -515,10 +515,10 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		}
 		// The one cacheability rule (shared with wpexp): only an
 		// addressable request's clean, non-degraded result enters the
-		// cache. A degraded or annotated document records a host-timing
-		// event (a watchdog stall, a ladder descent), so it is not a pure
-		// function of the spec and a later identical submission could
-		// legitimately complete clean. Coalesced followers still share it
+		// cache. A degraded or annotated document records an event
+		// outside the spec (a timeout, a ladder descent), so it is not a
+		// pure function of the spec and a later identical submission
+		// could legitimately complete clean. Coalesced followers still share it
 		// — they joined this execution — but the cache never replays it.
 		// The entry is stored before the job reads done, so a client that
 		// sees done also finds the entry.

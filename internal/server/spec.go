@@ -16,7 +16,6 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/workloads/catalog"
@@ -50,9 +49,6 @@ type JobSpec struct {
 	Seed   uint64  `json:"seed,omitempty"`
 	Scale  float64 `json:"scale,omitempty"`
 
-	// WatchdogMS arms the stall watchdog with this budget (0 =
-	// disabled).
-	WatchdogMS int64 `json:"watchdog_ms,omitempty"`
 	// Degrade arms the graceful-degradation ladder: on a recoverable
 	// fault the job re-runs one technique rung down and its status
 	// reports the descent (the job-level mirror of exit code 3).
@@ -87,8 +83,8 @@ func (sp JobSpec) request() (sim.Request, error) {
 	switch {
 	case !ok:
 		return sim.Request{}, fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
-	case sp.WatchdogMS < 0 || sp.TimeoutMS < 0:
-		return sim.Request{}, fmt.Errorf("negative watchdog_ms/timeout_ms")
+	case sp.TimeoutMS < 0:
+		return sim.Request{}, fmt.Errorf("negative timeout_ms")
 	case sp.MaxRetries < 0 || sp.Batch < 0:
 		return sim.Request{}, fmt.Errorf("negative max_retries/batch")
 	}
@@ -96,7 +92,6 @@ func (sp JobSpec) request() (sim.Request, error) {
 	cfg.MaxInsts = sp.MaxInsts
 	cfg.WarmupInsts = sp.WarmupInsts
 	cfg.Core.Batch = sp.Batch
-	cfg.Watchdog = time.Duration(sp.WatchdogMS) * time.Millisecond
 	if sp.Degrade {
 		cfg.Degrade.MaxRetries = sp.MaxRetries
 		if cfg.Degrade.MaxRetries == 0 {

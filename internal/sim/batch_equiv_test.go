@@ -3,7 +3,6 @@ package sim
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
@@ -71,34 +70,6 @@ func TestBatchWithParallelFrontendBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(stripHost(got), stripHost(ref)) {
 			t.Errorf("%v: batched parallel frontend diverges from serial per-instruction run", k)
-		}
-	}
-}
-
-// TestBatchWithWatchdogBitIdentical: arming the watchdog interposes the
-// per-record progress tap (the producer side deliberately drops batched
-// refills so stall snapshots stay exact); consumer-side lanes must
-// still yield identical results, idle watchdog or not, at any size.
-func TestBatchWithWatchdogBitIdentical(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	for _, k := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
-		refCfg := Default(k)
-		refCfg.Core.Batch = 1
-		ref, err := Run(refCfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Default(k)
-		cfg.Watchdog = time.Minute
-		got, err := Run(cfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Err != nil {
-			t.Fatalf("%v: idle watchdog fired: %v", k, got.Err)
-		}
-		if !reflect.DeepEqual(stripHost(got), stripHost(ref)) {
-			t.Errorf("%v: batched run under an idle watchdog diverges from per-instruction", k)
 		}
 	}
 }

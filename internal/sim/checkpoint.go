@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,8 +25,8 @@ type stateSource interface {
 // explaining why the source cannot checkpoint. Wrapped sources (fault
 // injectors, stream filters) are rejected explicitly even though their
 // embedded Source would promote the methods: the wrapper's own state —
-// which bytes it already corrupted, where its freeze point sits — is
-// not captured, so a restore through it would silently diverge.
+// which bytes it already corrupted, where its panic point sits — is not
+// captured, so a restore through it would silently diverge.
 func checkpointState(src Source) (stateSource, error) {
 	if _, ok := src.(*wrappedSource); ok {
 		return nil, simerr.Unsupported("configuring checkpointing",
@@ -182,32 +181,4 @@ func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) e
 		s.policy.Stats().State(st)
 	}
 	return st.Err()
-}
-
-// canceler is the cancellation watcher: a goroutine that interrupts the
-// source when the run's context is done, unblocking a producer stuck in
-// channel or I/O waits. The prompt-stop path is the core's lane hook
-// polling the context; this goroutine only exists to release blocked
-// waits. stop must be called exactly once.
-type canceler struct {
-	done chan struct{}
-	ack  chan struct{}
-}
-
-func startCanceler(ctx context.Context, src Source) *canceler {
-	c := &canceler{done: make(chan struct{}), ack: make(chan struct{})}
-	go func() {
-		defer close(c.ack)
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			interrupt(src)
-		}
-	}()
-	return c
-}
-
-func (c *canceler) stop() {
-	close(c.done)
-	<-c.ack
 }

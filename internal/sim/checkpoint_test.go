@@ -217,7 +217,7 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 // cursor; a killed replay resumes over a fresh reader of the same bytes
 // and matches the uninterrupted replay bit-for-bit.
 func TestResumeTraceBitIdentical(t *testing.T) {
-	trace := traceOpener(recordTrace(t))
+	trace := recordTrace(t)
 	cfg := Default(wrongpath.Conv)
 	cfg.MaxInsts = 30_000
 	base, _, err := Execute(Request{Config: cfg, Trace: trace})
@@ -360,7 +360,7 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 // wpemul (which needs a functional source) on a trace input.
 func TestCheckpointStateRoundTrip(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
-	trace := traceOpener(recordTrace(t))
+	trace := recordTrace(t)
 	for _, k := range wrongpath.Kinds() {
 		reqs := map[string]Request{"gap": {Workload: &w}}
 		if k != wrongpath.WPEmul {

@@ -15,18 +15,6 @@ type Clock interface {
 	Now() time.Time
 }
 
-// AfterClock is the optional Clock extension the stall watchdog needs:
-// a timer channel. A Config.Clock that implements it drives the
-// watchdog deterministically (the frozen-producer tests tick the
-// channel themselves); one that does not falls back to the wall clock
-// for watchdog timing only — Result.Wall still uses the configured
-// Clock.
-type AfterClock interface {
-	Clock
-	// After returns a channel that delivers one time value after d.
-	After(d time.Duration) <-chan time.Time
-}
-
 // wallClock is the real clock used when Config.Clock is nil. It is the
 // one approved wall-time shim in the simulation packages.
 type wallClock struct{}
@@ -34,10 +22,6 @@ type wallClock struct{}
 func (wallClock) Now() time.Time {
 	return time.Now() //wplint:allow determinism -- the single approved wall-clock shim behind the Clock interface
 }
-
-// After implements AfterClock with a real timer; the watchdog is the
-// only consumer and never influences simulated statistics.
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // FixedClock is a deterministic Clock for tests: every Now call
 // advances the reported time by Step.

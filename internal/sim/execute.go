@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"repro/internal/checkpoint"
-	"repro/internal/queue"
 	"repro/internal/simerr"
+	"repro/internal/tracefile"
 	"repro/internal/workloads"
 	"repro/internal/wrongpath"
 )
@@ -22,10 +23,11 @@ type Request struct {
 	// Workload is the live-functional input; a fresh instance is built
 	// for every attempt.
 	Workload *workloads.Workload
-	// Trace is the recorded-trace input: it reopens the trace at its
-	// first record for every attempt (a *tracefile.Reader over the same
-	// bytes, typically).
-	Trace func() (queue.Producer, error)
+	// Trace is the recorded-trace input: a trace file's bytes, as
+	// tracefile.Record writes them. Every attempt replays a fresh
+	// tracefile.Reader from the first record, and the bytes' SHA-256 is
+	// the input's identity.
+	Trace []byte
 	// Resume makes the first attempt restore the newest snapshot in
 	// CheckpointDir (see Execute for the one resume rule).
 	Resume bool
@@ -51,14 +53,12 @@ func (p DegradePolicy) Enabled() bool { return p.MaxRetries > 0 }
 
 // Recoverable reports whether a fault class is survivable one rung down
 // the ladder: a capability the lower technique does not need
-// (ErrUnsupported), a wedged run-ahead the lower technique does not
-// exercise (ErrStall), or a contained crash worth one more attempt
+// (ErrUnsupported) or a contained crash worth one more attempt
 // (ErrWorkerPanic). Trace corruption is NOT recoverable by re-running —
 // the same bytes fail again — and is handled by keeping the valid
 // prefix instead (see Execute).
 func Recoverable(err error) bool {
 	return errors.Is(err, simerr.ErrUnsupported) ||
-		errors.Is(err, simerr.ErrStall) ||
 		errors.Is(err, simerr.ErrWorkerPanic)
 }
 
@@ -215,11 +215,11 @@ func (req *Request) session(cfg *Config) (*Session, Source, error) {
 		}
 		src = NewFunctionalSource(*cfg, inst)
 	} else {
-		p, err := req.Trace()
+		r, err := tracefile.NewReader(bytes.NewReader(req.Trace))
 		if err != nil {
 			return nil, nil, err
 		}
-		src = NewTraceSource(p)
+		src = NewTraceSource(r)
 	}
 	if req.Wrap != nil {
 		src = req.Wrap(src, *cfg)

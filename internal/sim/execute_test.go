@@ -7,11 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/checkpoint"
-	"repro/internal/queue"
 	"repro/internal/simerr"
 	"repro/internal/tracefile"
 	"repro/internal/workloads"
@@ -41,13 +41,6 @@ func sweep(t *testing.T, cfg Config, w workloads.Workload, kinds []wrongpath.Kin
 		out[i] = r.Value
 	}
 	return out
-}
-
-// traceOpener reopens an in-memory trace at its first record.
-func traceOpener(data []byte) func() (queue.Producer, error) {
-	return func() (queue.Producer, error) {
-		return tracefile.NewReader(bytes.NewReader(data))
-	}
 }
 
 // copySnapshot places a copy of the snapshot at src (optionally mangled)
@@ -116,9 +109,9 @@ func TestExecuteResumeRule(t *testing.T) {
 				return res
 			}},
 		{"trace",
-			func(c Config) Request { return Request{Config: c, Trace: traceOpener(trace)} },
+			func(c Config) Request { return Request{Config: c, Trace: trace} },
 			func(c Config) *Result {
-				p, err := traceOpener(trace)()
+				p, err := tracefile.NewReader(bytes.NewReader(trace))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,7 +187,7 @@ func TestExecuteNeedsOneInput(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	for _, req := range []Request{
 		{Config: Default(wrongpath.Conv)},
-		{Config: Default(wrongpath.Conv), Workload: &w, Trace: traceOpener(nil)},
+		{Config: Default(wrongpath.Conv), Workload: &w, Trace: []byte{}},
 	} {
 		if _, _, err := Execute(req); !errors.Is(err, simerr.ErrConfig) {
 			t.Errorf("err = %v, want ErrConfig", err)
@@ -226,22 +219,25 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 // resumeInto writes snapshots for from, then resumes to over the same
 // directory: the snapshot belongs to another input, so the run must
 // start from zero and equal a fresh run of to.
-func resumeInto(t *testing.T, from, to workloads.Workload) {
+func resumeInto(t *testing.T, from, to Request) {
 	t.Helper()
 	cfg := chaosConfig(wrongpath.Conv, 64)
-	fresh, _, err := Execute(Request{Config: cfg, Workload: &to})
+	to.Config = cfg
+	fresh, _, err := Execute(to)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEvery = 16_000
-	writeSnapshots(t, Request{Config: cfg, Workload: &from})
-	res, resumed, err := Execute(Request{Config: cfg, Workload: &to, Resume: true})
+	from.Config, to.Config = cfg, cfg
+	writeSnapshots(t, from)
+	to.Resume = true
+	res, resumed, err := Execute(to)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed {
-		t.Errorf("%s/%s resumed from a %s/%s snapshot", to.Name, to.Input, from.Name, from.Input)
+		t.Error("resumed from another input's snapshot")
 	}
 	if !reflect.DeepEqual(stripWall(fresh), stripWall(res)) {
 		t.Errorf("result diverges from a fresh run\nfresh: %+v\ngot:   %+v", stripWall(fresh), stripWall(res))
@@ -251,7 +247,8 @@ func resumeInto(t *testing.T, from, to workloads.Workload) {
 // TestExecuteResumeRejectsOtherWorkload: a bfs snapshot must not
 // continue a cc run with the same budgets.
 func TestExecuteResumeRejectsOtherWorkload(t *testing.T) {
-	resumeInto(t, gap.BFS(gap.TestParams()), gap.CC(gap.TestParams()))
+	bfs, cc := gap.BFS(gap.TestParams()), gap.CC(gap.TestParams())
+	resumeInto(t, Request{Workload: &bfs}, Request{Workload: &cc})
 }
 
 // TestExecuteResumeRejectsOtherInput: a bfs snapshot over one graph
@@ -259,5 +256,44 @@ func TestExecuteResumeRejectsOtherWorkload(t *testing.T) {
 func TestExecuteResumeRejectsOtherInput(t *testing.T) {
 	small, big := gap.TestParams(), gap.TestParams()
 	big.N *= 2
-	resumeInto(t, gap.BFS(small), gap.BFS(big))
+	a, b := gap.BFS(small), gap.BFS(big)
+	resumeInto(t, Request{Workload: &a}, Request{Workload: &b})
+}
+
+// TestExecuteResumeRejectsOtherTrace: a replay of a bfs trace must not
+// continue a replay of a cc trace — the trace bytes are the input.
+func TestExecuteResumeRejectsOtherTrace(t *testing.T) {
+	bfs, cc := gap.BFS(gap.TestParams()), gap.CC(gap.TestParams())
+	resumeInto(t, Request{Trace: recordWorkload(t, bfs)}, Request{Trace: recordWorkload(t, cc)})
+}
+
+// TestExecuteStartsNoGoroutine: a cancellable, checkpointed run stays on
+// the caller's goroutine — cancellation is polled at lane boundaries,
+// not watched from a second goroutine.
+func TestExecuteStartsNoGoroutine(t *testing.T) {
+	w := gap.BFS(gap.TestParams())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := chaosConfig(wrongpath.Conv, 64)
+	cfg.Ctx = ctx
+	cfg.CheckpointDir = t.TempDir()
+	cfg.CheckpointEvery = 8_000
+	before := runtime.NumGoroutine()
+	var during []int
+	cfg.OnCheckpoint = func(uint64, string) { during = append(during, runtime.NumGoroutine()) }
+	res, _, err := Execute(Request{Config: cfg, Workload: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if len(during) == 0 {
+		t.Fatal("the run wrote no snapshot")
+	}
+	for i, n := range during {
+		if n > before {
+			t.Errorf("snapshot %d: %d goroutines during the run, %d before it", i, n, before)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/frontend"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/simerr"
 	"repro/internal/tracefile"
+	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
@@ -19,127 +19,23 @@ import (
 // recordTrace records the BFS test workload into an in-memory trace.
 func recordTrace(t *testing.T) []byte {
 	t.Helper()
-	inst := gap.BFS(gap.TestParams()).MustBuild()
+	return recordWorkload(t, gap.BFS(gap.TestParams()))
+}
+
+// recordWorkload records w into an in-memory trace.
+func recordWorkload(t *testing.T, w workloads.Workload) []byte {
+	t.Helper()
+	inst := w.MustBuild()
 	fe := frontend.New(functional.New(inst.Prog, inst.Mem, inst.StackTop))
 	var buf bytes.Buffer
-	w, err := tracefile.NewWriter(&buf)
+	tw, err := tracefile.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracefile.Record(fe, w); err != nil {
+	if _, err := tracefile.Record(fe, tw); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// stallClock drives the watchdog deterministically: Now is a fixed
-// clock, and every After channel fires once the trigger (the Freezer's
-// Frozen signal) is closed — so the watchdog samples exactly from the
-// moment the injected freeze engages.
-type stallClock struct {
-	fc   FixedClock
-	trig <-chan struct{}
-}
-
-func (c *stallClock) Now() time.Time { return c.fc.Now() }
-
-func (c *stallClock) After(time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	go func() {
-		<-c.trig
-		ch <- time.Time{}
-	}()
-	return ch
-}
-
-// runFrozen runs the BFS workload with a producer frozen at the n-th
-// instruction and a watchdog on the deterministic stall clock.
-func runFrozen(t *testing.T, n uint64) *Result {
-	t.Helper()
-	cfg := Default(wrongpath.Conv)
-	inst := gap.BFS(gap.TestParams()).MustBuild()
-	var fz *faultinject.Freezer
-	src := WrapSource(NewFunctionalSource(cfg, inst), func(p queue.Producer) queue.Producer {
-		fz = faultinject.FreezeAt(p, n)
-		return fz
-	})
-	cfg.Clock = &stallClock{trig: fz.Frozen()}
-	cfg.Watchdog = time.Second // interval semantics come from the stall clock
-	s, err := NewSession(cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.Run()
-}
-
-// TestWatchdogFiresDeterministicallyOnFrozenProducer: the acceptance
-// scenario. A frozen producer must not hang the run: the watchdog
-// detects the stall, interrupts the source, and the Result carries a
-// typed ErrStall with a deterministic diagnostic snapshot — identical
-// across repeated runs.
-func TestWatchdogFiresDeterministicallyOnFrozenProducer(t *testing.T) {
-	const freezeAt = 500
-	a := runFrozen(t, freezeAt)
-	if !errors.Is(a.Err, simerr.ErrStall) {
-		t.Fatalf("Result.Err = %v, want ErrStall class", a.Err)
-	}
-	var f *simerr.Fault
-	if !errors.As(a.Err, &f) {
-		t.Fatal("stall error is not a *simerr.Fault")
-	}
-	if f.Fetched != freezeAt-1 {
-		t.Errorf("snapshot fetched = %d, want %d (instructions before the freeze)", f.Fetched, freezeAt-1)
-	}
-	if f.PC == 0 {
-		t.Error("snapshot carries no PC")
-	}
-	if f.Consumed > f.Fetched {
-		t.Errorf("snapshot consumed %d > fetched %d", f.Consumed, f.Fetched)
-	}
-	if f.Technique != "conv" {
-		t.Errorf("snapshot technique = %q, want conv", f.Technique)
-	}
-
-	b := runFrozen(t, freezeAt)
-	var g *simerr.Fault
-	if !errors.As(b.Err, &g) {
-		t.Fatalf("second run: Err = %v", b.Err)
-	}
-	if f.Fetched != g.Fetched || f.Consumed != g.Consumed || f.PC != g.PC {
-		t.Errorf("watchdog snapshot not deterministic:\n run1 fetched=%d consumed=%d pc=%#x\n run2 fetched=%d consumed=%d pc=%#x",
-			f.Fetched, f.Consumed, f.PC, g.Fetched, g.Consumed, g.PC)
-	}
-}
-
-// TestWatchdogIdleBitIdentical: an armed-but-never-firing watchdog must
-// not perturb any simulated statistic — the fault-tolerance layer costs
-// nothing on the fault-free path.
-func TestWatchdogIdleBitIdentical(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	for _, k := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
-		plain, err := Run(Default(k), w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Default(k)
-		cfg.Watchdog = time.Minute
-		watched, err := Run(cfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if watched.Err != nil {
-			t.Fatalf("%v: idle watchdog produced a fault: %v", k, watched.Err)
-		}
-		if plain.Core != watched.Core || plain.Policy != watched.Policy {
-			t.Errorf("%v: idle watchdog changed simulated statistics", k)
-		}
-		if plain.L1D != watched.L1D || plain.LLC != watched.LLC {
-			t.Errorf("%v: idle watchdog changed cache statistics", k)
-		}
-		if plain.FunctionalInsts != watched.FunctionalInsts {
-			t.Errorf("%v: idle watchdog changed functional instruction count", k)
-		}
-	}
 }
 
 // TestLadderDegradesUnsupported: wpemul on a trace source is the
@@ -149,7 +45,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	data := recordTrace(t)
 	cfg := Default(wrongpath.WPEmul)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, _, err := Execute(Request{Config: cfg, Trace: traceOpener(data)})
+	res, _, err := Execute(Request{Config: cfg, Trace: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +57,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	}
 
 	// The degraded cell must equal a direct conv replay bit-for-bit.
-	direct, _, err := Execute(Request{Config: Default(wrongpath.Conv), Trace: traceOpener(data)})
+	direct, _, err := Execute(Request{Config: Default(wrongpath.Conv), Trace: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +70,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 // capability fault surfaces as a typed error, same as before.
 func TestLadderDisabledStillRejectsUnsupported(t *testing.T) {
 	data := recordTrace(t)
-	_, _, err := Execute(Request{Config: Default(wrongpath.WPEmul), Trace: traceOpener(data)})
+	_, _, err := Execute(Request{Config: Default(wrongpath.WPEmul), Trace: data})
 	if !errors.Is(err, simerr.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported class", err)
 	}
@@ -188,7 +84,7 @@ func TestLadderKeepsCorruptPrefix(t *testing.T) {
 	cut := faultinject.Truncate(data, int64(len(data)-3)) // mid-record: records are >= 8 bytes
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, _, err := Execute(Request{Config: cfg, Trace: traceOpener(cut)})
+	res, _, err := Execute(Request{Config: cfg, Trace: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,36 +154,6 @@ func TestLadderExhaustsToTypedError(t *testing.T) {
 	}
 	if !errors.Is(err, simerr.ErrWorkerPanic) {
 		t.Fatalf("err = %v, want ErrWorkerPanic class", err)
-	}
-}
-
-// TestLadderStallDegrades: a stall on the requested rung (frozen
-// producer + watchdog) degrades to the next rung when the fault
-// injector targets only the first attempt. The watchdog runs on the
-// wall clock with a short budget: the freeze is permanent, so the
-// outcome (fire, interrupt, degrade) is deterministic even though the
-// firing instant is not.
-func TestLadderStallDegrades(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	cfg := Default(wrongpath.Conv)
-	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	cfg.Watchdog = 100 * time.Millisecond
-	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, c Config) Source {
-		if c.WP != wrongpath.Conv {
-			return src
-		}
-		return WrapSource(src, func(p queue.Producer) queue.Producer {
-			return faultinject.FreezeAt(p, 200)
-		})
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.WP != wrongpath.InstRec {
-		t.Fatalf("stall did not degrade: degraded=%v WP=%v err=%v", res.Degraded, res.WP, res.Err)
-	}
-	if !errors.Is(res.DegradeFault, simerr.ErrStall) {
-		t.Errorf("DegradeFault = %v, want ErrStall cause", res.DegradeFault)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"sort"
 	"sync"
@@ -28,9 +30,8 @@ var identityExclusions = map[string]string{
 // snapshotExclusions are also left out of a snapshot's identity: the
 // degradation ladder resumes a snapshot one technique rung down.
 var snapshotExclusions = map[string]string{
-	"WP":       "TestExecuteResumeRule",
-	"Watchdog": "TestWatchdogIdleBitIdentical",
-	"Degrade":  "TestExecuteResumeRule",
+	"WP":      "TestExecuteResumeRule",
+	"Degrade": "TestExecuteResumeRule",
 }
 
 // field is one compiled Config field: its name, its index in the
@@ -74,15 +75,15 @@ func compile(t reflect.Type, prefix string, extra map[string]string) []field {
 }
 
 // Fingerprint is the request's content address: the specfp hash of the
-// workload's suite, name and Input and of every Config field outside
-// identityExclusions, so equal fingerprints mean equal result bytes. It
-// is "" for a request that is not addressable — a trace, a workload
-// without an Input, a set Wrap or PolicyFactory — which caches bypass.
+// input (the workload's suite, name and Input, or the trace bytes'
+// SHA-256) and of every Config field outside identityExclusions, so
+// equal fingerprints mean equal result bytes. It is "" for a request
+// that is not addressable — a workload without an Input, a set Wrap or
+// PolicyFactory — which caches bypass.
 func (r Request) Fingerprint() string { return r.identity(&r.Config, false) }
 
 // identity builds the fingerprint of r run under cfg or, with snapshot
-// set, the identity stamped into snapshots. A trace has no input
-// identity, so its snapshots are tied to the configuration alone.
+// set, the identity stamped into snapshots.
 func (r *Request) identity(cfg *Config, snapshot bool) string {
 	if r.Wrap != nil {
 		return ""
@@ -98,8 +99,9 @@ func (r *Request) identity(cfg *Config, snapshot bool) string {
 		b.String("suite", w.Suite)
 		b.String("name", w.Name)
 		b.String("input", w.Input)
-	case w == nil && snapshot:
-		b.String("input", "trace")
+	case w == nil && r.Trace != nil:
+		sum := sha256.Sum256(r.Trace)
+		b.String("trace_sha256", hex.EncodeToString(sum[:]))
 	default:
 		return ""
 	}

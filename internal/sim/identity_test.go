@@ -197,7 +197,6 @@ func TestFingerprintUnaddressable(t *testing.T) {
 		"no input":       {Config: Default(wrongpath.Conv), Workload: &anon},
 		"policy factory": {Config: policy, Workload: &w},
 		"wrap":           {Config: Default(wrongpath.Conv), Workload: &w, Wrap: func(s Source, _ Config) Source { return s }},
-		"trace":          {Config: Default(wrongpath.Conv), Trace: traceOpener(nil)},
 	} {
 		if fp := req.Fingerprint(); fp != "" {
 			t.Errorf("%s: fingerprint %q, want unaddressable", name, fp)
@@ -206,9 +205,9 @@ func TestFingerprintUnaddressable(t *testing.T) {
 }
 
 // TestFingerprintSeparatesInputsAndPredictors: the workload, its input
-// parameters, and examples/predictorstudy's "default" and "perfect
-// (oracle)" predictors (which Table I renders identically) each get
-// their own address.
+// parameters, the "default" and "perfect (oracle)" predictors (which
+// Table I renders identically) and two recorded traces each get their
+// own address.
 func TestFingerprintSeparatesInputsAndPredictors(t *testing.T) {
 	fp := func(w func(gap.Params) workloads.Workload, p gap.Params, kind branch.PredictorKind) string {
 		wl := w(p)
@@ -229,5 +228,10 @@ func TestFingerprintSeparatesInputsAndPredictors(t *testing.T) {
 		if other == base {
 			t.Errorf("%s shares the address of bfs n=8192 with the default predictor", name)
 		}
+	}
+	bfs := Request{Config: Default(wrongpath.Conv), Trace: recordTrace(t)}.Fingerprint()
+	cc := Request{Config: Default(wrongpath.Conv), Trace: recordWorkload(t, gap.CC(gap.TestParams()))}.Fingerprint()
+	if bfs == "" || bfs == cc {
+		t.Errorf("bfs and cc traces get addresses %q and %q, want two distinct ones", bfs, cc)
 	}
 }

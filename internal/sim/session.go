@@ -18,7 +18,6 @@ import (
 type Session struct {
 	cfg    Config
 	src    Source
-	tap    *progressTap // non-nil iff cfg.Watchdog > 0
 	queue  *queue.Queue
 	policy wrongpath.Policy
 	core   *core.Core
@@ -58,15 +57,7 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 		}
 	}
 	s := &Session{cfg: cfg, src: src}
-	var producer queue.Producer = src
-	if cfg.Watchdog > 0 {
-		// Interpose the progress tap so the watchdog goroutine can
-		// sample production without touching the (single-consumer) queue
-		// internals.
-		s.tap = &progressTap{src: src}
-		producer = s.tap
-	}
-	q, err := queue.New(producer, cfg.lookahead())
+	q, err := queue.New(src, cfg.lookahead())
 	if err != nil {
 		return nil, err
 	}
@@ -94,26 +85,12 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 	return s, nil
 }
 
-// Run executes the warmup and measured simulation, closes the source,
-// and collects the Result. It is single-shot: the session's pipeline
-// state is consumed by the run.
-//
-// With Config.Watchdog set, a stall watchdog samples both sides of the
-// decoupling queue while the run is in flight; if it fires, the source
-// is interrupted, the run unwinds to an early end of stream, and
-// Result.Err carries the typed simerr.ErrStall diagnostic. An idle
-// watchdog leaves the Result bit-identical to an unwatched run.
+// Run executes the warmup and measured simulation on the caller's
+// goroutine, closes the source, and collects the Result. It is
+// single-shot: the session's pipeline state is consumed by the run.
 func (s *Session) Run() *Result {
 	clk := s.cfg.clock()
-	var wd *watchdog
-	if s.cfg.Watchdog > 0 {
-		wd = startWatchdog(s.cfg.watchdogClock(), s.cfg.Watchdog, s.tap, s.queue, s.src, s.cfg.WP.String(), s.view)
-	}
 	ctx := s.cfg.Ctx
-	var cn *canceler
-	if ctx != nil {
-		cn = startCanceler(ctx, s.src)
-	}
 	var ck *checkpointer
 	var ckErr error
 	if s.cfg.checkpointEnabled() {
@@ -123,8 +100,8 @@ func (s *Session) Run() *Result {
 		// The lane hook is the deterministic supervision point: snapshots
 		// are written exactly at lane boundaries (the only instant the
 		// core's transient state is empty), and cancellation is honored
-		// there even when the source never blocks (so the canceler's
-		// interrupt alone would not stop it).
+		// there. It is the one cancellation mechanism; the parallel
+		// frontend's producer goroutine selects on the same context.
 		s.core.SetLaneHook(func() bool {
 			if ck != nil {
 				ck.onLane()
@@ -141,12 +118,6 @@ func (s *Session) Run() *Result {
 	start := clk.Now()
 	stats := s.core.RunWarmup(warmup, s.cfg.MaxInsts)
 	wall := clk.Now().Sub(start)
-	if wd != nil {
-		wd.stop()
-	}
-	if cn != nil {
-		cn.stop()
-	}
 	s.src.Close()
 
 	h := s.core.Hierarchy()
@@ -177,13 +148,6 @@ func (s *Session) Run() *Result {
 			res.Err = ckErr
 		} else if ck != nil && ck.err != nil {
 			res.Err = ck.err
-		}
-	}
-	if wd != nil {
-		if ferr := wd.Fault(); ferr != nil {
-			// The stall is the root cause of whatever truncated state
-			// Collect reported; it wins the Err slot.
-			res.Err = ferr
 		}
 	}
 	if ctx != nil && ctx.Err() != nil {

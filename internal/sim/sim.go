@@ -60,22 +60,15 @@ type Config struct {
 	// nil selects the real wall clock; tests inject a fake so no
 	// simulation output ever depends on host time.
 	Clock Clock
-	// Watchdog arms the stall watchdog with this progress budget: if
-	// neither the decoupling queue's producer nor its consumer advances
-	// within one budget interval, the run aborts with a typed
-	// simerr.ErrStall fault in Result.Err. 0 disables the watchdog.
-	// Timing uses Clock when it implements AfterClock, the wall clock
-	// otherwise; an idle watchdog never influences simulated statistics.
-	Watchdog time.Duration
 	// Degrade arms Execute's graceful-degradation ladder: on a
 	// recoverable fault a job is re-run one technique rung down instead
 	// of failing the sweep. Zero value = disabled.
 	Degrade DegradePolicy
 	// Metrics is the optional observability registry; runs sample live
-	// distributions (queue occupancy, peek depth, wrong-path generation
-	// latency) into it, and Run and Execute publish the accepted
-	// result's aggregate counters exactly once. nil disables metrics; a disabled run's simulation
-	// output is bit-identical to an instrumented build's.
+	// distributions (queue occupancy, peek depth) into it, and Run and
+	// Execute publish the accepted result's aggregate counters exactly
+	// once. nil disables metrics; a disabled run's simulation output is
+	// bit-identical to an instrumented build's.
 	Metrics *obs.Registry
 	// Trace is the optional cycle-event trace sink (Chrome-trace JSON);
 	// each run emits its spans onto its own track. nil disables tracing.
@@ -83,8 +76,8 @@ type Config struct {
 	// ObsLabel names the workload in metric labels and trace track names
 	// ("gap/bfs"); Execute fills it from the workload when empty.
 	ObsLabel string
-	// Ctx, when non-nil, cancels the run: when it is done, the source is
-	// interrupted, the simulation unwinds at the next lane boundary, and
+	// Ctx, when non-nil, cancels the run: when it is done, the core's
+	// lane hook stops the simulation at the next lane boundary, and
 	// Result.Err carries a typed simerr.ErrCanceled fault. Cancellation
 	// is an instruction, not a malfunction — the degradation ladder never
 	// retries it. nil means the run cannot be canceled.
@@ -163,7 +156,7 @@ type Result struct {
 	// Err records a fault that ended the run early, if any: a
 	// functional-simulation error, a typed simerr fault from the trace
 	// reader (ErrTraceCorrupt), a recovered producer panic
-	// (ErrWorkerPanic), or a watchdog abort (ErrStall).
+	// (ErrWorkerPanic), or a cancellation (ErrCanceled).
 	Err error
 	// RequestedWP is the technique originally requested; it differs
 	// from WP when the degradation ladder re-ran the job a rung down.

@@ -101,17 +101,6 @@ func (s *functionalSource) Close() {
 	}
 }
 
-// Interrupt implements Interrupter: the stall watchdog's abort path.
-// The parallel frontend unblocks both channel sides; a synchronous
-// producer is forwarded the interrupt if it supports one.
-func (s *functionalSource) Interrupt() {
-	if s.par != nil {
-		s.par.Interrupt()
-		return
-	}
-	interrupt(s.producer)
-}
-
 // State walks the complete production-side state — frontend cursor,
 // emulation predictor copy, functional CPU and memory — by delegating
 // to the frontend. Only the synchronous mode checkpoints (the session
@@ -158,11 +147,6 @@ func (s traceSource) SupportsWPEmul() bool { return false }
 
 func (s traceSource) Close() {}
 
-// Interrupt forwards the watchdog's abort to the trace producer when it
-// supports one (faultinject wrappers do; a plain tracefile.Reader never
-// blocks, so it has no interrupt to forward).
-func (s traceSource) Interrupt() { interrupt(s.src) }
-
 // State walks the trace cursor: the number of records decoded so far.
 // The trace bytes themselves are the durable artifact; a load skips a
 // fresh reader (positioned at record 0, supporting Skip as
@@ -195,9 +179,7 @@ func (s traceSource) Collect(res *Result) {
 
 // WrapSource replaces the instruction stream of src with wrap(src),
 // keeping src's capabilities and lifecycle — the injection point for
-// fault wrappers (internal/faultinject) and stream filters. Interrupts
-// reach both the wrapper (when it is an Interrupter, e.g. a Freezer)
-// and the underlying source.
+// fault wrappers (internal/faultinject) and stream filters.
 func WrapSource(src Source, wrap func(queue.Producer) queue.Producer) Source {
 	return &wrappedSource{Source: src, producer: wrap(src)}
 }
@@ -216,9 +198,4 @@ func (w *wrappedSource) Next() (trace.DynInst, bool) { return w.producer.Next() 
 // not batch — which keeps every wrapped record passing through wrap().
 func (w *wrappedSource) NextBatch(dst []trace.DynInst) int {
 	return queue.NextBatchOf(w.producer, dst)
-}
-
-func (w *wrappedSource) Interrupt() {
-	interrupt(w.producer)
-	interrupt(w.Source)
 }

@@ -1,16 +1,15 @@
 // Package simerr defines the typed fault taxonomy of the fault-tolerant
 // simulation runtime. Every runtime fault the simulator can survive —
-// a corrupted or truncated trace, a stalled producer/consumer pair on
-// the decoupling queue, a panic inside a batch worker or the parallel
-// frontend's producer goroutine, a capability the requested technique
-// needs but the frontend cannot provide — is reported as a *Fault
+// a corrupted or truncated trace, a panic inside a batch worker or the
+// parallel frontend's producer goroutine, a capability the requested
+// technique needs but the frontend cannot provide — is reported as a *Fault
 // carrying the simulation context at the moment of the fault (workload,
 // technique, PC, instruction counts) and classified by one of the
 // errors.Is-able sentinels below.
 //
 // The classification drives the graceful-degradation ladder in
-// internal/sim: recoverable classes (ErrUnsupported, ErrStall,
-// ErrWorkerPanic) re-run the job one technique rung down
+// internal/sim: recoverable classes (ErrUnsupported, ErrWorkerPanic)
+// re-run the job one technique rung down
 // (wpemul→conv→instrec→nowp); ErrTraceCorrupt keeps the valid prefix of
 // the run and annotates it; anything else aborts the cell with the
 // typed error so a sweep never silently drops or crashes on a faulted
@@ -30,11 +29,6 @@ var (
 	// overflowed a varint, or decoded to an impossible instruction —
 	// anything other than a clean end-of-trace.
 	ErrTraceCorrupt = errors.New("trace corrupt or truncated")
-
-	// ErrStall classifies a run the progress watchdog aborted: neither
-	// the decoupling queue's producer nor its consumer advanced within
-	// the configured budget.
-	ErrStall = errors.New("simulation stalled")
 
 	// ErrWorkerPanic classifies a panic recovered inside a batch worker
 	// or the parallel frontend's producer goroutine.
@@ -68,7 +62,7 @@ var (
 // zero value of every field means "unknown / not applicable"; Error
 // renders only the fields that are set.
 type Fault struct {
-	// Kind is the sentinel class (ErrTraceCorrupt, ErrStall, ...).
+	// Kind is the sentinel class (ErrTraceCorrupt, ErrWorkerPanic, ...).
 	Kind error
 	// Op names the operation in progress ("decoding trace record",
 	// "batch job 3", "parallel frontend producer").

@@ -16,15 +16,15 @@ func TestFaultClassMatching(t *testing.T) {
 	if !errors.Is(f, cause) {
 		t.Error("Corrupt fault does not match its cause")
 	}
-	if errors.Is(f, ErrStall) || errors.Is(f, ErrWorkerPanic) {
+	if errors.Is(f, ErrUnsupported) || errors.Is(f, ErrWorkerPanic) {
 		t.Error("Corrupt fault matches an unrelated class")
 	}
 }
 
 func TestFaultMatchesThroughWrapping(t *testing.T) {
-	f := &Fault{Kind: ErrStall, Workload: "gap/bfs", Technique: "wpemul", Fetched: 1000}
+	f := &Fault{Kind: ErrUnsupported, Workload: "gap/bfs", Technique: "wpemul", Fetched: 1000}
 	wrapped := fmt.Errorf("job 3: %w", f)
-	if !errors.Is(wrapped, ErrStall) {
+	if !errors.Is(wrapped, ErrUnsupported) {
 		t.Error("fmt.Errorf wrapping loses the class")
 	}
 	var got *Fault
@@ -34,23 +34,23 @@ func TestFaultMatchesThroughWrapping(t *testing.T) {
 }
 
 func TestDegradedKeepsOriginalClass(t *testing.T) {
-	stall := &Fault{Kind: ErrStall, Workload: "gap/cc"}
-	d := Degraded("wpemul", "conv", stall)
+	unsupported := &Fault{Kind: ErrUnsupported, Workload: "gap/cc"}
+	d := Degraded("wpemul", "conv", unsupported)
 	if !errors.Is(d, ErrDegraded) {
 		t.Error("Degraded fault does not match ErrDegraded")
 	}
-	if !errors.Is(d, ErrStall) {
+	if !errors.Is(d, ErrUnsupported) {
 		t.Error("Degraded fault loses the original class")
 	}
 }
 
 func TestErrorRendering(t *testing.T) {
 	f := &Fault{
-		Kind: ErrStall, Op: "watchdog", Workload: "gap/bfs", Technique: "conv",
+		Kind: ErrCanceled, Op: "simulation run", Workload: "gap/bfs", Technique: "conv",
 		PC: 0x4000, Fetched: 17, Consumed: 12,
 	}
 	msg := f.Error()
-	for _, want := range []string{"stalled", "watchdog", "gap/bfs", "conv", "0x4000", "fetched=17", "consumed=12"} {
+	for _, want := range []string{"canceled", "simulation run", "gap/bfs", "conv", "0x4000", "fetched=17", "consumed=12"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("Error() = %q missing %q", msg, want)
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/functional"
 	"repro/internal/isa"
-	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/trace"
@@ -87,7 +86,7 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, _, err := sim.Execute(sim.Request{Config: sim.Default(k), Trace: opener(buf.Bytes())})
+		replay, _, err := sim.Execute(sim.Request{Config: sim.Default(k), Trace: buf.Bytes()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,14 +106,9 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 	}
 }
 
-// opener reopens an in-memory trace at its first record.
-func opener(data []byte) func() (queue.Producer, error) {
-	return func() (queue.Producer, error) { return tracefile.NewReader(bytes.NewReader(data)) }
-}
-
 func TestTraceRejectsWPEmul(t *testing.T) {
 	buf := recordBFS(t)
-	if _, _, err := sim.Execute(sim.Request{Config: sim.Default(wrongpath.WPEmul), Trace: opener(buf.Bytes())}); err == nil {
+	if _, _, err := sim.Execute(sim.Request{Config: sim.Default(wrongpath.WPEmul), Trace: buf.Bytes()}); err == nil {
 		t.Fatal("trace replay accepted wpemul — the paper says it cannot work")
 	}
 }
