@@ -13,8 +13,9 @@
 // wall-clock changes (the speed and parallel experiments always run
 // their timed simulations serially).
 //
-// Exit codes: 0 clean, 1 hard failure, 3 report flushed with annotated
-// cells (DEGRADED or INCOMPLETE). The observability outputs
+// Exit codes: 0 clean, 1 hard failure (including a faulted cell, named
+// in the error), 3 report flushed with INCOMPLETE cells after a
+// cancellation. The observability outputs
 // (-metrics-out, -trace-out, -pprof) flush on every exit path.
 package main
 
@@ -33,15 +34,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/resultcache"
-	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
 )
 
 // Exit codes. exitAnnotated marks a sweep whose report flushed but
-// carries fault annotations (DEGRADED or INCOMPLETE cells): nonzero so
-// CI notices, distinct from the hard-failure exit 1.
+// carries INCOMPLETE cells: nonzero so CI notices, distinct from the
+// hard-failure exit 1.
 const (
 	exitClean     = 0
 	exitFailure   = 1
@@ -68,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; report text identical at any size)")
 		verbose  = fs.Bool("v", false, "print one line per simulation run")
 		jobs     = fs.Int("jobs", 1, "batch worker count for independent simulations (0 = one per host core)")
-		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry a cell one technique rung down instead of failing the sweep (degraded cells are annotated)")
-		retries  = fs.Int("max-retries", 2, "ladder descents allowed per cell (with -degrade)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write per-cell crash-safe snapshots under this directory (empty = disabled)")
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
 		resume   = fs.Bool("resume", false, "resume each cell from its latest snapshot under -checkpoint-dir; the resumed report is byte-identical to an uninterrupted sweep")
@@ -112,9 +110,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opt.Progress = stderr
 	}
 	opt.Jobs = *jobs
-	if *degrade {
-		opt.Base.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
-	}
 	opt.Base.Config.CheckpointDir = *ckptDir
 	opt.Base.Config.CheckpointEvery = *ckptN
 	opt.Base.Resume = *resume
@@ -166,8 +161,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// outputs, and the Faulted check below exits annotated.
 		fmt.Fprintf(stderr, "wpexp: %v\n", err)
 	}
-	// The report flushed, but some cells are annotated (DEGRADED or
-	// INCOMPLETE): tell CI without discarding the partial output.
+	// The report flushed, but some cells are INCOMPLETE: tell CI
+	// without discarding the partial output.
 	if r.Faulted() {
 		return exitAnnotated
 	}

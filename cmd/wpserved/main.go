@@ -11,9 +11,14 @@
 // GET /healthz. A full admission queue answers 429 with Retry-After; a
 // draining daemon answers 503.
 //
+// One daemon owns a state directory: wpserved holds an exclusive lock
+// on <state-dir>/wpserved.lock while it runs, and a second daemon over
+// the same directory exits 1 instead of numbering its jobs from the same
+// maximum and overwriting the first one's specs.
+//
 // Exit codes: 0 after a clean drain (including SIGTERM/SIGINT), 1 on a
-// hard failure or a drain that exceeded -drain-timeout, 2 on a usage
-// error.
+// hard failure (a locked state directory among them) or a drain that
+// exceeded -drain-timeout, 2 on a usage error.
 package main
 
 import (
@@ -26,6 +31,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -74,6 +80,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 	}()
+
+	if *stateDir != "" {
+		lock, err := lockStateDir(*stateDir)
+		if err != nil {
+			fmt.Fprintf(stderr, "wpserved: %v\n", err)
+			return 1
+		}
+		defer lock.Close()
+	}
 
 	srvCacheMax := *cacheMax
 	if !*cache {
@@ -149,4 +164,23 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	_ = hs.Shutdown(shutCtx)
 	fmt.Fprintln(stdout, "wpserved: drained")
 	return code
+}
+
+// lockStateDir takes an exclusive, non-blocking lock on
+// dir/wpserved.lock. The lock lasts until the returned file is closed or
+// the process exits; it fails, naming dir, while another process holds
+// it.
+func lockStateDir(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "wpserved.lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("state dir %s is in use by another wpserved: %w", dir, err)
+	}
+	return f, nil
 }

@@ -252,3 +252,27 @@ func (d *daemon) resultBytes(t *testing.T, id string) []byte {
 	}
 	return body.Bytes()
 }
+
+// TestStateDirLocked: a second daemon over a state directory another
+// process holds exits 1 and names the directory, instead of numbering
+// jobs from the same maximum and overwriting the first one's specs.
+func TestStateDirLocked(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.OpenFile(filepath.Join(dir, "wpserved.lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		t.Fatal(err)
+	}
+	// The unusable -addr makes a daemon that got past the lock exit at
+	// once, with another message, instead of serving forever.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-addr", "no-port", "-state-dir", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), dir) {
+		t.Errorf("stderr does not name the state dir %s: %s", dir, stderr.String())
+	}
+}

@@ -16,7 +16,7 @@
 //	wpsim -replay bfs.trace -wp all -rob 128      # re-time the trace
 //
 // Exit codes: 0 clean, 1 hard failure, 2 usage, 3 completed but
-// annotated (degraded, faulted, or canceled cells). The observability
+// annotated (faulted or canceled cells). The observability
 // outputs (-metrics-out, -trace-out, -pprof) flush on every exit path,
 // including 1 and 3 — a faulted run's metrics are exactly the ones
 // worth keeping.
@@ -30,17 +30,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"repro/internal/batch"
 	"repro/internal/cliobs"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/frontend"
 	"repro/internal/functional"
-	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/tracefile"
@@ -50,9 +47,8 @@ import (
 )
 
 // Exit codes. exitAnnotated marks a run that completed and printed its
-// report but carries fault annotations (degraded, canceled, or
-// functional-error cells): nonzero so scripts notice, distinct from the
-// hard-failure exit 1.
+// report but carries fault annotations (canceled or faulted cells):
+// nonzero so scripts notice, distinct from the hard-failure exit 1.
 const (
 	exitClean     = 0
 	exitFailure   = 1
@@ -90,12 +86,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		memLat   = fs.Int("mem-latency", 0, "memory latency override (cycles)")
 		showCfg  = fs.Bool("config", false, "print the core configuration and exit")
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
-		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry one technique rung down instead of failing")
-		retries  = fs.Int("max-retries", 2, "ladder descents allowed (with -degrade)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write crash-safe state snapshots into this directory (empty = disabled)")
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
 		resume   = fs.Bool("resume", false, "resume from the latest snapshot in -checkpoint-dir instead of starting from zero")
-		inject   = fs.String("inject", "", "fault drill: panic@N panics the frontend at instruction N on the first attempt (requires -degrade; exercises the ladder deterministically)")
 		record   = fs.String("record", "", "write the workload's instruction trace (up to -max-insts) to this file and exit")
 		replay   = fs.String("replay", "", "simulate this trace file (from -record) instead of -suite/-bench; wpemul unsupported")
 	)
@@ -131,12 +124,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "wpsim: -record and -replay are exclusive")
 		return exitUsage
 	}
-	drill, err := parseInject(*inject, *degrade, *ckptDir)
-	if err != nil {
-		fmt.Fprintf(stderr, "wpsim: %v\n", err)
-		return exitUsage
-	}
 	var w workloads.Workload
+	var err error
 	if *replay == "" {
 		w, err = catalog.Find(*suite, *bench, catalog.Params{
 			N: *n, Degree: *degree, Kron: *kron, Grid: *grid, Seed: *seed, Scale: *scale})
@@ -193,10 +182,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		req.Trace = data
 		req.Config.ObsLabel = "trace:" + *replay
 	}
-	if *degrade {
-		req.Config.Degrade = sim.DegradePolicy{MaxRetries: *retries}
-	}
-
 	if *wp == "all" {
 		if compareAll(stdout, req, *jobs) {
 			return exitAnnotated
@@ -210,53 +195,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exitFailure
 	}
 	req.Config.WP = kind
-	req.Wrap = drill
 	res, _, err := sim.Execute(req)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpsim: simulating: %v\n", err)
 		return exitFailure
 	}
-	printResult(stdout, req.Config.ObsLabel, kind, res)
-	if res.Err != nil || res.Degraded {
+	printResult(stdout, req.Config.ObsLabel, res)
+	if res.Err != nil {
 		return exitAnnotated
 	}
 	return exitClean
-}
-
-// parseInject parses the -inject fault drill ("panic@N") into a source
-// hook that arms only the first attempt, so the descent it forces
-// happens exactly once. Drills require -degrade (the whole point is
-// watching the ladder recover) and are incompatible with
-// -checkpoint-dir (wrapped sources cannot checkpoint — the injector's
-// own state is not snapshottable).
-func parseInject(spec string, degrade bool, ckptDir string) (func(sim.Source, sim.Config) sim.Source, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	kind, at, ok := strings.Cut(spec, "@")
-	if !ok || kind != "panic" {
-		return nil, fmt.Errorf("bad -inject %q (want panic@N)", spec)
-	}
-	n, err := strconv.ParseUint(at, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad -inject position %q: %v", at, err)
-	}
-	if !degrade {
-		return nil, fmt.Errorf("-inject requires -degrade (the drill exercises the degradation ladder)")
-	}
-	if ckptDir != "" {
-		return nil, fmt.Errorf("-inject is incompatible with -checkpoint-dir (wrapped sources cannot checkpoint)")
-	}
-	armed := true
-	return func(src sim.Source, _ sim.Config) sim.Source {
-		if !armed {
-			return src
-		}
-		armed = false
-		return sim.WrapSource(src, func(p queue.Producer) queue.Producer {
-			return faultinject.PanicAt(p, n, "injected fault drill (-inject)")
-		})
-	}, nil
 }
 
 // recordTrace writes the workload's correct-path instruction stream,
@@ -357,11 +305,7 @@ func compareAll(stdout io.Writer, req sim.Request, jobs int) (faulted bool) {
 			errCol = fmt.Sprintf("%+.1f%%", 100*sim.Error(res, ref))
 		}
 		note := ""
-		switch {
-		case res.Degraded:
-			note = fmt.Sprintf("  DEGRADED(ran as %v)", res.WP)
-			faulted = true
-		case res.Err != nil:
+		if res.Err != nil {
 			note = fmt.Sprintf("  FAULT(%v)", simerr.FirstLine(res.Err))
 			faulted = true
 		}
@@ -377,12 +321,9 @@ func compareAll(stdout io.Writer, req sim.Request, jobs int) (faulted bool) {
 
 // printResult prints one run's statistics; input is the run's ObsLabel
 // (suite/bench, or trace:FILE).
-func printResult(stdout io.Writer, input string, kind wrongpath.Kind, res *sim.Result) {
+func printResult(stdout io.Writer, input string, res *sim.Result) {
 	fmt.Fprintf(stdout, "workload            %s\n", input)
-	fmt.Fprintf(stdout, "technique           %s\n", kind)
-	if res.Degraded {
-		fmt.Fprintf(stdout, "DEGRADED            ran as %v (requested %v): %v\n", res.WP, res.RequestedWP, res.DegradeFault)
-	}
+	fmt.Fprintf(stdout, "technique           %s\n", res.WP)
 	fmt.Fprintf(stdout, "instructions        %d\n", res.Core.Instructions)
 	fmt.Fprintf(stdout, "cycles              %d\n", res.Core.Cycles)
 	fmt.Fprintf(stdout, "IPC                 %.4f\n", res.IPC())
@@ -397,13 +338,13 @@ func printResult(stdout io.Writer, input string, kind wrongpath.Kind, res *sim.R
 	fmt.Fprintf(stdout, "WP executed         %d (%.0f%% of correct path)\n", res.Core.WPExecuted, 100*res.Core.WPFraction())
 	fmt.Fprintf(stdout, "WP loads executed   %d (%d with address)\n", res.Core.WPLoads, res.Core.WPLoadsWithAddr)
 	fmt.Fprintf(stdout, "WP L2 misses        %d\n", res.L2.Wrong.Misses)
-	if kind == wrongpath.Conv {
+	if res.WP == wrongpath.Conv {
 		fmt.Fprintf(stdout, "conv frac           %.0f%%\n", 100*res.Policy.ConvFrac())
 		fmt.Fprintf(stdout, "conv dist           %.1f\n", res.Policy.ConvDist())
 		fmt.Fprintf(stdout, "addr recover        %.0f%%\n", 100*res.Policy.AddrRecoverFrac())
 		fmt.Fprintf(stdout, "match len           %.1f\n", res.Policy.MatchLen())
 	}
-	if kind == wrongpath.WPEmul {
+	if res.WP == wrongpath.WPEmul {
 		fmt.Fprintf(stdout, "WP emulations       %d paths, %d instructions\n", res.WPEmulatedPaths, res.WPEmulatedInsts)
 	}
 	fmt.Fprintf(stdout, "wall time           %v\n", res.Wall)

@@ -38,26 +38,27 @@ func TestCleanRunExitsZero(t *testing.T) {
 	}
 }
 
-// TestDegradedRunFlushesObservability is the regression test for the
-// output-loss bug: a run that exits annotated (code 3) after a ladder
-// descent must still write -metrics-out and -trace-out. The -inject
-// drill makes the descent deterministic.
-func TestDegradedRunFlushesObservability(t *testing.T) {
+// TestAnnotatedExitFlushesObservability is the regression test for the
+// output-loss bug: a run that exits annotated (code 3) must still write
+// -metrics-out and -trace-out. A trace cut mid-record makes the fault
+// deterministic: the replay keeps its valid prefix and reports the
+// corruption.
+func TestAnnotatedExitFlushesObservability(t *testing.T) {
+	trace := cutTrace(t)
 	dir := t.TempDir()
 	metricsOut := filepath.Join(dir, "metrics.json")
 	traceOut := filepath.Join(dir, "trace.json")
-	code, out, stderr := runWpsim(t, quickArgs(
-		"-wp", "wpemul", "-degrade", "-inject", "panic@5000",
-		"-metrics-out", metricsOut, "-trace-out", traceOut)...)
+	code, out, stderr := runWpsim(t, "-replay", trace, "-wp", "conv",
+		"-metrics-out", metricsOut, "-trace-out", traceOut)
 	if code != exitAnnotated {
 		t.Fatalf("exit %d, want %d (annotated)\nstderr: %s", code, exitAnnotated, stderr)
 	}
-	if !strings.Contains(out, "DEGRADED") || !strings.Contains(out, "ran as conv (requested wpemul)") {
-		t.Errorf("degraded run not annotated in the report:\n%s", out)
+	if !strings.Contains(out, "functional error") || !strings.Contains(out, "trace corrupt") {
+		t.Errorf("fault not annotated in the report:\n%s", out)
 	}
 	data, err := os.ReadFile(metricsOut)
 	if err != nil {
-		t.Fatalf("degraded exit lost -metrics-out: %v", err)
+		t.Fatalf("annotated exit lost -metrics-out: %v", err)
 	}
 	var metrics []map[string]any
 	if err := json.Unmarshal(data, &metrics); err != nil || len(metrics) == 0 {
@@ -66,7 +67,7 @@ func TestDegradedRunFlushesObservability(t *testing.T) {
 	var spans any
 	traceData, err := os.ReadFile(traceOut)
 	if err != nil {
-		t.Fatalf("degraded exit lost -trace-out: %v", err)
+		t.Fatalf("annotated exit lost -trace-out: %v", err)
 	}
 	if err := json.Unmarshal(traceData, &spans); err != nil {
 		t.Errorf("trace file malformed: %v", err)
@@ -103,37 +104,12 @@ func TestFlushFailureHardensExit(t *testing.T) {
 	}
 }
 
-func TestInjectValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"without degrade", quickArgs("-wp", "conv", "-inject", "panic@100")},
-		{"bad spec", quickArgs("-wp", "conv", "-degrade", "-inject", "explode@100")},
-		{"bad position", quickArgs("-wp", "conv", "-degrade", "-inject", "panic@soon")},
-		{"with checkpoint dir", quickArgs("-wp", "conv", "-degrade", "-inject", "panic@100", "-checkpoint-dir", "/tmp/x")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if code, _, _ := runWpsim(t, tc.args...); code != exitUsage {
-				t.Errorf("exit %d, want %d (usage)", code, exitUsage)
-			}
-		})
-	}
-}
-
 // TestCompareAllAnnotatedExit: -wp all with an induced per-cell fault
 // (a trace cut mid-record, so every cell's reader reports corruption)
 // prints the full table and exits annotated, and the metrics still
 // flush.
 func TestCompareAllAnnotatedExit(t *testing.T) {
-	trace := recordSmallTrace(t)
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(trace, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	trace := cutTrace(t)
 	metricsOut := filepath.Join(t.TempDir(), "metrics.json")
 	code, out, stderr := runWpsim(t, "-replay", trace, "-wp", "all", "-jobs", "2", "-metrics-out", metricsOut)
 	if code != exitAnnotated {
@@ -158,6 +134,21 @@ func recordSmallTrace(t *testing.T) string {
 	return path
 }
 
+// cutTrace records a short trace and cuts it mid-record, so every replay
+// of it reports corruption after its valid prefix.
+func cutTrace(t *testing.T) string {
+	t.Helper()
+	trace := recordSmallTrace(t)
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(trace, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
 func TestRecordAndCleanReplay(t *testing.T) {
 	trace := recordSmallTrace(t)
 	code, out, stderr := runWpsim(t, "-replay", trace, "-wp", "conv")
@@ -170,22 +161,21 @@ func TestRecordAndCleanReplay(t *testing.T) {
 	}
 }
 
-// TestDegradedReplayFlushesObservability: wpemul on a trace frontend is
-// deterministic grounds for a ladder descent (paper §III-B), the replay
-// exits annotated, and -metrics-out must still be written.
-func TestDegradedReplayFlushesObservability(t *testing.T) {
+// TestWPEmulReplayFlushesObservability: wpemul on a trace frontend is
+// an invalid request (paper §III-B), so the replay exits 1, and
+// -metrics-out must still be written.
+func TestWPEmulReplayFlushesObservability(t *testing.T) {
 	trace := recordSmallTrace(t)
 	metricsOut := filepath.Join(t.TempDir(), "metrics.json")
-	code, out, stderr := runWpsim(t,
-		"-replay", trace, "-wp", "wpemul", "-degrade", "-metrics-out", metricsOut)
-	if code != exitAnnotated {
-		t.Fatalf("exit %d, want %d (annotated)\nstdout: %s\nstderr: %s", code, exitAnnotated, out, stderr)
+	code, out, stderr := runWpsim(t, "-replay", trace, "-wp", "wpemul", "-metrics-out", metricsOut)
+	if code != exitFailure {
+		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitFailure, out, stderr)
 	}
-	if !strings.Contains(out, "DEGRADED") || !strings.Contains(out, "requested wpemul") {
-		t.Errorf("descent not annotated in the report:\n%s", out)
+	if !strings.Contains(stderr, "invalid configuration") {
+		t.Errorf("stderr missing the ErrConfig diagnosis: %s", stderr)
 	}
 	if fi, err := os.Stat(metricsOut); err != nil || fi.Size() == 0 {
-		t.Fatalf("degraded replay lost -metrics-out (err %v)", err)
+		t.Fatalf("failed replay lost -metrics-out (err %v)", err)
 	}
 }
 

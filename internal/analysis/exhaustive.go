@@ -25,7 +25,7 @@ import (
 // isa.Class"), so renaming an extension-point type cannot shed its
 // coverage obligation. Two fault-taxonomy forms are enforced too: a
 // value switch over the simerr.Err* sentinels must cover every sentinel
-// or declare a default (the degradation ladder dispatches on exactly
+// or declare a default (every driver's fault handling dispatches on
 // this classification), and a type switch naming a simerr fault type
 // must declare a default, because the error type space is open.
 //
@@ -234,9 +234,8 @@ func emptyCaseFix(pass *Pass, f *ast.File, rbrace, swPos token.Pos, named *types
 
 // checkSentinelSwitch enforces coverage of the simerr.Err* sentinel
 // classification: a value switch comparing an error against any fault
-// sentinel must name every sentinel or declare a default — this is the
-// dispatch the degradation ladder rides on, and a new fault class must
-// fail the lint at every ladder site that ignores it.
+// sentinel must name every sentinel or declare a default, so a new fault
+// class fails the lint at every dispatch site that ignores it.
 func checkSentinelSwitch(pass *Pass, f *ast.File, sw *ast.SwitchStmt) {
 	covered := make(map[string]bool)
 	var simerrPkg *types.Package

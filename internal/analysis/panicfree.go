@@ -8,13 +8,13 @@ import (
 
 // PanicFree forbids bare panic(...) calls in the simulator's
 // fault-contained packages (internal/sim, core, queue, frontend,
-// batch). Those packages sit inside the fault-tolerance boundary: the
-// batch engine and the parallel frontend recover panics into typed
-// simerr.ErrWorkerPanic faults, and the degradation ladder decides what
-// survives — but a recovery path is a last resort, not an error
-// channel. Code inside the boundary must surface faults as typed simerr
-// values (or plain errors) so callers can match them with errors.Is; a
-// panic erases the simulation context the fault taxonomy carries.
+// batch). Those packages sit inside the fault-containment boundary:
+// sim.Execute, the batch engine and the parallel frontend recover panics
+// into typed simerr.ErrWorkerPanic faults — but a recovery path is a
+// last resort, not an error channel. Code inside the boundary must
+// surface faults as typed simerr values (or plain errors) so callers can
+// match them with errors.Is; a panic erases the simulation context the
+// fault taxonomy carries.
 //
 // A deliberate can't-happen invariant may be kept with a same-line
 //

@@ -130,11 +130,11 @@ func RenamedExhaustive(k localKind) bool {
 // SentinelSwitch dispatches on the fault classification but ignores
 // half the taxonomy: flagged.
 func SentinelSwitch(err error) string {
-	switch err { // want: missing ErrCanceled, ErrConfig, ErrDegraded, ErrTraceCorrupt
+	switch err { // want: missing ErrCanceled, ErrTraceCorrupt
 	case simerr.ErrWorkerPanic:
 		return "panic"
-	case simerr.ErrUnsupported:
-		return "unsupported"
+	case simerr.ErrConfig:
+		return "config"
 	}
 	return ""
 }
@@ -154,7 +154,7 @@ func SentinelSwitchComplete(err error) bool {
 	switch err {
 	case simerr.ErrTraceCorrupt, simerr.ErrWorkerPanic:
 		return true
-	case simerr.ErrUnsupported, simerr.ErrDegraded, simerr.ErrConfig, simerr.ErrCanceled:
+	case simerr.ErrConfig, simerr.ErrCanceled:
 		return false
 	}
 	return false

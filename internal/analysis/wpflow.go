@@ -231,7 +231,7 @@ var wpflowSinkOwners = []sinkOwner{
 	{
 		pkgSuffix: "internal/sim", typeName: "Result",
 		wildcard: true,
-		exempt:   map[string]bool{"Err": true, "RequestedWP": true, "Degraded": true, "DegradeFault": true},
+		exempt:   map[string]bool{"Err": true},
 		fields: map[string]taintMask{
 			// Wall is the one aggregate that *is* a wall-clock reading.
 			"Wall": taintWP | taintPanic,

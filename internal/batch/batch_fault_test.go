@@ -89,12 +89,12 @@ func TestPanicAndErrorCoexist(t *testing.T) {
 // that error matchable through the fault chain.
 func TestPanicWithErrorValue(t *testing.T) {
 	jobs := squareJobs(3)
-	jobs[1] = func() (int, error) { panic(simerr.ErrUnsupported) }
+	jobs[1] = func() (int, error) { panic(simerr.ErrConfig) }
 	results := RunContext(context.Background(), jobs, 2)
 	if !errors.Is(results[1].Err, simerr.ErrWorkerPanic) {
 		t.Errorf("err = %v, want ErrWorkerPanic class", results[1].Err)
 	}
-	if !strings.Contains(results[1].Err.Error(), simerr.ErrUnsupported.Error()) {
+	if !strings.Contains(results[1].Err.Error(), simerr.ErrConfig.Error()) {
 		t.Errorf("panic error value missing from rendering: %v", results[1].Err)
 	}
 }

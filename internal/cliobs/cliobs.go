@@ -13,7 +13,7 @@
 //   - Finish is idempotent and safe under concurrent calls; the second
 //     and later calls are no-ops. Commands defer it so the requested
 //     output files are flushed before every exit path — including
-//     degraded (exit-code-3) and hard-failure exits.
+//     annotated (exit-code-3) and hard-failure exits.
 package cliobs
 
 import (

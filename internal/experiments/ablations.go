@@ -12,8 +12,8 @@ import (
 // (bypassing the memoization cache, which is keyed on the default
 // configuration). The cell runs under the sweep's context, and a
 // run-ending fault (a cancellation among them) is an error, as in
-// simulate. It inherits nothing else from the base request: no ladder,
-// wrapper, cache or snapshots.
+// simulate. It inherits nothing else from the base request: no policy
+// override, cache or snapshots.
 func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	cfg.Ctx = r.opt.Base.Config.Ctx
 	res, _, err := sim.Execute(sim.Request{Config: cfg, Workload: &w})

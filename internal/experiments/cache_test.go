@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/resultcache"
-	"repro/internal/sim"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
+	"repro/internal/wrongpath"
 )
 
 func cachedOptions(t *testing.T, dir string, out *strings.Builder) Options {
@@ -58,10 +58,8 @@ func TestCellCacheSkipsResimulation(t *testing.T) {
 
 // TestCellCacheCacheabilityRule: the sweep cache follows the rule both
 // result caches share — store only addressable requests whose result is
-// clean and not degraded, under the request fingerprint. An injected
-// (Wrap) sweep stores nothing. A ladder-armed sweep caches under its
-// own key: it neither serves nor is served by unarmed entries, and it
-// hits on its own repeat.
+// clean, under the request fingerprint. A sweep with a PolicyFactory
+// (not addressable) stores nothing and is never served from the cache.
 func TestCellCacheCacheabilityRule(t *testing.T) {
 	dir := t.TempDir()
 	sweep := func(mod func(*Options)) uint64 {
@@ -79,26 +77,22 @@ func TestCellCacheCacheabilityRule(t *testing.T) {
 		found, _ := filepath.Glob(filepath.Join(dir, "*.wpres"))
 		return len(found)
 	}
-	injected := func(o *Options) {
-		o.Base.Wrap = func(src sim.Source, _ sim.Config) sim.Source { return src }
+	custom := func(o *Options) {
+		o.Base.Config.PolicyFactory = func() wrongpath.Policy { return wrongpath.New(wrongpath.Conv) }
 	}
-	armed := func(o *Options) { o.Base.Config.Degrade = sim.DegradePolicy{MaxRetries: 1} }
 	plain := func(*Options) {}
 
-	if sweep(injected); entries() != 0 {
-		t.Fatalf("injected sweep stored %d cache entries, want 0", entries())
+	if sweep(custom); entries() != 0 {
+		t.Fatalf("policy-factory sweep stored %d cache entries, want 0", entries())
 	}
-	cells := sweep(armed)
+	cells := sweep(plain)
 	if cells == 0 || entries() != int(cells) {
-		t.Fatalf("armed sweep simulated %d cells and stored %d entries; want every cell stored", cells, entries())
+		t.Fatalf("plain sweep simulated %d cells and stored %d entries; want every cell stored", cells, entries())
 	}
-	if n := sweep(plain); n != cells {
-		t.Errorf("unarmed sweep simulated %d of %d cells; armed entries must not serve it", n, cells)
+	if n := sweep(plain); n != 0 {
+		t.Errorf("repeat plain sweep simulated %d cells, want 0 (its own entries)", n)
 	}
-	if n := sweep(armed); n != 0 {
-		t.Errorf("repeat armed sweep simulated %d cells, want 0 (its own entries)", n)
-	}
-	if n := sweep(injected); n != cells {
-		t.Errorf("injected sweep simulated %d of %d cells; it must never be served from the cache", n, cells)
+	if n := sweep(custom); n != cells {
+		t.Errorf("policy-factory sweep simulated %d of %d cells; it must never be served from the cache", n, cells)
 	}
 }

@@ -68,8 +68,8 @@ func allBut(skip wrongpath.Kind) []wrongpath.Kind {
 type Options struct {
 	// Base is the request template every cell runs from: its Config
 	// carries the core configuration (zero value: default; set
-	// Core.Batch to override the decoupling-queue lane size), the fault
-	// layer (Degrade, Wrap), observability (Metrics, Trace),
+	// Core.Batch to override the decoupling-queue lane size), the policy
+	// override (PolicyFactory), observability (Metrics, Trace),
 	// cancellation (Ctx) and crash safety (CheckpointDir,
 	// CheckpointEvery, OnCheckpoint, Resume). A cell fills in the
 	// workload and technique; with CheckpointDir set, each cell
@@ -96,9 +96,8 @@ type Options struct {
 	// Cache, when non-nil, memoizes cell results across runner
 	// lifetimes (and, with a persistent tier, across processes):
 	// repeated sweeps over the same cells skip re-simulation. Cells are
-	// keyed by sim.Request.Fingerprint, so an armed ladder caches under
-	// its own key; only addressable cells (no Wrap) whose result is
-	// clean and not degraded are stored. Report text is
+	// keyed by sim.Request.Fingerprint; only addressable cells (no
+	// PolicyFactory) whose result is clean are stored. Report text is
 	// identical with or without it; only Wall times (and thus the speed
 	// experiment's ratios) reflect the original run instead of a fresh
 	// one.
@@ -121,11 +120,6 @@ func (o *Options) fill() {
 type Runner struct {
 	opt   Options
 	cache map[string]*sim.Result
-	// degraded accumulates one annotation line per degraded cell, in
-	// record order; Run appends the ones produced during an experiment
-	// as a footnote. Empty for fault-free sweeps, keeping their report
-	// bytes identical to a runner without the fault-tolerance layer.
-	degraded []string
 	// incomplete accumulates one annotation line per cell the sweep's
 	// cancellation cut short (never started, or stopped mid-run).
 	incomplete []string
@@ -192,10 +186,10 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cacheKey(w, k), err)
 	}
-	if res.Err != nil && !res.Degraded {
+	if res.Err != nil {
 		return nil, fmt.Errorf("%s under %v: functional error: %w", cacheKey(w, k), k, res.Err)
 	}
-	if key != "" && res.Err == nil && !res.Degraded {
+	if key != "" {
 		storeCell(r.opt.Cache, key, res)
 	}
 	return res, nil
@@ -203,7 +197,7 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 
 // cellDomain prefixes request fingerprints in the cell cache, so a
 // store of another format (wpserved's) never decodes its entries.
-const cellDomain = "wpexp.result.v2-"
+const cellDomain = "wpexp.result.v3-"
 
 // storeCell persists one fault-free cell result. Unlike the serving
 // layer's canonical documents, the stored encoding keeps Wall so a
@@ -228,23 +222,11 @@ func (r *Runner) noteIncomplete(key string, err error) {
 	r.incomplete = append(r.incomplete, fmt.Sprintf("%s: %s", key, simerr.FirstLine(err)))
 }
 
-// record memoizes one finished run, emits its progress line, and notes
-// a degraded cell for the experiment footnote.
+// record memoizes one finished run and emits its progress line.
 func (r *Runner) record(key string, res *sim.Result) {
 	if r.opt.Progress != nil {
-		mark := ""
-		if res.Degraded {
-			mark = fmt.Sprintf("  DEGRADED(%v)", res.WP)
-		}
-		fmt.Fprintf(r.opt.Progress, "ran %-28s insts=%-9d cycles=%-10d IPC=%.3f wall=%v%s\n",
-			key, res.Core.Instructions, res.Core.Cycles, res.IPC(), res.Wall.Round(1_000_000), mark)
-	}
-	if res.Degraded {
-		note := fmt.Sprintf("%s: ran as %v (requested %v)", key, res.WP, res.RequestedWP)
-		if res.DegradeFault != nil {
-			note += ": " + simerr.FirstLine(res.DegradeFault)
-		}
-		r.degraded = append(r.degraded, note)
+		fmt.Fprintf(r.opt.Progress, "ran %-28s insts=%-9d cycles=%-10d IPC=%.3f wall=%v\n",
+			key, res.Core.Instructions, res.Core.Cycles, res.IPC(), res.Wall.Round(1_000_000))
 	}
 	r.cache[key] = res
 }
@@ -641,26 +623,17 @@ var registry = map[string]func(*Runner) error{
 	"parallel": (*Runner).Parallel,
 }
 
-// Run executes one named experiment. Cells the degradation ladder ran
-// below their requested technique during this experiment are listed in
-// a footnote; a fault-free experiment prints no footnote, keeping its
-// bytes identical to a run without the fault-tolerance layer. A
-// canceled sweep still flushes the partial report plus an INCOMPLETE
-// footnote naming every cell the cancellation cut short, then returns
-// the canceled error.
+// Run executes one named experiment. A canceled sweep still flushes the
+// partial report plus an INCOMPLETE footnote naming every cell the
+// cancellation cut short, then returns the canceled error; any other
+// faulted cell ends the experiment with a typed error naming the cell.
 func (r *Runner) Run(name string) error {
 	fn, ok := registry[name]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	mark, imark := len(r.degraded), len(r.incomplete)
+	imark := len(r.incomplete)
 	err := fn(r)
-	if len(r.degraded) > mark {
-		r.printf("\nDEGRADED CELLS (fault-tolerance ladder, see DESIGN.md):\n")
-		for _, note := range r.degraded[mark:] {
-			r.printf("  %s\n", note)
-		}
-	}
 	if len(r.incomplete) > imark {
 		r.printf("\nINCOMPLETE CELLS (run canceled; resume with the same -checkpoint-dir):\n")
 		for _, note := range r.incomplete[imark:] {
@@ -671,11 +644,11 @@ func (r *Runner) Run(name string) error {
 	return err
 }
 
-// Faulted reports whether any cell of the sweep so far carried a fault
-// annotation — a degraded-ladder descent or a cancellation cut. CLIs
-// use it to exit nonzero after flushing an annotated report.
+// Faulted reports whether the cancellation cut any cell of the sweep so
+// far short. CLIs use it to exit nonzero after flushing an annotated
+// report.
 func (r *Runner) Faulted() bool {
-	return len(r.degraded)+len(r.incomplete) > 0
+	return len(r.incomplete) > 0
 }
 
 // All executes every experiment in paper order.

@@ -1,10 +1,9 @@
 // Package faultinject deterministically injects the runtime faults the
-// fault-tolerance layer must survive: corrupted or truncated trace
+// simulator must contain and report: corrupted or truncated trace
 // bytes, and a panic at a chosen instruction inside a producer. It is
-// the test harness for internal/simerr and the graceful-degradation
-// ladder — every injector is a pure function of its arguments (seeded
-// where randomness is wanted), so a faulted run reproduces
-// bit-identically.
+// the test harness for internal/simerr's fault classes — every injector
+// is a pure function of its arguments (seeded where randomness is
+// wanted), so a faulted run reproduces bit-identically.
 //
 // The producer injector wraps any instruction source (a frontend, a
 // tracefile.Reader, another injector) behind the same Next() interface

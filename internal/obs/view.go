@@ -8,9 +8,9 @@ package obs
 //
 // Views carry *sampling* instrumentation only (distributions, spans,
 // instants). Run-level aggregate counters — wrong-path generation
-// counts, instructions, degradations — are published by the sim layer
-// once per *accepted* result, so a sweep's totals count every cell
-// exactly once no matter how many degraded-ladder attempts ran.
+// counts, instructions, cycles — are published by the sim layer once
+// per result a caller receives, so a sweep's totals count every cell
+// exactly once and a run that fails without a result counts nothing.
 type View struct {
 	Workload  string
 	Technique string

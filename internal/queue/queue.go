@@ -93,8 +93,7 @@ type Queue struct {
 
 // New creates a queue that keeps at least lookahead instructions
 // buffered ahead of the consumer. A lookahead beyond MaxLookahead is
-// rejected with a typed simerr.ErrConfig fault (deterministic, so the
-// degradation ladder does not retry it).
+// rejected with a typed simerr.ErrConfig fault.
 func New(src Producer, lookahead int) (*Queue, error) {
 	if lookahead < 1 {
 		lookahead = 1

@@ -230,7 +230,7 @@ func TestPeekClipAtCeiling(t *testing.T) {
 
 // TestNewLookaheadClamp: an absurd lookahead is a typed, deterministic
 // configuration fault — not an allocation crash or an infinite sizing
-// loop — and the degradation ladder must not classify it recoverable.
+// loop.
 func TestNewLookaheadClamp(t *testing.T) {
 	if _, err := New(&sliceProducer{}, MaxLookahead); err != nil {
 		t.Errorf("New at MaxLookahead rejected: %v", err)

@@ -543,7 +543,7 @@ func TestFingerprintResolvesDefaults(t *testing.T) {
 	for _, other := range []JobSpec{
 		{Suite: "gap", Bench: "bfs", N: 1024},
 		{Suite: "gap", Bench: "cc"},
-		{Suite: "gap", Bench: "bfs", Degrade: true},
+		{Suite: "gap", Bench: "bfs", WP: "nowp"},
 	} {
 		if got := other.Fingerprint(); got == fp || got == "" {
 			t.Errorf("%+v: fingerprint %q, want its own address", other, got)

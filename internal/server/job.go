@@ -20,8 +20,7 @@ const (
 )
 
 // Exit codes mirror the CLI convention (README "Exit codes"): 0 clean,
-// 1 hard failure, 3 completed-but-annotated (degraded, faulted or
-// canceled). exitPending marks a job that has not reached a terminal
+// 1 hard failure, 3 completed-but-annotated (faulted or canceled). exitPending marks a job that has not reached a terminal
 // state.
 const (
 	exitClean     = 0
@@ -45,13 +44,8 @@ type Status struct {
 	// ExitCode mirrors the CLI exit-code convention once the job is
 	// terminal (0 clean, 1 hard failure, 3 annotated); -1 before that.
 	ExitCode int `json:"exit_code"`
-	// Degraded jobs report their descent: the requested technique, the
-	// rung that actually ran, and the one-line fault that forced it.
-	Degraded    bool   `json:"degraded,omitempty"`
-	RequestedWP string `json:"requested_wp,omitempty"`
-	RanWP       string `json:"ran_wp,omitempty"`
-	Fault       string `json:"fault,omitempty"`
-	// Error is the hard-failure or cancellation reason.
+	// Error is the hard-failure or cancellation reason, or the one-line
+	// fault that ended an annotated run early.
 	Error string `json:"error,omitempty"`
 	// Resumed marks a job this daemon run restored from a snapshot.
 	Resumed bool `json:"resumed,omitempty"`
@@ -237,11 +231,7 @@ func (j *job) snapshot() (json.RawMessage, int64, Status) {
 // from the cache needs to rebuild its status fields; the full sim
 // payload stays opaque (the bytes are served verbatim).
 type cachedDoc struct {
-	WP           string `json:"wp"`
-	RequestedWP  string `json:"requested_wp"`
-	Degraded     bool   `json:"degraded"`
-	DegradeFault string `json:"degrade_fault"`
-	Err          string `json:"err"`
+	Err string `json:"err"`
 }
 
 // serveFromCache completes a still-queued job durably with cached
@@ -255,9 +245,8 @@ func (j *job) serveFromCache(write resultWriter, canonical []byte, disp string) 
 	if err := json.Unmarshal(canonical, &doc); err != nil {
 		return false
 	}
-	from := Status{ExitCode: exitClean, Degraded: doc.Degraded, RequestedWP: doc.RequestedWP,
-		RanWP: doc.WP, Fault: doc.DegradeFault, Error: doc.Err}
-	if doc.Degraded || doc.Err != "" {
+	from := Status{ExitCode: exitClean, Error: doc.Err}
+	if doc.Err != "" {
 		from.ExitCode = exitAnnotated
 	}
 	return j.serveShared(write, canonical, from, disp)
@@ -276,10 +265,6 @@ func (j *job) serveShared(write resultWriter, canonical json.RawMessage, from St
 		j.st.State = StateDone
 		j.st.ExitCode = from.ExitCode
 		j.canonical = canonical
-		j.st.Degraded = from.Degraded
-		j.st.RequestedWP = from.RequestedWP
-		j.st.RanWP = from.RanWP
-		j.st.Fault = from.Fault
 		j.st.Error = from.Error
 		j.st.WallNS = 0
 		j.st.Interrupted = false

@@ -14,13 +14,10 @@ import (
 // fault's goroutine stack — host addresses and all — never enters the
 // canonical bytes.
 type resultDoc struct {
-	WP           string `json:"wp"`
-	RequestedWP  string `json:"requested_wp"`
-	Degraded     bool   `json:"degraded,omitempty"`
-	DegradeFault string `json:"degrade_fault,omitempty"`
-	Err          string `json:"err,omitempty"`
-	// Sim is the full result with Wall zeroed and the error fields
-	// nil'd (they are rendered as the strings above).
+	WP  string `json:"wp"`
+	Err string `json:"err,omitempty"`
+	// Sim is the full result with Wall zeroed and Err nil'd (it is
+	// rendered as the string above).
 	Sim *sim.Result `json:"sim"`
 }
 
@@ -33,14 +30,10 @@ func CanonicalResult(res *sim.Result) ([]byte, error) {
 	c := *res
 	c.Wall = 0
 	c.Err = nil
-	c.DegradeFault = nil
 	doc := resultDoc{
-		WP:           res.WP.String(),
-		RequestedWP:  res.RequestedWP.String(),
-		Degraded:     res.Degraded,
-		DegradeFault: simerr.FirstLine(res.DegradeFault),
-		Err:          simerr.FirstLine(res.Err),
-		Sim:          &c,
+		WP:  res.WP.String(),
+		Err: simerr.FirstLine(res.Err),
+		Sim: &c,
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

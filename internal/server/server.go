@@ -501,8 +501,9 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		j.finish(write, StateFailed, exitFailure, func(j *job) { j.st.Error = simerr.FirstLine(err) })
 		s.mFailed.Inc()
 	default:
-		// A completed run: clean, degraded, or annotated by a kept-prefix
-		// fault. The result document exists in all three.
+		// A completed run: clean, or annotated by the fault in
+		// Result.Err (a functional error, a failed snapshot write). The
+		// result document exists in both.
 		canonical, cerr := CanonicalResult(res)
 		if cerr != nil {
 			j.finish(write, StateFailed, exitFailure, func(j *job) { j.st.Error = cerr.Error() })
@@ -510,18 +511,17 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 			break
 		}
 		code := exitClean
-		if res.Degraded || res.Err != nil {
+		if res.Err != nil {
 			code = exitAnnotated
 		}
 		// The one cacheability rule (shared with wpexp): only an
-		// addressable request's clean, non-degraded result enters the
-		// cache. A degraded or annotated document records an event
-		// outside the spec (a timeout, a ladder descent), so it is not a
-		// pure function of the spec and a later identical submission
-		// could legitimately complete clean. Coalesced followers still share it
-		// — they joined this execution — but the cache never replays it.
-		// The entry is stored before the job reads done, so a client that
-		// sees done also finds the entry.
+		// addressable request's clean result enters the cache. An
+		// annotated document records an event outside the spec, so it is
+		// not a pure function of the spec and a later identical
+		// submission could legitimately complete clean. Coalesced
+		// followers still share it — they joined this execution — but the
+		// cache never replays it. The entry is stored before the job
+		// reads done, so a client that sees done also finds the entry.
 		if s.cache != nil && j.fp != "" && code == exitClean {
 			if s.cache.Put(j.fp, canonical) == nil {
 				s.mCacheStore.Inc()
@@ -530,10 +530,6 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		j.finish(write, StateDone, code, func(j *job) {
 			j.canonical = canonical
 			j.st.WallNS = int64(res.Wall)
-			j.st.Degraded = res.Degraded
-			j.st.RequestedWP = res.RequestedWP.String()
-			j.st.RanWP = res.WP.String()
-			j.st.Fault = simerr.FirstLine(res.DegradeFault)
 			j.st.Error = simerr.FirstLine(res.Err)
 		})
 		s.mDone.Inc()

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/simerr"
 	"repro/internal/wrongpath"
 )
 
@@ -85,7 +84,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Suite: "gap", Bench: "nope"},
 		{Suite: "gap", Bench: "bfs", WP: "quantum"},
 		{Suite: "gap", Bench: "bfs", TimeoutMS: -1},
-		{Suite: "gap", Bench: "bfs", MaxRetries: -1},
+		{Suite: "gap", Bench: "bfs", Batch: -1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)
@@ -122,9 +121,6 @@ func TestConcurrentJobsMatchDirect(t *testing.T) {
 		st := waitFor(t, s, id, "terminal", terminal)
 		if st.State != StateDone || st.ExitCode != exitClean {
 			t.Fatalf("job %s: state %s exit %d error %q", id, st.State, st.ExitCode, st.Error)
-		}
-		if st.RanWP != specs[i].WP {
-			t.Errorf("job %s ran %s, want %s", id, st.RanWP, specs[i].WP)
 		}
 		served, _, err := s.Result(id)
 		if err != nil || served == nil {
@@ -341,8 +337,8 @@ func TestTerminalStatePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Job after restart: %v", err)
 	}
-	if got.State != StateDone || got.ExitCode != exitClean || got.RanWP != "conv" {
-		t.Errorf("restored status %+v, want done/0/conv", got)
+	if got.State != StateDone || got.ExitCode != exitClean {
+		t.Errorf("restored status %+v, want done/0", got)
 	}
 	reloaded, _, err := s2.Result(st.ID)
 	if err != nil || !bytes.Equal(first, reloaded) {
@@ -435,7 +431,7 @@ func TestTerminalStateDurableBeforeVisible(t *testing.T) {
 // document, so no reader can observe the state before the write
 // returns; a failed write annotates the job instead of losing it.
 func TestResultWriterRunsBeforePublish(t *testing.T) {
-	canonical, err := CanonicalResult(&sim.Result{WP: wrongpath.Conv, RequestedWP: wrongpath.Conv})
+	canonical, err := CanonicalResult(&sim.Result{WP: wrongpath.Conv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,33 +474,6 @@ func TestResultWriterRunsBeforePublish(t *testing.T) {
 		if st := j.status(); st.State != tr.want || !strings.HasPrefix(st.Error, "persist: ") {
 			t.Errorf("%s: after a failed write: %+v, want %s annotated persist error", tr.name, st, tr.want)
 		}
-	}
-}
-
-// TestDegradedStatusSurfaced: the completion path mirrors the ladder's
-// descent — requested vs ran technique, the forcing fault, exit code 3.
-func TestDegradedStatusSurfaced(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	j := newJob("job-000001", 1, quickSpec("wpemul", 1), "")
-	j.start(func() {})
-	fault := simerr.Degraded(wrongpath.WPEmul.String(), wrongpath.Conv.String(),
-		simerr.Unsupported("test", errors.New("boom")))
-	res := &sim.Result{
-		WP:           wrongpath.Conv,
-		RequestedWP:  wrongpath.WPEmul,
-		Degraded:     true,
-		DegradeFault: fault,
-	}
-	s.complete(j, res, nil)
-	st := j.status()
-	if st.State != StateDone || st.ExitCode != exitAnnotated {
-		t.Fatalf("state %s exit %d, want done/3", st.State, st.ExitCode)
-	}
-	if !st.Degraded || st.RequestedWP != "wpemul" || st.RanWP != "conv" {
-		t.Errorf("descent not surfaced: %+v", st)
-	}
-	if st.Fault == "" || strings.Contains(st.Fault, "\n") {
-		t.Errorf("fault %q, want a non-empty single line", st.Fault)
 	}
 }
 

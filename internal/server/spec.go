@@ -49,13 +49,6 @@ type JobSpec struct {
 	Seed   uint64  `json:"seed,omitempty"`
 	Scale  float64 `json:"scale,omitempty"`
 
-	// Degrade arms the graceful-degradation ladder: on a recoverable
-	// fault the job re-runs one technique rung down and its status
-	// reports the descent (the job-level mirror of exit code 3).
-	Degrade bool `json:"degrade,omitempty"`
-	// MaxRetries bounds ladder descents (0 with Degrade = the CLI
-	// default, 2).
-	MaxRetries int `json:"max_retries,omitempty"`
 	// TimeoutMS cancels the job this long after it starts running (0 =
 	// no deadline). Wired through sim.Config.Ctx: the run stops at the
 	// next lane boundary with a typed cancellation fault.
@@ -85,19 +78,13 @@ func (sp JobSpec) request() (sim.Request, error) {
 		return sim.Request{}, fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
 	case sp.TimeoutMS < 0:
 		return sim.Request{}, fmt.Errorf("negative timeout_ms")
-	case sp.MaxRetries < 0 || sp.Batch < 0:
-		return sim.Request{}, fmt.Errorf("negative max_retries/batch")
+	case sp.Batch < 0:
+		return sim.Request{}, fmt.Errorf("negative batch")
 	}
 	cfg := sim.Default(kind)
 	cfg.MaxInsts = sp.MaxInsts
 	cfg.WarmupInsts = sp.WarmupInsts
 	cfg.Core.Batch = sp.Batch
-	if sp.Degrade {
-		cfg.Degrade.MaxRetries = sp.MaxRetries
-		if cfg.Degrade.MaxRetries == 0 {
-			cfg.Degrade.MaxRetries = 2 // the CLI default
-		}
-	}
 	return sim.Request{Config: cfg, Workload: &w}, nil
 }
 
@@ -111,7 +98,7 @@ func (sp JobSpec) Fingerprint() string {
 
 // canonicalDomain prefixes request fingerprints in the result cache, so
 // a store of another format (wpexp's) never decodes its entries.
-const canonicalDomain = "wpserved.canonical.v2-"
+const canonicalDomain = "wpserved.canonical.v3-"
 
 // cacheKey is the result-cache and coalescing key ("" = unaddressable).
 func cacheKey(req sim.Request) string {

@@ -11,7 +11,7 @@ import (
 
 // sessionSnapshotVersion stamps the session-level snapshot header; bump
 // it when the header layout or the section order below changes.
-const sessionSnapshotVersion = 2
+const sessionSnapshotVersion = 3
 
 // stateSource is the capability a Source needs for checkpointing: its
 // complete production-side state (functional CPU + memory + frontend
@@ -21,30 +21,22 @@ type stateSource interface {
 	State(st *checkpoint.Stream)
 }
 
-// checkpointState returns src's snapshot capability, or the typed fault
-// explaining why the source cannot checkpoint. Wrapped sources (fault
-// injectors, stream filters) are rejected explicitly even though their
-// embedded Source would promote the methods: the wrapper's own state —
-// which bytes it already corrupted, where its panic point sits — is not
-// captured, so a restore through it would silently diverge.
+// checkpointState returns src's snapshot capability, or the typed
+// ErrConfig fault explaining why the source cannot checkpoint.
 func checkpointState(src Source) (stateSource, error) {
-	if _, ok := src.(*wrappedSource); ok {
-		return nil, simerr.Unsupported("configuring checkpointing",
-			fmt.Errorf("sim: wrapped sources (fault injection, stream filters) cannot checkpoint"))
-	}
 	if fs, ok := src.(*functionalSource); ok && fs.par != nil {
-		return nil, simerr.Unsupported("configuring checkpointing",
+		return nil, simerr.Config("configuring checkpointing",
 			fmt.Errorf("sim: the parallel frontend cannot checkpoint (in-flight producer batches are not deterministic state)"))
 	}
 	if ts, ok := src.(traceSource); ok {
 		if _, ok := ts.src.(interface{ Pos() uint64 }); !ok {
-			return nil, simerr.Unsupported("configuring checkpointing",
+			return nil, simerr.Config("configuring checkpointing",
 				fmt.Errorf("sim: trace producer %T exposes no record cursor (Pos)", ts.src))
 		}
 	}
 	cs, ok := src.(stateSource)
 	if !ok {
-		return nil, simerr.Unsupported("configuring checkpointing",
+		return nil, simerr.Config("configuring checkpointing",
 			fmt.Errorf("sim: source %T does not support state snapshots", src))
 	}
 	return cs, nil
@@ -156,17 +148,12 @@ func (s *Session) Restore(st *checkpoint.Stream) error {
 }
 
 // state walks the session: a header (snapshot identity, instruction
-// count, technique), then source → queue → core → policy statistics.
-// The policy section is last so a load under another technique (a
-// ladder downgrade) can stop before it: the snapshot's policy counters
-// belong to the higher rung, and the fresh policy starts its own count
-// (the result is annotated as degraded either way).
+// count), then source → queue → core → policy statistics.
 func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) error {
-	ident, kind := s.ident, s.cfg.WP.String()
+	ident := s.ident
 	st.Section("sim/Session", sessionSnapshotVersion)
 	st.String(&ident)
 	st.Uint64(insts)
-	st.String(&kind)
 	if err := st.Err(); err != nil {
 		return err
 	}
@@ -177,8 +164,6 @@ func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) e
 	src.State(st)
 	s.queue.State(st)
 	s.core.State(st)
-	if kind == s.cfg.WP.String() {
-		s.policy.Stats().State(st)
-	}
+	s.policy.Stats().State(st)
 	return st.Err()
 }

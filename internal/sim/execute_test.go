@@ -86,11 +86,11 @@ func killedSnapshot(t *testing.T, req Request) string {
 }
 
 // TestExecuteResumeRule is the single execution path's acceptance table:
-// every technique × input (workload, trace) × ladder (off, on) × start
-// (from zero, resumed from a mid-run snapshot, a snapshot written under
-// another configuration, a corrupt snapshot). Every clean cell must
-// equal an uninterrupted run, and resumed must be true exactly when a
-// snapshot was restored.
+// every technique × input (workload, trace) × start (from zero, resumed
+// from a mid-run snapshot, a snapshot written under another
+// configuration, one written under another technique, a corrupt
+// snapshot). Every cell must equal an uninterrupted run, and resumed
+// must be true exactly when the request's own snapshot was restored.
 func TestExecuteResumeRule(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	trace := recordTrace(t)
@@ -126,16 +126,7 @@ func TestExecuteResumeRule(t *testing.T) {
 		for _, in := range inputs {
 			cfg := chaosConfig(k, 64)
 			if in.name == "trace" && k == wrongpath.WPEmul {
-				// The paper's §III-B restriction: typed without the ladder,
-				// one rung down with it.
-				if _, _, err := Execute(in.req(cfg)); !errors.Is(err, simerr.ErrUnsupported) {
-					t.Errorf("trace/wpemul err = %v, want ErrUnsupported", err)
-				}
-				cfg.Degrade = DegradePolicy{MaxRetries: 1}
-				if res, _, err := Execute(in.req(cfg)); err != nil || !res.Degraded || res.WP != wrongpath.Conv {
-					t.Errorf("trace/wpemul with ladder: res %+v err %v, want degraded to conv", res, err)
-				}
-				continue
+				continue // wpemul cannot run on a trace (§III-B): TestExecuteRejectsWPEmulOnTrace
 			}
 			base := stripWall(in.base(cfg))
 			if base.Err != nil {
@@ -145,6 +136,12 @@ func TestExecuteResumeRule(t *testing.T) {
 			other := cfg
 			other.MaxInsts++
 			mismatched := killedSnapshot(t, in.req(other))
+			other = cfg
+			other.WP = wrongpath.Conv
+			if k == wrongpath.Conv {
+				other.WP = wrongpath.NoWP
+			}
+			otherTechnique := killedSnapshot(t, in.req(other))
 			starts := []struct {
 				name    string
 				dir     func() string
@@ -153,29 +150,27 @@ func TestExecuteResumeRule(t *testing.T) {
 				{"zero", func() string { return t.TempDir() }, false},
 				{"resume", func() string { return copySnapshot(t, good, false) }, true},
 				{"mismatched", func() string { return copySnapshot(t, mismatched, false) }, false},
+				{"other technique", func() string { return copySnapshot(t, otherTechnique, false) }, false},
 				{"corrupt", func() string { return copySnapshot(t, good, true) }, false},
 			}
-			for _, ladder := range []int{0, 2} {
-				for _, st := range starts {
-					c := cfg
-					c.Degrade = DegradePolicy{MaxRetries: ladder}
-					c.CheckpointDir = st.dir()
-					c.CheckpointEvery = 8_000
-					req := in.req(c)
-					req.Resume = true
-					res, resumed, err := Execute(req)
-					name := k.String() + "/" + in.name + "/" + st.name
-					if err != nil {
-						t.Errorf("%s ladder=%d: %v", name, ladder, err)
-						continue
-					}
-					if resumed != st.resumed {
-						t.Errorf("%s ladder=%d: resumed = %v, want %v", name, ladder, resumed, st.resumed)
-					}
-					if !reflect.DeepEqual(base, stripWall(res)) {
-						t.Errorf("%s ladder=%d: result diverges from an uninterrupted run\nbase: %+v\ngot:  %+v",
-							name, ladder, base, stripWall(res))
-					}
+			for _, st := range starts {
+				c := cfg
+				c.CheckpointDir = st.dir()
+				c.CheckpointEvery = 8_000
+				req := in.req(c)
+				req.Resume = true
+				res, resumed, err := Execute(req)
+				name := k.String() + "/" + in.name + "/" + st.name
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				if resumed != st.resumed {
+					t.Errorf("%s: resumed = %v, want %v", name, resumed, st.resumed)
+				}
+				if !reflect.DeepEqual(base, stripWall(res)) {
+					t.Errorf("%s: result diverges from an uninterrupted run\nbase: %+v\ngot:  %+v",
+						name, base, stripWall(res))
 				}
 			}
 		}

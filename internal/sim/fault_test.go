@@ -8,8 +8,9 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/frontend"
 	"repro/internal/functional"
-	"repro/internal/queue"
+	"repro/internal/obs"
 	"repro/internal/simerr"
+	"repro/internal/trace"
 	"repro/internal/tracefile"
 	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
@@ -38,146 +39,57 @@ func recordWorkload(t *testing.T, w workloads.Workload) []byte {
 	return buf.Bytes()
 }
 
-// TestLadderDegradesUnsupported: wpemul on a trace source is the
-// paper's own unsupported case; with the ladder armed it must re-run as
-// conv and annotate, not fail.
-func TestLadderDegradesUnsupported(t *testing.T) {
-	data := recordTrace(t)
-	cfg := Default(wrongpath.WPEmul)
-	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, _, err := Execute(Request{Config: cfg, Trace: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WP != wrongpath.Conv || res.RequestedWP != wrongpath.WPEmul || !res.Degraded {
-		t.Fatalf("degradation not recorded: WP=%v requested=%v degraded=%v", res.WP, res.RequestedWP, res.Degraded)
-	}
-	if !errors.Is(res.DegradeFault, simerr.ErrDegraded) || !errors.Is(res.DegradeFault, simerr.ErrUnsupported) {
-		t.Errorf("DegradeFault = %v, want ErrDegraded wrapping ErrUnsupported", res.DegradeFault)
-	}
-
-	// The degraded cell must equal a direct conv replay bit-for-bit.
-	direct, _, err := Execute(Request{Config: Default(wrongpath.Conv), Trace: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Core != direct.Core {
-		t.Error("degraded conv run differs from a direct conv run")
+// TestExecuteRejectsWPEmulOnTrace: wpemul on a trace source is the
+// paper's own unsupported case (§III-B), a fixed property of the request:
+// a typed ErrConfig and no result.
+func TestExecuteRejectsWPEmulOnTrace(t *testing.T) {
+	res, _, err := Execute(Request{Config: Default(wrongpath.WPEmul), Trace: recordTrace(t)})
+	if res != nil || !errors.Is(err, simerr.ErrConfig) {
+		t.Fatalf("res %v, err = %v; want no result and ErrConfig", res, err)
 	}
 }
 
-// TestLadderDisabledStillRejectsUnsupported: without the ladder the
-// capability fault surfaces as a typed error, same as before.
-func TestLadderDisabledStillRejectsUnsupported(t *testing.T) {
-	data := recordTrace(t)
-	_, _, err := Execute(Request{Config: Default(wrongpath.WPEmul), Trace: data})
-	if !errors.Is(err, simerr.ErrUnsupported) {
-		t.Fatalf("err = %v, want ErrUnsupported class", err)
-	}
-}
-
-// TestLadderKeepsCorruptPrefix: a corrupt trace tail keeps the valid
-// prefix as an annotated partial result instead of re-running (the same
-// bytes would fail again) or failing the cell.
-func TestLadderKeepsCorruptPrefix(t *testing.T) {
+// TestExecuteCorruptTraceKeepsPrefix: a corrupt trace tail ends the run
+// early; the valid prefix comes back as a partial result whose Err
+// carries the typed fault.
+func TestExecuteCorruptTraceKeepsPrefix(t *testing.T) {
 	data := recordTrace(t)
 	cut := faultinject.Truncate(data, int64(len(data)-3)) // mid-record: records are >= 8 bytes
-	cfg := Default(wrongpath.Conv)
-	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, _, err := Execute(Request{Config: cfg, Trace: cut})
+	res, _, err := Execute(Request{Config: Default(wrongpath.Conv), Trace: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.WP != wrongpath.Conv {
-		t.Fatalf("partial prefix not annotated: degraded=%v WP=%v", res.Degraded, res.WP)
+	if !errors.Is(res.Err, simerr.ErrTraceCorrupt) {
+		t.Errorf("Err = %v, want ErrTraceCorrupt", res.Err)
 	}
-	if !errors.Is(res.DegradeFault, simerr.ErrTraceCorrupt) || !errors.Is(res.DegradeFault, simerr.ErrDegraded) {
-		t.Errorf("DegradeFault = %v, want ErrDegraded wrapping ErrTraceCorrupt", res.DegradeFault)
-	}
-	if res.Core.Instructions == 0 {
-		t.Error("partial result simulated nothing")
+	if res.WP != wrongpath.Conv || res.Core.Instructions == 0 {
+		t.Errorf("partial result ran %v over %d instructions, want conv over a nonempty prefix", res.WP, res.Core.Instructions)
 	}
 }
 
-// TestLadderDegradesOnWorkerPanic: a panic on the first attempt is
-// recovered and the job re-runs a rung down with a fresh source.
-func TestLadderDegradesOnWorkerPanic(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	cfg := Default(wrongpath.Conv)
-	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	attempts := 0
-	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
-		attempts++
-		if attempts == 1 {
-			return WrapSource(src, func(p queue.Producer) queue.Producer {
-				return faultinject.PanicAt(p, 100, "injected worker fault")
-			})
-		}
-		return src
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 {
-		t.Fatalf("ladder made %d attempts, want 2", attempts)
-	}
-	if res.WP != wrongpath.InstRec || res.RequestedWP != wrongpath.Conv || !res.Degraded {
-		t.Fatalf("degradation not recorded: WP=%v requested=%v degraded=%v", res.WP, res.RequestedWP, res.Degraded)
-	}
-	if !errors.Is(res.DegradeFault, simerr.ErrWorkerPanic) {
-		t.Errorf("DegradeFault = %v, want ErrWorkerPanic cause", res.DegradeFault)
-	}
+// panicPolicy is a wrong-path policy whose Begin panics: a policy bug
+// the run reaches at its first mispredict.
+type panicPolicy struct{ wrongpath.Policy }
 
-	// The degraded instrec result must match a clean instrec run.
-	direct, _, err := Execute(Request{Config: Default(wrongpath.InstRec), Workload: &w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Core != direct.Core {
-		t.Error("degraded instrec run differs from a direct instrec run")
-	}
+func (panicPolicy) Begin(*wrongpath.Context, *trace.DynInst, uint64) []trace.DynInst {
+	panic("injected policy fault")
 }
 
-// TestLadderExhaustsToTypedError: a fault on every rung within the
-// retry budget fails the cell with the typed fault, not a crash.
-func TestLadderExhaustsToTypedError(t *testing.T) {
+// TestExecutePanicPublishesNothing: a panic inside the run is contained
+// as a typed ErrWorkerPanic with no result, and the failed run publishes
+// none of the aggregate counters — sweep totals count only results a
+// caller receives.
+func TestExecutePanicPublishesNothing(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
-	cfg := Default(wrongpath.Conv)
-	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
-		return WrapSource(src, func(p queue.Producer) queue.Producer {
-			return faultinject.PanicAt(p, 50, "persistent fault")
-		})
-	}})
-	if res != nil {
-		t.Error("exhausted ladder returned a result")
+	cfg, reg, _, _ := obsConfig(wrongpath.Conv, "gap/bfs")
+	cfg.PolicyFactory = func() wrongpath.Policy { return panicPolicy{wrongpath.New(wrongpath.Conv)} }
+	res, _, err := Execute(Request{Config: cfg, Workload: &w})
+	if res != nil || !errors.Is(err, simerr.ErrWorkerPanic) {
+		t.Fatalf("res %v, err = %v; want no result and ErrWorkerPanic", res, err)
 	}
-	if !errors.Is(err, simerr.ErrWorkerPanic) {
-		t.Fatalf("err = %v, want ErrWorkerPanic class", err)
-	}
-}
-
-// TestRunKindsLadderCleanBitIdentical: with the ladder armed but no
-// fault injected, every cell of a sweep must be bit-identical to the
-// unarmed run — the acceptance criterion's fault-free half at the sim
-// layer.
-func TestRunKindsLadderCleanBitIdentical(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	kinds := wrongpath.Kinds()
-	plain := sweep(t, Default(wrongpath.NoWP), w, kinds, 1)
-	cfg := Default(wrongpath.NoWP)
-	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	laddered := sweep(t, cfg, w, kinds, 1)
-	for i, k := range kinds {
-		p, l := plain[i], laddered[i]
-		if l.Degraded || l.Err != nil {
-			t.Fatalf("%v: fault-free cell marked degraded (%v) or faulted (%v)", k, l.Degraded, l.Err)
-		}
-		if p.Core != l.Core || p.Policy != l.Policy {
-			t.Errorf("%v: ladder-armed clean run differs from plain run", k)
-		}
-		if p.L1I != l.L1I || p.L1D != l.L1D || p.L2 != l.L2 || p.LLC != l.LLC {
-			t.Errorf("%v: cache stats differ with ladder armed", k)
+	for _, name := range []string{"sim_runs_total", "sim_instructions_total", "wrongpath_generated_total"} {
+		if got := reg.Counter(obs.Key(name, "gap/bfs", "conv")).Value(); got != 0 {
+			t.Errorf("%s = %d, want 0: a failed run must not publish", name, got)
 		}
 	}
 }

@@ -27,13 +27,6 @@ var identityExclusions = map[string]string{
 	"OnCheckpoint":     "TestCheckpointingDisturbsNothing",
 }
 
-// snapshotExclusions are also left out of a snapshot's identity: the
-// degradation ladder resumes a snapshot one technique rung down.
-var snapshotExclusions = map[string]string{
-	"WP":      "TestExecuteResumeRule",
-	"Degrade": "TestExecuteResumeRule",
-}
-
 // field is one compiled Config field: its name, its index in the
 // enclosing struct, and the fields of a struct or of a map's struct
 // elements. Compiling once keeps path strings off wpserved's hit path.
@@ -43,22 +36,16 @@ type field struct {
 	sub   []field
 }
 
-// plans holds the compiled request and snapshot encodings of Config.
-var plans = sync.OnceValues(func() (request, snapshot []field) {
-	t := reflect.TypeOf(Config{})
-	return compile(t, "", nil), compile(t, "", snapshotExclusions)
-})
+// plan is the compiled encoding of Config.
+var plan = sync.OnceValue(func() []field { return compile(reflect.TypeOf(Config{}), "") })
 
 // compile lists t's fields minus the exclusions (dotted paths).
-func compile(t reflect.Type, prefix string, extra map[string]string) []field {
+func compile(t reflect.Type, prefix string) []field {
 	var out []field
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		path := prefix + sf.Name
 		if _, ok := identityExclusions[path]; ok {
-			continue
-		}
-		if _, ok := extra[path]; ok {
 			continue
 		}
 		f := field{name: sf.Name, index: i}
@@ -67,7 +54,7 @@ func compile(t reflect.Type, prefix string, extra map[string]string) []field {
 			ft = ft.Elem()
 		}
 		if ft.Kind() == reflect.Struct {
-			f.sub = compile(ft, path+".", extra)
+			f.sub = compile(ft, path+".")
 		}
 		out = append(out, f)
 	}
@@ -78,22 +65,16 @@ func compile(t reflect.Type, prefix string, extra map[string]string) []field {
 // input (the workload's suite, name and Input, or the trace bytes'
 // SHA-256) and of every Config field outside identityExclusions, so
 // equal fingerprints mean equal result bytes. It is "" for a request
-// that is not addressable — a workload without an Input, a set Wrap or
+// that is not addressable — a workload without an Input, or a set
 // PolicyFactory — which caches bypass.
-func (r Request) Fingerprint() string { return r.identity(&r.Config, false) }
+func (r Request) Fingerprint() string { return r.identity(&r.Config) }
 
-// identity builds the fingerprint of r run under cfg or, with snapshot
-// set, the identity stamped into snapshots.
-func (r *Request) identity(cfg *Config, snapshot bool) string {
-	if r.Wrap != nil {
-		return ""
-	}
-	plan, snap := plans()
-	domain := "sim/Request/v1"
-	if snapshot {
-		plan, domain = snap, "sim/Snapshot/v1"
-	}
-	b := specfp.New(domain)
+// identity builds the fingerprint of r run under cfg. Execute stamps it,
+// with cfg's defaults resolved, into every snapshot as the one identity
+// a resume must match, so a snapshot never continues another
+// technique's, input's or configuration's run.
+func (r *Request) identity(cfg *Config) string {
+	b := specfp.New("sim/Request/v1")
 	switch w := r.Workload; {
 	case w != nil && w.Input != "":
 		b.String("suite", w.Suite)
@@ -105,7 +86,7 @@ func (r *Request) identity(cfg *Config, snapshot bool) string {
 	default:
 		return ""
 	}
-	if !encodeValue(b, "Config", reflect.ValueOf(cfg).Elem(), plan) {
+	if !encodeValue(b, "Config", reflect.ValueOf(cfg).Elem(), plan()) {
 		return ""
 	}
 	return b.Sum()

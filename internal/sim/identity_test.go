@@ -120,14 +120,12 @@ func perturb(t *testing.T, v reflect.Value) {
 	}
 }
 
-// excludedBy reports whether the leaf or one of its ancestors is on
-// one of the tables.
-func excludedBy(steps []step, tables ...map[string]string) bool {
+// excluded reports whether the leaf or one of its ancestors is in
+// identityExclusions.
+func excluded(steps []step) bool {
 	for i := 1; i <= len(steps); i++ {
-		for _, tab := range tables {
-			if _, ok := tab[pathOf(steps[:i])]; ok {
-				return true
-			}
+		if _, ok := identityExclusions[pathOf(steps[:i])]; ok {
+			return true
 		}
 	}
 	return false
@@ -135,15 +133,15 @@ func excludedBy(steps []step, tables ...map[string]string) bool {
 
 // TestFingerprintCoversEveryLeaf perturbs every leaf of Config in turn —
 // each field of core.Config, branch.Config and cache.HierarchyConfig,
-// each FUs entry — and requires the request fingerprint and the
-// snapshot identity to change, unless the exclusion tables list the
-// leaf, in which case neither may change. It also fails on a stale table
+// each FUs entry — and requires the request fingerprint (which is also
+// the snapshot identity) to change, unless identityExclusions lists the
+// leaf, in which case it must not change. It also fails on a stale table
 // entry and on an entry citing a test that does not exist.
 func TestFingerprintCoversEveryLeaf(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	base := Request{Config: Default(wrongpath.Conv), Workload: &w}
-	baseFP, baseSnap := base.Fingerprint(), base.identity(&base.Config, true)
-	if baseFP == "" || baseSnap == "" {
+	baseFP := base.Fingerprint()
+	if baseFP == "" {
 		t.Fatal("the default request is not addressable")
 	}
 	var leaves [][]step
@@ -153,11 +151,8 @@ func TestFingerprintCoversEveryLeaf(t *testing.T) {
 		req := Request{Config: Default(wrongpath.Conv), Workload: &w}
 		perturbAt(t, reflect.ValueOf(&req.Config).Elem(), steps)
 		path := pathOf(steps)
-		if fp, in := req.Fingerprint(), !excludedBy(steps, identityExclusions); (fp != baseFP) != in {
+		if fp, in := req.Fingerprint(), !excluded(steps); (fp != baseFP) != in {
 			t.Errorf("%s: fingerprint changed = %v, want %v", path, fp != baseFP, in)
-		}
-		if id, in := req.identity(&req.Config, true), !excludedBy(steps, identityExclusions, snapshotExclusions); (id != baseSnap) != in {
-			t.Errorf("%s: snapshot identity changed = %v, want %v", path, id != baseSnap, in)
 		}
 	}
 	if len(leaves) < 80 {
@@ -173,14 +168,12 @@ func TestFingerprintCoversEveryLeaf(t *testing.T) {
 		}
 		tests.Write(data)
 	}
-	for _, tab := range []map[string]string{identityExclusions, snapshotExclusions} {
-		for path, proof := range tab {
-			if !nodes[path] {
-				t.Errorf("exclusion %q names no Config field", path)
-			}
-			if !strings.Contains(tests.String(), "func "+proof+"(") {
-				t.Errorf("exclusion %q cites %s, which is not a test in this package", path, proof)
-			}
+	for path, proof := range identityExclusions {
+		if !nodes[path] {
+			t.Errorf("exclusion %q names no Config field", path)
+		}
+		if !strings.Contains(tests.String(), "func "+proof+"(") {
+			t.Errorf("exclusion %q cites %s, which is not a test in this package", path, proof)
 		}
 	}
 }
@@ -196,7 +189,6 @@ func TestFingerprintUnaddressable(t *testing.T) {
 	for name, req := range map[string]Request{
 		"no input":       {Config: Default(wrongpath.Conv), Workload: &anon},
 		"policy factory": {Config: policy, Workload: &w},
-		"wrap":           {Config: Default(wrongpath.Conv), Workload: &w, Wrap: func(s Source, _ Config) Source { return s }},
 	} {
 		if fp := req.Fingerprint(); fp != "" {
 			t.Errorf("%s: fingerprint %q, want unaddressable", name, fp)

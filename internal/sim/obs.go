@@ -7,10 +7,8 @@ import (
 // This file is the sim layer's half of the observability contract (see
 // internal/obs): sessions carry a live *obs.View for sampling hooks,
 // and the two entry points — Run and Execute — publish a result's
-// aggregate counters exactly once per accepted result. The
-// degradation ladder may run the same cell several times; only the
-// result a caller actually receives is counted, so sweep totals (e.g.
-// WPGenerated) never double-count retry rungs.
+// aggregate counters exactly once per result a caller receives; a run
+// that fails without a result publishes nothing.
 
 // obsEnabled reports whether any observability output is configured.
 func (c Config) obsEnabled() bool { return c.Metrics != nil || c.Trace != nil }
@@ -24,9 +22,9 @@ func (c Config) view() *obs.View {
 	return obs.NewView(c.Metrics, c.Trace, c.ObsLabel, c.WP.String())
 }
 
-// publish records an accepted result's aggregate counters, labeled by
-// the technique that actually ran (after any ladder descent). Callers
-// must invoke it at most once per result a caller receives.
+// publish records a result's aggregate counters, labeled by its
+// technique. Callers must invoke it at most once per result a caller
+// receives.
 func (c Config) publish(r *Result) {
 	if c.Metrics == nil || r == nil {
 		return
@@ -42,19 +40,4 @@ func (c Config) publish(r *Result) {
 	reg.Counter(obs.Key("wrongpath_generated_total", wl, tech)).Add(r.Policy.WPGenerated)
 	reg.Counter(obs.Key("conv_checked_total", wl, tech)).Add(r.Policy.ConvChecked)
 	reg.Counter(obs.Key("conv_detected_total", wl, tech)).Add(r.Policy.ConvDetected)
-	if r.Degraded {
-		// Labeled by the *requested* technique: degradation rates are a
-		// property of what was asked for, not of the rung that rescued it.
-		reg.Counter(obs.Key("sim_degraded_runs_total", wl, r.RequestedWP.String())).Inc()
-	}
-}
-
-// noteRetry counts one degradation-ladder descent (labeled by the
-// requested technique) the moment it is decided, so abandoned ladders
-// still show their retry cost.
-func (c Config) noteRetry(requested string) {
-	if c.Metrics == nil {
-		return
-	}
-	c.Metrics.Counter(obs.Key("sim_degrade_retries_total", c.ObsLabel, requested)).Inc()
 }

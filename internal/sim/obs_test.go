@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/queue"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
@@ -122,73 +120,5 @@ func TestRunPublishesAggregates(t *testing.T) {
 		if got := reg.Counter(key).Value(); got != c.want {
 			t.Errorf("%s = %d, want %d", key, got, c.want)
 		}
-	}
-}
-
-// TestLadderMetricsNoDoubleCount is the degraded-sweep consistency
-// criterion: a cell that faults on its requested rung and is rescued a
-// rung down must publish aggregate counters for the accepted rung ONLY.
-// The failed attempt's partial progress (it ran 100 instructions and
-// generated wrong paths before the injected panic) must not leak into
-// sweep totals — WPGenerated is never double-counted across retries.
-func TestLadderMetricsNoDoubleCount(t *testing.T) {
-	const label = "gap/bfs"
-	w := gap.BFS(gap.TestParams())
-	cfg, reg, sink, _ := obsConfig(wrongpath.Conv, label)
-	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	attempts := 0
-	res, _, err := Execute(Request{Config: cfg, Workload: &w, Wrap: func(src Source, _ Config) Source {
-		attempts++
-		if attempts == 1 {
-			return WrapSource(src, func(p queue.Producer) queue.Producer {
-				return faultinject.PanicAt(p, 100, "injected worker fault")
-			})
-		}
-		return src
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 || res.WP != wrongpath.InstRec || !res.Degraded {
-		t.Fatalf("ladder shape unexpected: attempts=%d WP=%v degraded=%v", attempts, res.WP, res.Degraded)
-	}
-
-	accepted := res.WP.String() // instrec — the rung that produced the result
-	requested := "conv"         // the rung that faulted
-	counter := func(name, tech string) uint64 {
-		return reg.Counter(obs.Key(name, label, tech)).Value()
-	}
-	// Exactly one accepted run, counted under the accepted technique.
-	if got := counter("sim_runs_total", accepted); got != 1 {
-		t.Errorf("sim_runs_total{%s} = %d, want 1", accepted, got)
-	}
-	if got := counter("sim_runs_total", requested); got != 0 {
-		t.Errorf("sim_runs_total{%s} = %d, want 0 — failed attempt must not publish", requested, got)
-	}
-	// Aggregates equal the accepted result exactly: the conv attempt's
-	// partial run contributed nothing.
-	if got := counter("wrongpath_generated_total", accepted); got != res.Policy.WPGenerated {
-		t.Errorf("wrongpath_generated_total{%s} = %d, want %d (accepted result only)",
-			accepted, got, res.Policy.WPGenerated)
-	}
-	if got := counter("wrongpath_generated_total", requested); got != 0 {
-		t.Errorf("wrongpath_generated_total{%s} = %d, want 0 — retry rung double-counted", requested, got)
-	}
-	if got := counter("sim_instructions_total", accepted); got != res.Core.Instructions {
-		t.Errorf("sim_instructions_total{%s} = %d, want %d", accepted, got, res.Core.Instructions)
-	}
-	if got := counter("sim_instructions_total", requested); got != 0 {
-		t.Errorf("sim_instructions_total{%s} = %d, want 0", requested, got)
-	}
-	// The descent itself is visible: one retry and one degraded run,
-	// both labeled by what was requested.
-	if got := counter("sim_degrade_retries_total", requested); got != 1 {
-		t.Errorf("sim_degrade_retries_total{%s} = %d, want 1", requested, got)
-	}
-	if got := counter("sim_degraded_runs_total", requested); got != 1 {
-		t.Errorf("sim_degraded_runs_total{%s} = %d, want 1", requested, got)
 	}
 }

@@ -37,21 +37,17 @@ type Session struct {
 // NewSession validates the configuration against the source's
 // capabilities and builds queue → policy → core. On error nothing is
 // retained; the caller still owns (and must Close) the source. A
-// capability mismatch is a typed simerr.ErrUnsupported fault — the
-// recoverable class the degradation ladder retries a rung down.
+// capability the source lacks is a typed simerr.ErrConfig fault: it is
+// a fixed property of the request, so no rerun can succeed.
 func NewSession(cfg Config, src Source) (*Session, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.WP == wrongpath.WPEmul && !src.SupportsWPEmul() {
-		return nil, simerr.Unsupported("configuring session",
+		return nil, simerr.Config("configuring session",
 			fmt.Errorf("sim: wrong-path emulation requires a live functional frontend, not a trace (paper §III-B)"))
 	}
 	if cfg.checkpointEnabled() {
-		if cfg.ParallelFrontend {
-			return nil, simerr.Config("configuring session",
-				fmt.Errorf("sim: checkpointing and the parallel frontend are mutually exclusive (results are bit-identical either way; drop one)"))
-		}
 		if _, err := checkpointState(src); err != nil {
 			return nil, err
 		}
@@ -123,7 +119,6 @@ func (s *Session) Run() *Result {
 	h := s.core.Hierarchy()
 	res := &Result{
 		WP:               s.cfg.WP,
-		RequestedWP:      s.cfg.WP,
 		Core:             stats,
 		Policy:           *s.policy.Stats(),
 		L1I:              h.L1I().Stats,
@@ -152,7 +147,7 @@ func (s *Session) Run() *Result {
 	}
 	if ctx != nil && ctx.Err() != nil {
 		// Cancellation outranks everything: whatever else broke, the
-		// operator asked the run to stop, and the ladder must not retry.
+		// operator asked the run to stop.
 		res.Err = &simerr.Fault{
 			Kind:      simerr.ErrCanceled,
 			Op:        "simulation run",

@@ -4,8 +4,8 @@
 // the library's primary public surface. It exports two run entry points:
 //
 //   - Execute(Request) is the execution path every driver uses: a Config
-//     plus one input (a workload or a recorded trace), with resume, the
-//     degradation ladder, panic containment and metrics in one place.
+//     plus one input (a workload or a recorded trace), with resume,
+//     panic containment and metrics in one place.
 //   - Run(cfg, inst) runs one prebuilt instance through one session.
 //
 // Both go through one session layer: a Source (live functional
@@ -60,13 +60,9 @@ type Config struct {
 	// nil selects the real wall clock; tests inject a fake so no
 	// simulation output ever depends on host time.
 	Clock Clock
-	// Degrade arms Execute's graceful-degradation ladder: on a
-	// recoverable fault a job is re-run one technique rung down instead
-	// of failing the sweep. Zero value = disabled.
-	Degrade DegradePolicy
 	// Metrics is the optional observability registry; runs sample live
 	// distributions (queue occupancy, peek depth) into it, and Run and
-	// Execute publish the accepted result's aggregate counters exactly
+	// Execute publish the result's aggregate counters exactly
 	// once. nil disables metrics; a disabled run's simulation output is
 	// bit-identical to an instrumented build's.
 	Metrics *obs.Registry
@@ -78,20 +74,19 @@ type Config struct {
 	ObsLabel string
 	// Ctx, when non-nil, cancels the run: when it is done, the core's
 	// lane hook stops the simulation at the next lane boundary, and
-	// Result.Err carries a typed simerr.ErrCanceled fault. Cancellation
-	// is an instruction, not a malfunction — the degradation ladder never
-	// retries it. nil means the run cannot be canceled.
+	// Result.Err carries a typed simerr.ErrCanceled fault. nil means the
+	// run cannot be canceled.
 	Ctx context.Context
 	// CheckpointDir, with CheckpointEvery > 0, enables crash-safe
 	// checkpointing: the complete deterministic simulation state is
 	// written to a versioned, checksummed snapshot file in this directory
 	// at the first lane boundary past every CheckpointEvery retired
 	// instructions. Execute restores the newest snapshot (see its resume
-	// rule) and continues to a bit-identical Result. Checkpointing requires a snapshot-capable
-	// source: the synchronous functional frontend or a trace reader —
-	// not the parallel frontend (its producer goroutine's in-flight
-	// batches are not deterministic state) and not fault-injection
-	// wrappers.
+	// rule) and continues to a bit-identical Result. Checkpointing
+	// requires a snapshot-capable source: the synchronous functional
+	// frontend or a trace reader, not the parallel frontend (its
+	// producer goroutine's in-flight batches are not deterministic
+	// state).
 	CheckpointDir string
 	// CheckpointEvery is the snapshot interval in retired instructions;
 	// 0 disables checkpointing.
@@ -158,15 +153,6 @@ type Result struct {
 	// reader (ErrTraceCorrupt), a recovered producer panic
 	// (ErrWorkerPanic), or a cancellation (ErrCanceled).
 	Err error
-	// RequestedWP is the technique originally requested; it differs
-	// from WP when the degradation ladder re-ran the job a rung down.
-	RequestedWP wrongpath.Kind
-	// Degraded marks a result the ladder produced below the requested
-	// rung, or a partial-prefix result kept from a corrupt trace;
-	// DegradeFault is the typed fault that forced it (matches
-	// simerr.ErrDegraded and the original fault class).
-	Degraded     bool
-	DegradeFault error
 }
 
 // IPC returns the projected instructions per cycle.

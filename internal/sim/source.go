@@ -176,26 +176,3 @@ func (s traceSource) Collect(res *Result) {
 		res.Err = e.Err()
 	}
 }
-
-// WrapSource replaces the instruction stream of src with wrap(src),
-// keeping src's capabilities and lifecycle — the injection point for
-// fault wrappers (internal/faultinject) and stream filters.
-func WrapSource(src Source, wrap func(queue.Producer) queue.Producer) Source {
-	return &wrappedSource{Source: src, producer: wrap(src)}
-}
-
-type wrappedSource struct {
-	Source
-	producer queue.Producer
-}
-
-func (w *wrappedSource) Next() (trace.DynInst, bool) { return w.producer.Next() }
-
-// NextBatch must be defined explicitly: the embedded Source would
-// otherwise promote its own NextBatch and hand out batches that bypass
-// the wrapper chain (fault injectors, filters). Batches route through
-// w.producer, falling back to its per-record Next when the wrapper does
-// not batch — which keeps every wrapped record passing through wrap().
-func (w *wrappedSource) NextBatch(dst []trace.DynInst) int {
-	return queue.NextBatchOf(w.producer, dst)
-}

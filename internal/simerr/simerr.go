@@ -1,19 +1,16 @@
-// Package simerr defines the typed fault taxonomy of the fault-tolerant
-// simulation runtime. Every runtime fault the simulator can survive —
-// a corrupted or truncated trace, a panic inside a batch worker or the
-// parallel frontend's producer goroutine, a capability the requested
-// technique needs but the frontend cannot provide — is reported as a *Fault
-// carrying the simulation context at the moment of the fault (workload,
-// technique, PC, instruction counts) and classified by one of the
-// errors.Is-able sentinels below.
+// Package simerr defines the typed fault taxonomy of the simulation
+// runtime. Every runtime fault the simulator contains — a corrupted or
+// truncated trace, a panic inside a batch worker, a simulation run or
+// the parallel frontend's producer goroutine, an invalid configuration,
+// a cancellation — is reported as a *Fault carrying the simulation
+// context at the moment of the fault (workload, technique, PC,
+// instruction counts) and classified by one of the errors.Is-able
+// sentinels below.
 //
-// The classification drives the graceful-degradation ladder in
-// internal/sim: recoverable classes (ErrUnsupported, ErrWorkerPanic)
-// re-run the job one technique rung down
-// (wpemul→conv→instrec→nowp); ErrTraceCorrupt keeps the valid prefix of
-// the run and annotates it; anything else aborts the cell with the
-// typed error so a sweep never silently drops or crashes on a faulted
-// cell.
+// A fault is reported, never answered by another technique: a run that
+// a fault ends early keeps its partial result with the fault in
+// Result.Err, and a run that produced no result fails with the typed
+// fault, so a sweep never silently drops or crashes on a faulted cell.
 package simerr
 
 import (
@@ -34,27 +31,18 @@ var (
 	// or the parallel frontend's producer goroutine.
 	ErrWorkerPanic = errors.New("worker panicked")
 
-	// ErrUnsupported classifies a capability mismatch between the
-	// requested technique and the frontend (e.g. wpemul on a trace
-	// interpreter, paper §III-B).
-	ErrUnsupported = errors.New("unsupported capability")
-
-	// ErrDegraded marks a result produced below the requested rung of
-	// the degradation ladder; the Fault's cause is the fault that forced
-	// the descent.
-	ErrDegraded = errors.New("degraded run")
-
-	// ErrConfig classifies an invalid simulation configuration (e.g. a
-	// decoupling-queue lookahead beyond the supported maximum). Config
-	// faults are deterministic — retrying on a lower technique rung
-	// cannot fix them — so the degradation ladder never recovers them.
+	// ErrConfig classifies a request the simulator rejects up front: an
+	// invalid configuration (e.g. a decoupling-queue lookahead beyond the
+	// supported maximum) or a capability the source lacks (wpemul on a
+	// trace interpreter, paper §III-B; checkpointing a source that cannot
+	// snapshot). Config faults are fixed properties of the request, so
+	// rerunning it cannot fix them.
 	ErrConfig = errors.New("invalid configuration")
 
 	// ErrCanceled classifies a run ended by operator cancellation: a
 	// context deadline, a SIGINT, or an explicit cancel. Cancellation is
-	// an instruction, not a malfunction — the degradation ladder never
-	// retries it, and sweeps flush whatever partial results exist with
-	// the canceled cells annotated.
+	// an instruction, not a malfunction — sweeps flush whatever partial
+	// results exist with the canceled cells annotated.
 	ErrCanceled = errors.New("run canceled")
 )
 
@@ -149,11 +137,6 @@ func WorkerPanic(op string, recovered any, stack []byte) *Fault {
 	return &Fault{Kind: ErrWorkerPanic, Op: op, Stack: stack, Err: fmt.Errorf("panic: %v", recovered)}
 }
 
-// Unsupported builds an ErrUnsupported fault.
-func Unsupported(op string, cause error) *Fault {
-	return &Fault{Kind: ErrUnsupported, Op: op, Err: cause}
-}
-
 // Config builds an ErrConfig fault for a configuration the simulator
 // rejects up front.
 func Config(op string, cause error) *Fault {
@@ -164,13 +147,6 @@ func Config(op string, cause error) *Fault {
 // (context.Canceled, context.DeadlineExceeded) when one is available.
 func Canceled(op string, cause error) *Fault {
 	return &Fault{Kind: ErrCanceled, Op: op, Err: cause}
-}
-
-// Degraded wraps the fault that forced a ladder descent so the result's
-// annotation satisfies both errors.Is(err, ErrDegraded) and
-// errors.Is(err, <original class>).
-func Degraded(from, to string, cause error) *Fault {
-	return &Fault{Kind: ErrDegraded, Op: fmt.Sprintf("%s -> %s", from, to), Err: cause}
 }
 
 // FirstLine renders err's message truncated at the first newline — the

@@ -16,31 +16,20 @@ func TestFaultClassMatching(t *testing.T) {
 	if !errors.Is(f, cause) {
 		t.Error("Corrupt fault does not match its cause")
 	}
-	if errors.Is(f, ErrUnsupported) || errors.Is(f, ErrWorkerPanic) {
+	if errors.Is(f, ErrConfig) || errors.Is(f, ErrWorkerPanic) {
 		t.Error("Corrupt fault matches an unrelated class")
 	}
 }
 
 func TestFaultMatchesThroughWrapping(t *testing.T) {
-	f := &Fault{Kind: ErrUnsupported, Workload: "gap/bfs", Technique: "wpemul", Fetched: 1000}
+	f := &Fault{Kind: ErrConfig, Workload: "gap/bfs", Technique: "wpemul", Fetched: 1000}
 	wrapped := fmt.Errorf("job 3: %w", f)
-	if !errors.Is(wrapped, ErrUnsupported) {
+	if !errors.Is(wrapped, ErrConfig) {
 		t.Error("fmt.Errorf wrapping loses the class")
 	}
 	var got *Fault
 	if !errors.As(wrapped, &got) || got.Fetched != 1000 {
 		t.Error("errors.As cannot recover the Fault")
-	}
-}
-
-func TestDegradedKeepsOriginalClass(t *testing.T) {
-	unsupported := &Fault{Kind: ErrUnsupported, Workload: "gap/cc"}
-	d := Degraded("wpemul", "conv", unsupported)
-	if !errors.Is(d, ErrDegraded) {
-		t.Error("Degraded fault does not match ErrDegraded")
-	}
-	if !errors.Is(d, ErrUnsupported) {
-		t.Error("Degraded fault loses the original class")
 	}
 }
 
@@ -71,7 +60,7 @@ func TestWorkerPanicCarriesStack(t *testing.T) {
 }
 
 func TestZeroFieldsOmitted(t *testing.T) {
-	f := &Fault{Kind: ErrUnsupported}
+	f := &Fault{Kind: ErrConfig}
 	msg := f.Error()
 	for _, banned := range []string{"workload=", "technique=", "pc=", "fetched=", "consumed="} {
 		if strings.Contains(msg, banned) {

@@ -15,8 +15,8 @@ import (
 // is the fault-tolerance contract the replay pipeline relies on: the
 // reader never panics and never hangs, NewReader fails only with
 // ErrBadMagic or an I/O wrap, and every mid-stream decode failure is a
-// typed simerr.ErrTraceCorrupt — the class the degradation ladder and
-// the sweep annotations dispatch on. A silently wrong replay (untyped
+// typed simerr.ErrTraceCorrupt — the class a replay reports in
+// Result.Err beside its valid prefix. A silently wrong replay (untyped
 // error, or records past the corruption point) is the bug this hunts.
 func FuzzReader(f *testing.F) {
 	// Seed with real shapes: a synthetic trace covering every record

@@ -89,29 +89,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Downgrade returns the next technique down the graceful-degradation
-// ladder (wpemul→conv→instrec→nowp; convres, the conv variant, also
-// drops to conv) and whether a lower rung exists. Each descent trades
-// wrong-path fidelity for fewer runtime requirements: conv needs only
-// queue run-ahead, instrec only past decode information, nowp nothing —
-// so a fault that breaks one rung's requirement (a frontend capability,
-// a wedged run-ahead) is survivable one rung below. NoWP is the floor.
-func Downgrade(k Kind) (Kind, bool) {
-	switch k {
-	case WPEmul:
-		return Conv, true
-	case ConvResolve:
-		return Conv, true
-	case Conv:
-		return InstRec, true
-	case InstRec:
-		return NoWP, true
-	case NoWP:
-		return NoWP, false
-	}
-	return NoWP, false
-}
-
 // ParseKind converts a policy name (a Kind's String) to its Kind.
 func ParseKind(s string) (Kind, bool) {
 	for _, k := range kinds {
