@@ -52,8 +52,8 @@ faults:
 # snapshots and both result caches key on. Every listed package runs
 # at least one test: check with go test -list '<pattern>' <pkg>.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective' \
-		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/ \
+	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective' \
+		./internal/checkpoint/ ./internal/sim/ ./internal/experiments/ \
 		./internal/server/ ./internal/specfp/
 
 # fuzz-smoke runs each native fuzz target briefly — a coverage-guided

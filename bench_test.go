@@ -11,10 +11,12 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/functional"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
@@ -149,6 +151,7 @@ func BenchmarkSimulateSpecINT(b *testing.B) {
 func BenchmarkFunctionalInterpreter(b *testing.B) {
 	inst := gap.BFS(benchGAP()).MustBuild()
 	cpu := functional.New(inst.Prog, inst.Mem, inst.StackTop)
+	var di trace.DynInst
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
@@ -158,7 +161,7 @@ func BenchmarkFunctionalInterpreter(b *testing.B) {
 			cpu = functional.New(inst.Prog, inst.Mem, inst.StackTop)
 			b.StartTimer()
 		}
-		if _, err := cpu.Step(); err != nil {
+		if err := cpu.Step(&di); err != nil {
 			b.Fatal(err)
 		}
 		n++
@@ -174,9 +177,11 @@ func BenchmarkWrongPathEmulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	target := cpu.PC()
+	maxLen := core.DefaultConfig().WPMaxLen()
+	buf := make([]trace.DynInst, 0, maxLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu.AppendWrongPath(nil, target, 576)
+		buf = cpu.AppendWrongPath(buf[:0], target, maxLen)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/functional"
 	"repro/internal/mem"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -54,9 +55,9 @@ func main() {
 
 	if *traceN > 0 {
 		cpu := functional.New(prog, mem.New(), workloads.StandardStackTop)
+		var di trace.DynInst
 		for i := 0; i < *traceN && !cpu.Halted(); i++ {
-			di, err := cpu.Step()
-			if err != nil {
+			if err := cpu.Step(&di); err != nil {
 				fmt.Printf("  [stopped: %v]\n", err)
 				break
 			}

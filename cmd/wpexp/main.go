@@ -10,8 +10,8 @@
 //	wpexp -exp fig1 -jobs 0    # fan simulations out, one worker per core
 //
 // Report text is byte-identical for any -jobs value; only host
-// wall-clock changes (the speed and parallel experiments always run
-// their timed simulations serially).
+// wall-clock changes (the speed experiment always runs its timed
+// simulations serially).
 //
 // Exit codes: 0 clean, 1 hard failure (including a faulted cell, named
 // in the error), 3 report flushed with INCOMPLETE cells after a

@@ -74,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		jobs     = fs.Int("jobs", 1, "-wp all worker count (0 = one per host core; wall clocks contend when > 1)")
 		maxInsts = fs.Uint64("max-insts", 0, "instruction cap (0 = workload default)")
 		warmup   = fs.Uint64("warmup", 0, "functional-warming instructions before detailed simulation")
-		parallel = fs.Bool("parallel", false, "run the functional frontend in its own goroutine")
 		n        = fs.Int("n", 0, "GAP graph vertices (0 = default)")
 		degree   = fs.Int("degree", 0, "GAP graph degree (0 = default)")
 		kron     = fs.Bool("kron", false, "use the Kronecker generator for GAP inputs")
@@ -168,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	req := sim.Request{Config: sim.Config{Core: cfg, MaxInsts: *maxInsts, WarmupInsts: *warmup,
-		ParallelFrontend: *parallel, Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
+		Metrics: metrics, Trace: tsink, ObsLabel: *suite + "/" + *bench,
 		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN},
 		Resume: *resume}
 	if *replay == "" {

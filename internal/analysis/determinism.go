@@ -22,7 +22,7 @@ import (
 // Map iteration order is randomized per process in Go, so any
 // order-dependent effect inside such a loop leaks nondeterminism into
 // statistics, traces or replay — exactly what decoupled simulation's
-// bit-identical parallel/sequential guarantee forbids.
+// bit-identical guarantee forbids.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-time, global randomness, env reads and map-iteration-order effects in simulation code",

@@ -9,7 +9,7 @@ import (
 // PanicFree forbids bare panic(...) calls in the simulator's
 // fault-contained packages (internal/sim, core, queue, frontend,
 // batch). Those packages sit inside the fault-containment boundary:
-// sim.Execute, the batch engine and the parallel frontend recover panics
+// sim.Execute and the batch engine recover panics
 // into typed simerr.ErrWorkerPanic faults — but a recovery path is a
 // last resort, not an error channel. Code inside the boundary must
 // surface faults as typed simerr values (or plain errors) so callers can

@@ -9,6 +9,7 @@ import (
 	"repro/internal/functional"
 	"repro/internal/mem"
 	"repro/internal/queue"
+	"repro/internal/trace"
 	"repro/internal/wrongpath"
 )
 
@@ -36,14 +37,14 @@ skip:
 `
 
 // TestRunSteadyStateAllocs pins the whole-pipeline steady state —
-// functional step, frontend, queue lanes, code-cache hits, convergence
-// reconstruction — at zero allocations per instruction. Run uses an
-// absolute instruction threshold, so repeated calls with a growing cap
-// continue the same simulation; everything that allocates (ring
-// sizing, code-cache pages, policy scratch) must settle during the
-// warmup call.
+// functional step, frontend (with its wrong-path ring under wpemul),
+// queue lanes, code-cache hits, reconstruction — at zero allocations
+// per instruction for every technique. Run uses an absolute instruction
+// threshold, so repeated calls with a growing cap continue the same
+// simulation; everything that allocates (ring sizing, code-cache pages,
+// policy scratch) must settle during the warmup call.
 func TestRunSteadyStateAllocs(t *testing.T) {
-	for _, kind := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv} {
+	for _, kind := range wrongpath.Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			prog, err := asm.Assemble(lcgLoop)
 			if err != nil {
@@ -51,7 +52,11 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			}
 			cfg := testConfig()
 			cpu := functional.New(prog, mem.New(), 0x7000_0000)
-			fe := frontend.New(cpu)
+			var opts []frontend.Option
+			if kind == wrongpath.WPEmul {
+				opts = append(opts, frontend.WithWrongPathEmulation(cfg.BranchPred, cfg.WPMaxLen()))
+			}
+			fe := frontend.New(cpu, opts...)
 			q, err := queue.New(fe, 2*cfg.ROBSize+cfg.FrontendBuffer+64)
 			if err != nil {
 				t.Fatal(err)
@@ -60,8 +65,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.SetWrongPaths(fe.WrongPaths())
 			total := uint64(200_000)
-			c.Run(total) // settle caches, ring size, and policy scratch
+			c.Run(total) // settle caches, rings, and policy scratch
 			avg := testing.AllocsPerRun(40, func() {
 				total += 2_000
 				c.Run(total)
@@ -69,9 +75,44 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("%v steady state allocates %.2f per 2000-instruction slice, want 0", kind, avg)
 			}
+			if err := fe.Err(); err != nil {
+				t.Fatal(err)
+			}
 			if st := c.Stats(); st.Instructions < total-2_000 {
 				t.Fatalf("simulation ended early at %d instructions (loop too short for the gate)", st.Instructions)
 			}
 		})
+	}
+}
+
+// TestFrontendEmulationSteadyStateAllocs: a frontend that emulates
+// wrong paths with no consumer attached (drained by NextBatch alone, as
+// a standalone frontend measurement drives it) releases each path
+// before the next, so once settled it allocates nothing.
+func TestFrontendEmulationSteadyStateAllocs(t *testing.T) {
+	prog, err := asm.Assemble(lcgLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	fe := frontend.New(functional.New(prog, mem.New(), 0x7000_0000),
+		frontend.WithWrongPathEmulation(cfg.BranchPred, cfg.WPMaxLen()))
+	lane := make([]trace.DynInst, core.DefaultBatch)
+	for i := 0; i < 1_000; i++ {
+		fe.NextBatch(lane)
+	}
+	before, _ := fe.WPEmulations()
+	avg := testing.AllocsPerRun(40, func() {
+		for i := 0; i < 30; i++ {
+			if fe.NextBatch(lane) != len(lane) {
+				t.Fatal("stream ended early (loop too short for the gate)")
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("emulating frontend allocates %.2f per 1920-record slice, want 0", avg)
+	}
+	if after, _ := fe.WPEmulations(); after == before {
+		t.Fatal("no wrong path emulated during the measurement")
 	}
 }

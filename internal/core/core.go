@@ -156,6 +156,12 @@ type Core struct {
 	laneN   int
 	lanePos int
 
+	// wrongPaths takes the frontend's emulated wrong path for a
+	// mispredicted branch by Seq (wpemul; nil otherwise). It is called at
+	// every mispredict the core detects, warmup included, so the
+	// frontend's path FIFO drains in step with consumption.
+	wrongPaths func(seq uint64) []trace.DynInst
+
 	// obs is the run's instrumentation view (nil when disabled; every
 	// hook below it is a no-op behind one nil check).
 	obs *obs.View
@@ -240,6 +246,11 @@ func (c *Core) SetObs(v *obs.View) {
 	}
 	c.q.SetObs(&v.Queue)
 }
+
+// SetWrongPaths wires the source of emulated wrong paths (the
+// frontend's WrongPaths take function; nil for none). In the measured
+// phase each taken path reaches the policy as Context.Emulated.
+func (c *Core) SetWrongPaths(take func(seq uint64) []trace.DynInst) { c.wrongPaths = take }
 
 // SetLaneHook installs f to run at every measured-phase lane boundary
 // (nil uninstalls it). The sim layer uses it for checkpoint writes and
@@ -396,7 +407,11 @@ func (c *Core) warm(di *trace.DynInst, m *codecache.Meta) {
 		c.curFetchLine = line
 	}
 	if m.IsControl() {
-		c.bp.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
+		pred := c.bp.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
+		if pred.Mispredicted && c.wrongPaths != nil {
+			// The emulated path is discarded: warming has no wrong path.
+			c.wrongPaths(di.Seq)
+		}
 	}
 	if di.HasAddr {
 		if m.IsLoad() {
@@ -627,6 +642,9 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 	if c.obs != nil {
 		st := c.policy.Stats()
 		prevConvDet, prevConvDist = st.ConvDetected, st.ConvDistSum
+	}
+	if c.wrongPaths != nil {
+		c.ctx.Emulated = c.wrongPaths(br.Seq)
 	}
 	wp := c.policy.Begin(&c.ctx, br, target)
 	if c.obs != nil {

@@ -36,7 +36,7 @@ func (r *Runner) runBatch(works []workloads.Workload, cfgs []sim.Config) ([]*sim
 		jobs[i] = func() (*sim.Result, error) { return r.runWith(w, cfg) }
 	}
 	out := make([]*sim.Result, len(jobs))
-	if err := r.runCells(keys, jobs, r.workers(), func(i int, res *sim.Result) { out[i] = res }); err != nil {
+	if err := r.runCells(keys, jobs, func(i int, res *sim.Result) { out[i] = res }); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -90,8 +90,8 @@ type Options struct {
 	// Jobs is the batch-engine worker count for independent simulations
 	// (0 = one per host core, 1 = serial). Report text is byte-identical
 	// for any worker count; only wall-clock measurements vary, which is
-	// why the speed and parallel experiments always run their
-	// simulations serially regardless of Jobs.
+	// why the speed experiment always runs its simulations serially
+	// regardless of Jobs.
 	Jobs int
 	// Cache, when non-nil, memoizes cell results across runner
 	// lifetimes (and, with a persistent tier, across processes):
@@ -247,20 +247,20 @@ func (r *Runner) prefetch(works []workloads.Workload, kinds []wrongpath.Kind) er
 			}
 		}
 	}
-	return r.runCells(keys, jobs, r.workers(), func(i int, res *sim.Result) { r.record(keys[i], res) })
+	return r.runCells(keys, jobs, func(i int, res *sim.Result) { r.record(keys[i], res) })
 }
 
-// runCells runs the cells named by keys through the batch engine under
-// the sweep's context and hands each finished one to done, in cell
-// order, on the calling goroutine. Cancellation sweeps through here:
-// cells in flight stop at a lane boundary with a canceled fault, cells
-// not yet started are skipped with one. Every canceled cell is noted
-// for the INCOMPLETE footnote before the sweep's error propagates, so
-// the flushed partial report names them all; any other failure ends the
-// sweep at once.
-func (r *Runner) runCells(keys []string, jobs []func() (*sim.Result, error), workers int, done func(i int, res *sim.Result)) error {
+// runCells runs the cells named by keys through the batch engine (with
+// the runner's worker count) under the sweep's context and hands each
+// finished one to done, in cell order, on the calling goroutine.
+// Cancellation sweeps through here: cells in flight stop at a lane
+// boundary with a canceled fault, cells not yet started are skipped
+// with one. Every canceled cell is noted for the INCOMPLETE footnote
+// before the sweep's error propagates, so the flushed partial report
+// names them all; any other failure ends the sweep at once.
+func (r *Runner) runCells(keys []string, jobs []func() (*sim.Result, error), done func(i int, res *sim.Result)) error {
 	var canceled error
-	for i, br := range batch.RunContext(r.opt.Base.Config.Ctx, jobs, workers) {
+	for i, br := range batch.RunContext(r.opt.Base.Config.Ctx, jobs, r.workers()) {
 		switch {
 		case br.Err == nil:
 			done(i, br.Value)
@@ -620,7 +620,6 @@ var registry = map[string]func(*Runner) error{
 	"table3":   (*Runner).Table3,
 	"speed":    (*Runner).Speed,
 	"ablation": (*Runner).Ablations,
-	"parallel": (*Runner).Parallel,
 }
 
 // Run executes one named experiment. A canceled sweep still flushes the
@@ -653,7 +652,7 @@ func (r *Runner) Faulted() bool {
 
 // All executes every experiment in paper order.
 func (r *Runner) All() error {
-	for _, name := range []string{"table1", "fig1", "fig4gap", "fig4spec", "speed", "table2", "table3", "ablation", "parallel"} {
+	for _, name := range []string{"table1", "fig1", "fig4gap", "fig4spec", "speed", "table2", "table3", "ablation"} {
 		if err := r.Run(name); err != nil {
 			return err
 		}

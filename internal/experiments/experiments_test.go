@@ -66,7 +66,7 @@ func TestNamesRegistered(t *testing.T) {
 	if len(names) != len(registry) {
 		t.Errorf("Names() returned %d entries, registry has %d", len(names), len(registry))
 	}
-	for _, want := range []string{"table1", "fig1", "fig4gap", "fig4spec", "table2", "table3", "speed", "ablation", "parallel"} {
+	for _, want := range []string{"table1", "fig1", "fig4gap", "fig4spec", "table2", "table3", "speed", "ablation"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -83,7 +83,7 @@ func TestNamesRegistered(t *testing.T) {
 // host wall-clock behaviour — the report text must be byte-identical
 // between a serial and a parallel runner. The experiments chosen cover
 // the prefetch path (fig1, table3) and the custom-configuration batch
-// path (ablation); speed/parallel are excluded because they print wall
+// path (ablation); speed is excluded because it prints wall
 // clocks by design.
 func TestReportBytesIdenticalAcrossJobs(t *testing.T) {
 	if testing.Short() {

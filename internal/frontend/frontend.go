@@ -11,11 +11,19 @@
 // (branch.PredictAndUpdate), the frontend detects exactly the
 // mispredictions the performance model will detect, checkpoints the
 // functional state, emulates the predicted (wrong) path with stores
-// suppressed, attaches the emulated records to the branch, and restores
+// suppressed, keeps the emulated records for the branch, and restores
 // the checkpoint.
+//
+// The emulated paths live in a FIFO ring the frontend owns: each path
+// is one contiguous run of records tagged with its branch's Seq, and
+// the core takes the oldest at each mispredict it detects (WrongPaths).
+// A taken path's space is recycled at the next take, so steady-state
+// emulation allocates nothing.
 package frontend
 
 import (
+	"fmt"
+
 	"repro/internal/branch"
 	"repro/internal/functional"
 	"repro/internal/trace"
@@ -27,22 +35,18 @@ type Frontend struct {
 
 	// pred is the wpemul-mode predictor copy; nil in the other modes.
 	pred *branch.Unit
-	// wpMaxLen caps emulated wrong paths (ROB + front-end buffers).
-	wpMaxLen int
 
 	// maxInsts stops production after that many correct-path
 	// instructions (0 = unlimited).
 	maxInsts uint64
 	produced uint64
 
-	// wpArena is the reusable backing store for emulated wrong paths:
-	// each mispredict slices its records out of the current block, so
-	// steady-state emulation allocates one block per ~wpArenaBlock
-	// records instead of one slice per mispredict. Blocks are retired
-	// (left to the GC) once full; the WP slices handed out keep their
-	// block alive exactly as long as the queue holds them.
-	wpArena []trace.DynInst
-	wpOff   int
+	// paths holds the emulated wrong paths not yet taken, each capped
+	// at paths.size records (ROB + front-end buffers); consumed is set
+	// once WrongPaths attached a consumer. Without one, each path is
+	// released before the next is emulated.
+	paths    ring
+	consumed bool
 
 	err error
 
@@ -60,7 +64,7 @@ type Option func(*Frontend)
 func WithWrongPathEmulation(cfg branch.Config, wpMaxLen int) Option {
 	return func(f *Frontend) {
 		f.pred = branch.New(cfg)
-		f.wpMaxLen = wpMaxLen
+		f.paths.size = wpMaxLen
 	}
 }
 
@@ -111,52 +115,57 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 	if f.maxInsts > 0 && f.produced >= f.maxInsts {
 		return false
 	}
-	d, err := f.cpu.Step()
-	if err != nil {
+	if err := f.cpu.Step(di); err != nil {
 		f.err = err
 		return false
 	}
-	*di = d
 	f.produced++
 
 	if f.pred != nil && di.IsControl() {
 		pred := f.pred.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
 		if pred.Mispredicted {
+			if !f.consumed {
+				f.paths.reset()
+			}
+			wp := f.cpu.AppendWrongPath(f.paths.next(), pred.Target, f.paths.size)
+			f.paths.push(di.Seq, len(wp))
 			f.wpEmulations++
-			di.WP = f.emulateWP(pred.Target)
-			f.wpEmulated += uint64(len(di.WP))
+			f.wpEmulated += uint64(len(wp))
 		}
 	}
 	return true
 }
 
-// wpArenaBlock is the arena growth granule in records; blocks are
-// sized up to wpMaxLen when a single path could outgrow it.
-const wpArenaBlock = 1 << 14
-
-// emulateWP functionally emulates the wrong path from target into the
-// arena and returns the records (nil when the path is empty). The
-// emulated stream itself is unchanged from the per-mispredict
-// allocation it replaces; only the backing store differs.
-func (f *Frontend) emulateWP(target uint64) []trace.DynInst {
-	if len(f.wpArena)-f.wpOff < f.wpMaxLen {
-		sz := wpArenaBlock
-		if sz < f.wpMaxLen {
-			sz = f.wpMaxLen
-		}
-		f.wpArena = make([]trace.DynInst, sz)
-		f.wpOff = 0
-	}
-	base := f.wpArena[f.wpOff:f.wpOff:len(f.wpArena)]
-	wp := f.cpu.AppendWrongPath(base, target, f.wpMaxLen)
-	if len(wp) == 0 {
+// WrongPaths attaches the consumer of the emulated wrong paths and
+// returns its take function; nil when emulation is off. take(seq)
+// removes the oldest retained path, which must belong to the branch
+// with that Seq, and returns its records. They stay readable until the
+// next take. Both predictor copies see the same correct-path control
+// stream, so the oldest path always belongs to the branch being taken;
+// a take that finds another Seq is a bug, never data: it returns no
+// records and latches an error that ends the stream (Err).
+func (f *Frontend) WrongPaths() func(seq uint64) []trace.DynInst {
+	if f.pred == nil {
 		return nil
 	}
-	f.wpOff += len(wp)
+	f.consumed = true
+	return f.take
+}
+
+func (f *Frontend) take(seq uint64) []trace.DynInst {
+	wp, ok := f.paths.take(seq)
+	if !ok && f.err == nil {
+		want := "none"
+		if f.paths.n > 0 {
+			want = fmt.Sprint(f.paths.paths[f.paths.head].seq)
+		}
+		f.err = fmt.Errorf("frontend: wrong-path emulation out of step: the core took the path of branch %d, the oldest emulated path is %s", seq, want)
+	}
 	return wp
 }
 
-// Err returns the functional error that stopped production, if any.
+// Err returns the error that stopped production, if any: a functional
+// error, or a take out of step with emulation.
 func (f *Frontend) Err() error { return f.err }
 
 // Produced returns the number of correct-path instructions emitted.
@@ -170,3 +179,67 @@ func (f *Frontend) WPEmulations() (paths, insts uint64) {
 
 // CPU returns the underlying functional CPU.
 func (f *Frontend) CPU() *functional.CPU { return f.cpu }
+
+// ring is the FIFO of emulated paths. Each path gets a slot of size
+// records in recs, tagged in paths with its branch's Seq and length.
+// The n untaken paths occupy slots head, head+1, … (modulo the
+// power-of-two slot count), and the slot before head holds the path
+// last taken, which stays readable until the next take. The ring
+// doubles its slots only when the untaken paths fill all but that one.
+type ring struct {
+	size    int
+	recs    []trace.DynInst
+	paths   []span
+	head, n int
+}
+
+// span tags one slot's path: n records emulated for branch seq.
+type span struct {
+	seq uint64
+	n   int
+}
+
+// reset releases every path.
+func (r *ring) reset() { r.head, r.n = 0, 0 }
+
+// next returns the empty slot the next path is written into, growing
+// the ring when that slot is the held one.
+func (r *ring) next() []trace.DynInst {
+	if r.n+1 >= len(r.paths) {
+		r.grow()
+	}
+	s := (r.head + r.n) & (len(r.paths) - 1)
+	return r.recs[s*r.size : s*r.size : (s+1)*r.size]
+}
+
+// push records the path just written into the next slot.
+func (r *ring) push(seq uint64, n int) {
+	r.paths[(r.head+r.n)&(len(r.paths)-1)] = span{seq: seq, n: n}
+	r.n++
+}
+
+// take removes the oldest path if it belongs to seq and returns its
+// records; false, with no path removed, otherwise.
+func (r *ring) take(seq uint64) ([]trace.DynInst, bool) {
+	if r.n == 0 || r.paths[r.head].seq != seq {
+		return nil, false
+	}
+	lo, hi := r.head*r.size, r.head*r.size+r.paths[r.head].n
+	r.head = (r.head + 1) & (len(r.paths) - 1)
+	r.n--
+	return r.recs[lo:hi:hi], true
+}
+
+// grow doubles the slots and moves the untaken paths, in order, to the
+// front. The held path stays behind: the old store is never written
+// again, so the records already handed out stay readable.
+func (r *ring) grow() {
+	paths := make([]span, max(2*len(r.paths), 2))
+	recs := make([]trace.DynInst, len(paths)*r.size)
+	for i := 0; i < r.n; i++ {
+		s := (r.head + i) & (len(r.paths) - 1)
+		paths[i] = r.paths[s]
+		copy(recs[i*r.size:], r.recs[s*r.size:s*r.size+paths[i].n])
+	}
+	r.recs, r.paths, r.head = recs, paths, 0
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/functional"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 const loopSrc = `
@@ -85,67 +86,205 @@ func TestMaxInstructionsCap(t *testing.T) {
 func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 	cfg := branch.DefaultConfig()
 	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(cfg, 64))
+	take := fe.WrongPaths()
 
 	// Mirror predictor: must detect the same mispredictions.
 	mirror := branch.New(cfg)
-	var mirrorMisses, attached int
+	var mirrorMisses, nonEmpty int
 	for {
 		di, ok := fe.Next()
 		if !ok {
 			break
 		}
-		if di.IsControl() {
-			p := mirror.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
-			if p.Mispredicted {
-				mirrorMisses++
+		if !di.IsControl() {
+			continue
+		}
+		p := mirror.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
+		if !p.Mispredicted {
+			continue
+		}
+		mirrorMisses++
+		wp := take(di.Seq)
+		if len(wp) > 64 {
+			t.Fatal("emulated path exceeds cap")
+		}
+		for i := range wp {
+			if !wp[i].WrongPath {
+				t.Fatal("emulated path not marked wrong-path")
 			}
-			if di.WP != nil {
-				attached++
-				if !p.Mispredicted {
-					t.Fatalf("WP attached to correctly-predicted branch at %#x", di.PC)
-				}
-				for i := range di.WP {
-					if !di.WP[i].WrongPath {
-						t.Fatal("attached stream not marked wrong-path")
-					}
-					if len(di.WP) > 64 {
-						t.Fatal("attached stream exceeds cap")
-					}
-				}
-				// The wrong path starts at the predicted target.
-				if di.WP[0].PC != p.Target {
-					t.Fatalf("WP starts at %#x, predicted target %#x", di.WP[0].PC, p.Target)
-				}
+		}
+		if len(wp) > 0 {
+			nonEmpty++
+			// The wrong path starts at the predicted target.
+			if wp[0].PC != p.Target {
+				t.Fatalf("WP starts at %#x, predicted target %#x", wp[0].PC, p.Target)
 			}
-		} else if di.WP != nil {
-			t.Fatal("WP attached to non-control instruction")
 		}
 	}
+	if err := fe.Err(); err != nil {
+		t.Fatal(err)
+	}
 	paths, insts := fe.WPEmulations()
-	if paths == 0 || insts == 0 {
+	if paths == 0 || insts == 0 || nonEmpty == 0 {
 		t.Fatal("no wrong paths emulated")
 	}
 	if int(paths) != mirrorMisses {
 		t.Errorf("frontend emulated %d paths, mirror predictor saw %d mispredicts", paths, mirrorMisses)
 	}
-	if attached > mirrorMisses {
-		t.Errorf("attached %d streams for %d mispredicts", attached, mirrorMisses)
-	}
 }
 
 func TestNoEmulationWithoutOption(t *testing.T) {
 	fe := frontend.New(newCPU(t))
+	if fe.WrongPaths() != nil {
+		t.Fatal("WrongPaths without the emulation option")
+	}
 	for {
 		di, ok := fe.Next()
 		if !ok {
 			break
 		}
-		if di.WP != nil {
-			t.Fatal("wrong path attached without emulation option")
+		if di.WrongPath {
+			t.Fatal("wrong-path record produced without emulation option")
 		}
 	}
 	if paths, _ := fe.WPEmulations(); paths != 0 {
 		t.Error("emulation counted without option")
+	}
+}
+
+// lcgSrc mispredicts on about half its iterations: LCG bits steer two
+// branches, and a wrong path that reaches the print call stops there,
+// so emulated paths vary in length.
+const lcgSrc = `
+    li   t0, 3000
+    li   t1, 12345
+    li   t2, 1103515245
+    li   s0, 0x10000
+loop:
+    mul  t1, t1, t2
+    addi t1, t1, 12345
+    srli t3, t1, 16
+    andi t4, t3, 1
+    beqz t4, skip
+    ld   t5, 0(s0)
+    addi t5, t5, 1
+    sd   t5, 0(s0)
+    andi t4, t3, 2
+    beqz t4, skip
+    li   a7, 2
+    li   a0, 46
+    ecall
+skip:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, 0
+    li a0, 0
+    ecall
+`
+
+// TestWrongPathsRingKeepsPathsInStep drains the frontend ahead of a
+// lagging consumer, as the decoupling queue does, with a small path cap
+// so the ring wraps and grows. Every taken path must equal the path a
+// lock-stepped reference CPU emulates for the same branch, and must
+// still read the same just before the next take.
+func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
+	const maxLen = 12
+	prog, err := asm.Assemble(lcgSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := branch.DefaultConfig()
+	fe := frontend.New(functional.New(prog, mem.New(), 0), frontend.WithWrongPathEmulation(cfg, maxLen))
+	take := fe.WrongPaths()
+
+	ref := functional.New(prog, mem.New(), 0)
+	refPred := branch.New(cfg)
+	want := map[uint64][]trace.DynInst{}
+	var produced []trace.DynInst
+	var refDI trace.DynInst
+	lane := make([]trace.DynInst, 7)
+
+	var held, heldWant []trace.DynInst
+	consumed, takes := 0, 0
+	for round := 0; ; round++ {
+		k := fe.NextBatch(lane)
+		for _, di := range lane[:k] {
+			if err := ref.Step(&refDI); err != nil {
+				t.Fatal(err)
+			}
+			if di.IsControl() {
+				if p := refPred.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC); p.Mispredicted {
+					want[di.Seq] = ref.AppendWrongPath(nil, p.Target, maxLen)
+				}
+			}
+		}
+		produced = append(produced, lane[:k]...)
+		// The consumer lags by between 0 and 300 records.
+		lag := (round * 37) % 301
+		if k == 0 {
+			lag = 0
+		}
+		for ; consumed < len(produced)-lag; consumed++ {
+			di := &produced[consumed]
+			w, ok := want[di.Seq]
+			if !ok || !di.IsControl() {
+				continue
+			}
+			if !equalPaths(held, heldWant) {
+				t.Fatalf("take %d: the previously taken path changed before this take", takes)
+			}
+			got := take(di.Seq)
+			if !equalPaths(got, w) {
+				t.Fatalf("take %d (branch %d): got %d records, want %d, or contents differ", takes, di.Seq, len(got), len(w))
+			}
+			held, heldWant = got, w
+			takes++
+		}
+		if k == 0 {
+			break
+		}
+	}
+	if err := fe.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if paths, _ := fe.WPEmulations(); int(paths) != takes || takes < 500 {
+		t.Fatalf("%d paths emulated, %d taken; want equal and at least 500", paths, takes)
+	}
+}
+
+func equalPaths(a, b []trace.DynInst) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWrongPathsOutOfStepFault: a take for a branch whose path was
+// never emulated returns no records and ends the stream with an error;
+// it never hands out another branch's path.
+func TestWrongPathsOutOfStepFault(t *testing.T) {
+	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(branch.DefaultConfig(), 64))
+	take := fe.WrongPaths()
+	lane := make([]trace.DynInst, 64)
+	if fe.NextBatch(lane) == 0 {
+		t.Fatal("no records")
+	}
+	if paths, _ := fe.WPEmulations(); paths == 0 {
+		t.Fatal("no path emulated in the first lane")
+	}
+	if wp := take(1 << 40); wp != nil {
+		t.Fatalf("out-of-step take returned %d records", len(wp))
+	}
+	if n := fe.NextBatch(lane); n != 0 {
+		t.Fatalf("stream went on for %d records after an out-of-step take", n)
+	}
+	if fe.Err() == nil {
+		t.Fatal("out-of-step take latched no error")
 	}
 }
 

@@ -1,0 +1,83 @@
+package frontend
+
+import (
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// TestRingRandomized drives the path ring directly: many short
+// episodes, each with paths of random length (0 to the slot size) and a
+// consumer that lags by a random number of paths, so the slots wrap,
+// fill and grow. Each emulation may write its whole slot, so it
+// scribbles over the slot before writing its path. Every taken path must come back
+// intact, and must stay intact until the next take.
+func TestRingRandomized(t *testing.T) {
+	const need = 9
+	rng := uint64(1)
+	rand := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(n))
+	}
+	mark := func(seq uint64, j int) trace.DynInst { return trace.DynInst{Seq: seq, PC: uint64(j)} }
+	intact := func(p []trace.DynInst, seq uint64, n int) bool {
+		if len(p) != n {
+			return false
+		}
+		for j := range p {
+			if p[j] != mark(seq, j) {
+				return false
+			}
+		}
+		return true
+	}
+
+	type path struct {
+		seq uint64
+		n   int
+	}
+	takes := 0
+	for ep := 0; ep < 2_000; ep++ {
+		r := ring{size: need}
+		var fifo []path
+		var held []trace.DynInst
+		var heldSeq uint64
+		next, maxLag := uint64(0), 1+rand(6)
+		for step := 0; step < 200; step++ {
+			if len(fifo) == 0 || (len(fifo) < maxLag && rand(2) == 0) {
+				slot := r.next()[:need]
+				for j := range slot {
+					slot[j] = trace.DynInst{Seq: ^uint64(0)}
+				}
+				n := rand(need + 1)
+				for j := 0; j < n; j++ {
+					slot[j] = mark(next, j)
+				}
+				r.push(next, n)
+				fifo = append(fifo, path{next, n})
+				next++
+				continue
+			}
+			if held != nil && !intact(held, heldSeq, len(held)) {
+				t.Fatalf("episode %d: path %d changed before the next take", ep, heldSeq)
+			}
+			p := fifo[0]
+			fifo = fifo[1:]
+			got, ok := r.take(p.seq)
+			if !ok || !intact(got, p.seq, p.n) {
+				t.Fatalf("episode %d: path %d came back as %d records (ok %v), want %d intact", ep, p.seq, len(got), ok, p.n)
+			}
+			held, heldSeq = got, p.seq
+			takes++
+		}
+		if _, ok := r.take(next); ok {
+			t.Fatal("take of a never-emulated path succeeded")
+		}
+		if len(r.paths) > 4*(maxLag+1) {
+			t.Fatalf("episode %d: %d slots for at most %d retained paths", ep, len(r.paths), maxLag+1)
+		}
+	}
+	if takes < 100_000 {
+		t.Fatalf("only %d takes", takes)
+	}
+}

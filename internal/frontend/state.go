@@ -1,20 +1,25 @@
 package frontend
 
-import "repro/internal/checkpoint"
+import (
+	"fmt"
+
+	"repro/internal/checkpoint"
+	"repro/internal/trace"
+)
 
 // snapshotVersion stamps this package's snapshot section; bump it when
 // the walked field set changes.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // State walks the production cursor, the emulation statistics, the
-// wpemul predictor copy (presence-flagged: a load into a frontend built
-// with another wpemul setting fails as a typed decode fault, so resume
-// falls back to a fresh run instead of diverging), and the functional
-// CPU underneath. The arena (wpArena/wpOff) is an allocation detail,
-// not state — emulated paths already handed to the queue are walked
-// with their records, and a fresh arena block produces identical bytes
-// for the next one. A latched err is terminal (the run faulted), so a
-// checkpointed frontend never carries one.
+// wpemul predictor copy and the emulated paths the core has not taken
+// yet (presence-flagged: a load into a frontend built with another
+// wpemul setting fails as a typed decode fault, so resume falls back to
+// a fresh run instead of diverging), and the functional CPU underneath.
+// The ring's slot layout and the held path are not state: snapshots
+// are taken at lane boundaries, where no taken path is still in use. A
+// latched err is terminal (the run faulted), so a checkpointed frontend
+// never carries one.
 func (f *Frontend) State(s *checkpoint.Stream) {
 	s.Section("frontend/Frontend", snapshotVersion)
 	s.Uint64(&f.produced)
@@ -22,6 +27,37 @@ func (f *Frontend) State(s *checkpoint.Stream) {
 	s.Uint64(&f.wpEmulated)
 	if s.Has(f.pred != nil) {
 		f.pred.State(s)
+		f.paths.state(s)
 	}
 	f.cpu.State(s)
+}
+
+// state walks the untaken paths in FIFO order: Seq, length and
+// records. A load rebuilds them from slot 0.
+func (r *ring) state(s *checkpoint.Stream) {
+	n := s.Count(r.n, 16) // a path walks at least its Seq and length
+	if s.Loading() {
+		r.reset()
+	}
+	for i := 0; i < n; i++ {
+		if s.Loading() {
+			r.next()
+		}
+		slot := (r.head + i) & (len(r.paths) - 1)
+		sp := &r.paths[slot]
+		s.Uint64(&sp.seq)
+		if sp.n = s.Count(sp.n, trace.MinStateBytes); sp.n > r.size {
+			s.Fail(fmt.Errorf("frontend: snapshot wrong path of %d records exceeds the %d-record cap", sp.n, r.size))
+		}
+		if s.Err() != nil {
+			return
+		}
+		recs := r.recs[slot*r.size : slot*r.size+sp.n]
+		for j := range recs {
+			recs[j].State(s)
+		}
+		if s.Loading() {
+			r.n++
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // This file differentially tests the functional simulator against an
@@ -163,8 +164,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		// a7 must be the exit syscall; force it at the end by evaluating
 		// the same program on both sides, then overriding a7 just before
 		// the ecall. Simpler: run the straight-line part only.
+		var di trace.DynInst
 		for range insts[:n] {
-			if _, err := cpu.Step(); err != nil {
+			if err := cpu.Step(&di); err != nil {
 				t.Logf("functional error: %v", err)
 				return false
 			}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -154,20 +155,22 @@ func (c *CPU) setx(r isa.Reg, v uint64) {
 	}
 }
 
-// Step executes the instruction at the current PC and returns its
-// dynamic record. The returned error is non-nil when execution cannot
-// proceed (bad PC, invalid instruction, unknown syscall, already
-// halted); the CPU state is unchanged in that case except that no
-// instruction retires.
-func (c *CPU) Step() (trace.DynInst, error) {
+// Step executes the instruction at the current PC and writes its
+// dynamic record into *di, which the caller owns (a queue slot, a
+// wrong-path ring slot, a reused scratch record): every field is
+// assigned, so stale contents never leak through. The returned error is
+// non-nil when execution cannot proceed (bad PC, invalid instruction,
+// unknown syscall, already halted); the CPU state is unchanged in that
+// case except that no instruction retires, and *di is unspecified.
+func (c *CPU) Step(di *trace.DynInst) error {
 	if c.halted {
-		return trace.DynInst{}, ErrHalted
+		return ErrHalted
 	}
 	in, ok := c.Prog.At(c.pc)
 	if !ok {
-		return trace.DynInst{}, fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
+		return fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
 	}
-	di := trace.DynInst{Seq: c.seq, PC: c.pc, In: in, NextPC: c.pc + isa.InstBytes}
+	*di = trace.DynInst{Seq: c.seq, PC: c.pc, In: in, NextPC: c.pc + isa.InstBytes}
 
 	switch in.Op {
 	case isa.OpNop:
@@ -312,12 +315,12 @@ func (c *CPU) Step() (trace.DynInst, error) {
 
 	// --- system ---
 	case isa.OpEcall:
-		if err := c.syscall(&di); err != nil {
-			return di, err
+		if err := c.syscall(di); err != nil {
+			return err
 		}
 
 	default:
-		return di, fmt.Errorf("%w: %v at pc=0x%x", ErrInvalidInst, in.Op, c.pc)
+		return fmt.Errorf("%w: %v at pc=0x%x", ErrInvalidInst, in.Op, c.pc)
 	}
 
 	c.pc = di.NextPC
@@ -325,7 +328,7 @@ func (c *CPU) Step() (trace.DynInst, error) {
 	if !c.suppressStores {
 		c.instret++
 	}
-	return di, nil
+	return nil
 }
 
 func (c *CPU) syscall(di *trace.DynInst) error {
@@ -353,9 +356,9 @@ func (c *CPU) syscall(di *trace.DynInst) error {
 // invalid instruction, or PC leaving the program — the events that end
 // a speculative path in the Pin-based implementation), then restore the
 // checkpoint. The emulated records, with WrongPath set, are appended to
-// dst (typically a slice into a reusable arena with at least maxInsts
-// free capacity, so steady-state emulation allocates nothing) and the
-// extended slice is returned.
+// dst and the extended slice is returned. Each record is written where
+// it stays: with at least maxInsts free capacity in dst (the frontend's
+// wrong-path ring reserves that much), the call allocates nothing.
 //
 // The CPU's architectural state, retired-instruction count and program
 // output are unchanged by the call.
@@ -368,25 +371,25 @@ func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) 
 	c.suppressStores = true
 	c.pc = target
 
-	n := 0
-	for n < maxInsts {
+	buf := slices.Grow(dst, maxInsts)[:len(dst)+maxInsts]
+	n := len(dst)
+	for n < len(buf) {
 		if in, ok := c.Prog.At(c.pc); !ok || in.Op == isa.OpEcall {
 			break
 		}
-		di, err := c.Step()
-		if err != nil {
+		di := &buf[n]
+		if c.Step(di) != nil {
 			break
 		}
 		di.WrongPath = true
 		di.Seq = savedSeq
-		dst = append(dst, di)
 		n++
 	}
 
 	c.suppressStores = false
 	c.seq = savedSeq
 	c.Restore(cp)
-	return dst
+	return buf[:n]
 }
 
 // Run executes until the program halts or maxInsts instructions retire,
@@ -395,8 +398,9 @@ func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) 
 // call and the first error encountered (nil on clean exit or cap).
 func (c *CPU) Run(maxInsts uint64) (uint64, error) {
 	var n uint64
+	var di trace.DynInst
 	for n < maxInsts && !c.halted {
-		if _, err := c.Step(); err != nil {
+		if err := c.Step(&di); err != nil {
 			return n, err
 		}
 		n++

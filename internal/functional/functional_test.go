@@ -10,6 +10,7 @@ import (
 	"repro/internal/functional"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // run assembles src, executes it to completion and returns the CPU.
@@ -353,26 +354,27 @@ func TestSyscallOutput(t *testing.T) {
 func TestErrors(t *testing.T) {
 	prog := asm.MustAssemble("nop")
 	cpu := functional.New(prog, mem.New(), 0)
-	if _, err := cpu.Step(); err != nil {
+	var di trace.DynInst
+	if err := cpu.Step(&di); err != nil {
 		t.Fatal(err)
 	}
 	// PC walked off the program.
-	if _, err := cpu.Step(); !errors.Is(err, functional.ErrBadPC) {
+	if err := cpu.Step(&di); !errors.Is(err, functional.ErrBadPC) {
 		t.Errorf("err = %v, want ErrBadPC", err)
 	}
 
 	prog = asm.MustAssemble("li a7, 999\necall")
 	cpu = functional.New(prog, mem.New(), 0)
-	cpu.Step()
-	if _, err := cpu.Step(); !errors.Is(err, functional.ErrBadSyscall) {
+	cpu.Step(&di)
+	if err := cpu.Step(&di); !errors.Is(err, functional.ErrBadSyscall) {
 		t.Errorf("err = %v, want ErrBadSyscall", err)
 	}
 
 	prog = asm.MustAssemble("li a7, 0\necall")
 	cpu = functional.New(prog, mem.New(), 0)
-	cpu.Step()
-	cpu.Step()
-	if _, err := cpu.Step(); !errors.Is(err, functional.ErrHalted) {
+	cpu.Step(&di)
+	cpu.Step(&di)
+	if err := cpu.Step(&di); !errors.Is(err, functional.ErrHalted) {
 		t.Errorf("err = %v, want ErrHalted", err)
 	}
 }
@@ -388,19 +390,20 @@ skip:
     nop
 `)
 	cpu := functional.New(prog, mem.New(), 0)
-	di, _ := cpu.Step() // li
+	var di trace.DynInst
+	cpu.Step(&di) // li
 	if di.PC != prog.Base || di.NextPC != prog.Base+4 || di.HasAddr {
 		t.Errorf("li record wrong: %+v", di)
 	}
-	di, _ = cpu.Step() // ld
+	cpu.Step(&di) // ld
 	if !di.HasAddr || di.MemAddr != 0x88 {
 		t.Errorf("ld record wrong: %+v", di)
 	}
-	di, _ = cpu.Step() // sd
+	cpu.Step(&di) // sd
 	if !di.HasAddr || di.MemAddr != 0x90 {
 		t.Errorf("sd record wrong: %+v", di)
 	}
-	di, _ = cpu.Step() // beq (t1 == 0, taken)
+	cpu.Step(&di) // beq (t1 == 0, taken)
 	if !di.Taken || di.NextPC != prog.MustSymbol("skip") {
 		t.Errorf("beq record wrong: %+v", di)
 	}
@@ -412,10 +415,11 @@ skip:
 func TestCheckpointRestore(t *testing.T) {
 	prog := asm.MustAssemble("li t0, 1\nli t0, 2\nnop")
 	cpu := functional.New(prog, mem.New(), 0x9000)
-	cpu.Step()
+	var di trace.DynInst
+	cpu.Step(&di)
 	cp := cpu.Checkpoint()
 	pc := cpu.PC()
-	cpu.Step()
+	cpu.Step(&di)
 	if cpu.Reg(isa.T0) != 2 {
 		t.Fatal("setup failed")
 	}
@@ -444,9 +448,10 @@ correct:
     nop
 `)
 	cpu := functional.New(prog, mem.New(), 0)
-	cpu.Step() // li
-	cpu.Step() // li
-	di, _ := cpu.Step()
+	var di trace.DynInst
+	cpu.Step(&di) // li
+	cpu.Step(&di) // li
+	cpu.Step(&di)
 	if !di.Taken {
 		t.Fatal("branch should be taken")
 	}

@@ -25,10 +25,10 @@ import (
 
 // MaxLookahead is the largest accepted fill target, and MaxCapacity
 // (its next power of two) the ceiling the ring can grow to. One DynInst
-// is a few dozen bytes, so the ceiling bounds a single queue at low
-// hundreds of MB — far beyond any configured lookahead (the sim layer
-// derives ~2×ROB) but small enough that a runaway configuration fails
-// up front with a typed fault instead of an allocation crash.
+// is 64 bytes, so the ceiling bounds a single queue at 512 MB — far
+// beyond any configured lookahead (the sim layer derives ~2×ROB) but
+// small enough that a runaway configuration fails up front with a typed
+// fault instead of an allocation crash.
 const (
 	MaxLookahead = 1 << 22
 	MaxCapacity  = 1 << 23
@@ -71,8 +71,7 @@ func NextBatchOf(p Producer, dst []trace.DynInst) int {
 }
 
 // Queue is a lookahead buffer over a Producer. It is not safe for
-// concurrent use; the parallel frontend mode wraps the producer, not
-// the queue.
+// concurrent use.
 type Queue struct {
 	src  Producer
 	buf  []trace.DynInst // ring buffer; len is a power of two
@@ -203,14 +202,8 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 			break
 		}
 	}
-	// Release consumed slots (drop attached WP streams).
-	e1 := q.head + n
-	if e1 <= len(q.buf) {
-		clear(q.buf[q.head:e1])
-	} else {
-		clear(q.buf[q.head:])
-		clear(q.buf[:e1-len(q.buf)])
-	}
+	// Consumed slots are not cleared: records hold no pointers, and
+	// every producer overwrites whole records.
 	q.head = (q.head + n) & mask
 	q.n -= n
 	q.popped += uint64(n)

@@ -50,30 +50,6 @@ func TestBatchSizeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchWithParallelFrontendBitIdentical: lane batching composes
-// with the parallel frontend (batched channel hand-off on the producer
-// side) without changing a single statistic.
-func TestBatchWithParallelFrontendBitIdentical(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	for _, k := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
-		refCfg := Default(k)
-		refCfg.Core.Batch = 1
-		ref, err := Run(refCfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Default(k)
-		cfg.ParallelFrontend = true
-		got, err := Run(cfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripHost(got), stripHost(ref)) {
-			t.Errorf("%v: batched parallel frontend diverges from serial per-instruction run", k)
-		}
-	}
-}
-
 // TestRunKindsBatchBitIdentical covers the sweep path the experiments
 // layer uses (Execute fanned out per technique): every technique's
 // result from one batched sweep equals its per-instruction counterpart.

@@ -24,10 +24,6 @@ type stateSource interface {
 // checkpointState returns src's snapshot capability, or the typed
 // ErrConfig fault explaining why the source cannot checkpoint.
 func checkpointState(src Source) (stateSource, error) {
-	if fs, ok := src.(*functionalSource); ok && fs.par != nil {
-		return nil, simerr.Config("configuring checkpointing",
-			fmt.Errorf("sim: the parallel frontend cannot checkpoint (in-flight producer batches are not deterministic state)"))
-	}
 	if ts, ok := src.(traceSource); ok {
 		if _, ok := ts.src.(interface{ Pos() uint64 }); !ok {
 			return nil, simerr.Config("configuring checkpointing",

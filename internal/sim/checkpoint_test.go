@@ -407,16 +407,3 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckpointRejectsParallelFrontend: the mutual exclusion is a
-// loud, typed configuration error.
-func TestCheckpointRejectsParallelFrontend(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	cfg := chaosConfig(wrongpath.NoWP, 64)
-	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = 16_000
-	cfg.ParallelFrontend = true
-	if _, err := Run(cfg, w.MustBuild()); !errors.Is(err, simerr.ErrConfig) {
-		t.Fatalf("parallel+checkpoint err = %v, want ErrConfig", err)
-	}
-}

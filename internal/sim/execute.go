@@ -51,8 +51,8 @@ func closeQuiet(src Source) {
 // either way.
 //
 // A request runs once, as asked. A fault that ends the run early (a
-// corrupt trace tail, a producer panic under ParallelFrontend, a
-// cancellation) is reported in Result.Err beside the partial result; a
+// corrupt trace tail, a functional error, wrong-path emulation out of
+// step with the core, a cancellation) is reported in Result.Err beside the partial result; a
 // fault that leaves no result (an invalid configuration, a capability
 // the input lacks, a contained panic) is the returned error, and
 // publishes nothing.

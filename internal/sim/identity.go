@@ -15,16 +15,15 @@ import (
 // by default. Each entry names the test proving the field cannot change
 // result bytes (TestFingerprintCoversEveryLeaf checks both).
 var identityExclusions = map[string]string{
-	"Core.Batch":       "TestBatchSizeBitIdentical",
-	"ParallelFrontend": "TestParallelFrontendIdenticalResults",
-	"Clock":            "TestInjectedClockDrivesWall",
-	"Metrics":          "TestObsEnabledBitIdentical",
-	"Trace":            "TestObsEnabledBitIdentical",
-	"ObsLabel":         "TestObsEnabledBitIdentical",
-	"Ctx":              "TestCheckpointResumeBitIdentical",
-	"CheckpointDir":    "TestCheckpointingDisturbsNothing",
-	"CheckpointEvery":  "TestCheckpointingDisturbsNothing",
-	"OnCheckpoint":     "TestCheckpointingDisturbsNothing",
+	"Core.Batch":      "TestBatchSizeBitIdentical",
+	"Clock":           "TestInjectedClockDrivesWall",
+	"Metrics":         "TestObsEnabledBitIdentical",
+	"Trace":           "TestObsEnabledBitIdentical",
+	"ObsLabel":        "TestObsEnabledBitIdentical",
+	"Ctx":             "TestCheckpointResumeBitIdentical",
+	"CheckpointDir":   "TestCheckpointingDisturbsNothing",
+	"CheckpointEvery": "TestCheckpointingDisturbsNothing",
+	"OnCheckpoint":    "TestCheckpointingDisturbsNothing",
 }
 
 // field is one compiled Config field: its name, its index in the

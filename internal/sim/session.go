@@ -43,7 +43,8 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.WP == wrongpath.WPEmul && !src.SupportsWPEmul() {
+	wrongPaths := src.WrongPaths()
+	if cfg.WP == wrongpath.WPEmul && wrongPaths == nil {
 		return nil, simerr.Config("configuring session",
 			fmt.Errorf("sim: wrong-path emulation requires a live functional frontend, not a trace (paper §III-B)"))
 	}
@@ -68,6 +69,7 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 		return nil, err
 	}
 	s.core = c
+	c.SetWrongPaths(wrongPaths)
 	if p, ok := src.(interface{ Program() *isa.Program }); ok {
 		// Predecode the static program into the code cache so first
 		// deliveries and wrong-path walks find their decode records
@@ -96,8 +98,7 @@ func (s *Session) Run() *Result {
 		// The lane hook is the deterministic supervision point: snapshots
 		// are written exactly at lane boundaries (the only instant the
 		// core's transient state is empty), and cancellation is honored
-		// there. It is the one cancellation mechanism; the parallel
-		// frontend's producer goroutine selects on the same context.
+		// there. It is the one cancellation mechanism.
 		s.core.SetLaneHook(func() bool {
 			if ck != nil {
 				ck.onLane()

@@ -9,8 +9,7 @@
 //   - Run(cfg, inst) runs one prebuilt instance through one session.
 //
 // Both go through one session layer: a Source (live functional
-// frontend, parallel frontend, or trace interpreter — the paper's three
-// frontend kinds) feeds a Session, which builds queue → policy → core
+// frontend or trace interpreter) feeds a Session, which builds queue → policy → core
 // and collects the Result in one place. Fan-outs run Execute on the
 // internal/batch worker pool.
 package sim
@@ -51,11 +50,6 @@ type Config struct {
 	// check). When nil, wrongpath.New(WP) is used. WP should still name
 	// the closest standard kind (it controls frontend emulation).
 	PolicyFactory func() wrongpath.Policy
-	// ParallelFrontend runs the functional simulator in its own
-	// goroutine, overlapping it with the performance simulation — the
-	// decoupling speedup the paper attributes to functional-first
-	// simulation. Results are bit-identical to the synchronous mode.
-	ParallelFrontend bool
 	// Clock measures Result.Wall (the paper's simulation-speed metric).
 	// nil selects the real wall clock; tests inject a fake so no
 	// simulation output ever depends on host time.
@@ -83,10 +77,8 @@ type Config struct {
 	// at the first lane boundary past every CheckpointEvery retired
 	// instructions. Execute restores the newest snapshot (see its resume
 	// rule) and continues to a bit-identical Result. Checkpointing
-	// requires a snapshot-capable source: the synchronous functional
-	// frontend or a trace reader, not the parallel frontend (its
-	// producer goroutine's in-flight batches are not deterministic
-	// state).
+	// requires a snapshot-capable source: the functional frontend or a
+	// trace reader that exposes its cursor.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot interval in retired instructions;
 	// 0 disables checkpointing.
@@ -149,9 +141,9 @@ type Result struct {
 	// simulation-speed comparison).
 	Wall time.Duration
 	// Err records a fault that ended the run early, if any: a
-	// functional-simulation error, a typed simerr fault from the trace
-	// reader (ErrTraceCorrupt), a recovered producer panic
-	// (ErrWorkerPanic), or a cancellation (ErrCanceled).
+	// functional-simulation error (or wrong-path emulation out of step
+	// with the core, a bug), a typed simerr fault from the trace reader
+	// (ErrTraceCorrupt), or a cancellation (ErrCanceled).
 	Err error
 }
 

@@ -107,33 +107,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelFrontendIdenticalResults: the parallel frontend changes
-// host wall-clock behaviour only; every simulation statistic must be
-// bit-identical to the synchronous mode — for all techniques, including
-// wpemul whose wrong-path emulation runs inside the producer goroutine.
-func TestParallelFrontendIdenticalResults(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	for _, k := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
-		cfg := Default(k)
-		seq, err := Run(cfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.ParallelFrontend = true
-		par, err := Run(cfg, w.MustBuild())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Core.Cycles != par.Core.Cycles || seq.Core.Instructions != par.Core.Instructions {
-			t.Errorf("%v: parallel (%d cycles/%d insts) != sequential (%d cycles/%d insts)",
-				k, par.Core.Cycles, par.Core.Instructions, seq.Core.Cycles, seq.Core.Instructions)
-		}
-		if seq.Core.WPFetched != par.Core.WPFetched || seq.L1D != par.L1D {
-			t.Errorf("%v: parallel wrong-path/cache stats diverge", k)
-		}
-	}
-}
-
 // TestPerfectPredictionMode: with the oracle predictor (a mode only a
 // functional-first simulator can offer, per the paper's flexibility
 // argument) there are no mispredictions, no wrong path, and performance

@@ -13,26 +13,26 @@ import (
 	"repro/internal/wrongpath"
 )
 
-// Source is the unified producer abstraction over the three frontend
-// kinds the paper lists (§III-B): the live functional frontend, the
-// parallel (decoupled-goroutine) functional frontend, and the trace
-// interpreter. A Source feeds the decoupling queue and declares its
-// capabilities, so the session layer can validate a Config against any
-// frontend with one check instead of a special-cased entry point per
-// combination.
+// Source is the unified producer abstraction over the two frontend
+// kinds the paper lists (§III-B): the live functional frontend and the
+// trace interpreter. A Source feeds the decoupling queue and declares
+// its capabilities, so the session layer can validate a Config against
+// any frontend with one check instead of a special-cased entry point
+// per combination.
 type Source interface {
 	queue.Producer
 
-	// SupportsWPEmul reports whether the source can functionally
-	// emulate wrong paths. Live functional frontends can; a trace
-	// interpreter cannot, because "the trace only contains correct-path
-	// instructions" (§III-B).
-	SupportsWPEmul() bool
+	// WrongPaths attaches the consumer of the source's functionally
+	// emulated wrong paths and returns the take function the core calls
+	// at every mispredict (see frontend.WrongPaths). It is nil when the
+	// source does not emulate: a live frontend built without wpemul, or
+	// a trace interpreter, because "the trace only contains correct-path
+	// instructions" (§III-B). The session calls it once.
+	WrongPaths() func(seq uint64) []trace.DynInst
 
-	// Close stops any background production (the parallel frontend's
-	// producer goroutine). The session calls it after the timing run,
-	// before Collect; it must be safe to call on a source that never
-	// started.
+	// Close releases the source after the run. The session calls it
+	// after the timing run, before Collect; it must be safe to call on a
+	// source that never started.
 	Close()
 
 	// Collect fills the source-side Result fields (functional
@@ -42,21 +42,16 @@ type Source interface {
 	Collect(res *Result)
 }
 
-// functionalSource drives a live functional CPU, optionally decoupled
-// into its own goroutine (Config.ParallelFrontend) and optionally
-// emulating wrong paths (Config.WP == wrongpath.WPEmul).
+// functionalSource drives a live functional CPU, emulating wrong paths
+// when Config.WP is wrongpath.WPEmul.
 type functionalSource struct {
-	cpu      *functional.CPU
-	fe       *frontend.Frontend
-	par      *frontend.Parallel
-	producer queue.Producer
+	cpu *functional.CPU
+	fe  *frontend.Frontend
 }
 
 // NewFunctionalSource builds the live functional frontend for the
-// instance under cfg: wrong-path emulation when cfg.WP selects it, the
-// instruction bound derived from cfg's budget, and the parallel
-// producer goroutine when cfg.ParallelFrontend is set. Close must be
-// called (sessions do) or the parallel goroutine leaks.
+// instance under cfg: wrong-path emulation when cfg.WP selects it, and
+// the instruction bound derived from cfg's budget.
 func NewFunctionalSource(cfg Config, inst *workloads.Instance) Source {
 	cpu := functional.New(inst.Prog, inst.Mem, inst.StackTop)
 	opts := []frontend.Option{}
@@ -64,48 +59,29 @@ func NewFunctionalSource(cfg Config, inst *workloads.Instance) Source {
 		opts = append(opts, frontend.WithWrongPathEmulation(cfg.Core.BranchPred, cfg.Core.WPMaxLen()))
 	}
 	if cfg.MaxInsts > 0 {
-		// Bound the functional side explicitly so a parallel frontend
-		// does not run past the budget the core will simulate.
+		// Bound the functional side to the budget the core will simulate
+		// plus the queue's lookahead.
 		opts = append(opts, frontend.WithMaxInstructions(cfg.WarmupInsts+cfg.MaxInsts+uint64(cfg.lookahead())+1))
 	}
-	fe := frontend.New(cpu, opts...)
-	s := &functionalSource{cpu: cpu, fe: fe, producer: fe}
-	if cfg.ParallelFrontend {
-		// The run context backstops the producer goroutine: if the
-		// consumer stops without Close (cancellation unwinding a sweep
-		// cell), the goroutine exits instead of leaking on a full channel.
-		s.par = frontend.NewParallelContext(cfg.Ctx, fe, frontend.DefaultBatch, frontend.DefaultDepth)
-		s.producer = s.par
-	}
-	return s
+	return &functionalSource{cpu: cpu, fe: frontend.New(cpu, opts...)}
 }
 
-func (s *functionalSource) Next() (trace.DynInst, bool) { return s.producer.Next() }
+func (s *functionalSource) Next() (trace.DynInst, bool) { return s.fe.Next() }
 
-// NextBatch implements queue.BatchProducer by forwarding to the active
-// producer (the frontend directly, or its parallel wrapper).
-func (s *functionalSource) NextBatch(dst []trace.DynInst) int {
-	return queue.NextBatchOf(s.producer, dst)
-}
+// NextBatch implements queue.BatchProducer by forwarding to the
+// frontend.
+func (s *functionalSource) NextBatch(dst []trace.DynInst) int { return s.fe.NextBatch(dst) }
 
 // Program exposes the static program for code-cache predecoding.
 func (s *functionalSource) Program() *isa.Program { return s.cpu.Prog }
 
-func (s *functionalSource) SupportsWPEmul() bool { return true }
+func (s *functionalSource) WrongPaths() func(seq uint64) []trace.DynInst { return s.fe.WrongPaths() }
 
-func (s *functionalSource) Close() {
-	if s.par != nil {
-		// Stop the producer goroutine before reading functional-side
-		// state (Output, Produced) to avoid racing with it.
-		s.par.Close()
-	}
-}
+func (s *functionalSource) Close() {}
 
 // State walks the complete production-side state — frontend cursor,
-// emulation predictor copy, functional CPU and memory — by delegating
-// to the frontend. Only the synchronous mode checkpoints (the session
-// layer rejects the parallel frontend), so no goroutine state exists to
-// capture.
+// emulation predictor copy and untaken wrong paths, functional CPU and
+// memory — by delegating to the frontend.
 func (s *functionalSource) State(st *checkpoint.Stream) { s.fe.State(st) }
 
 func (s *functionalSource) Collect(res *Result) {
@@ -115,13 +91,6 @@ func (s *functionalSource) Collect(res *Result) {
 	res.WPEmulatedInsts = insts
 	res.Output = s.cpu.Output
 	res.Err = s.fe.Err()
-	if s.par != nil {
-		if perr := s.par.Err(); perr != nil {
-			// A recovered producer panic outranks any functional error:
-			// the functional state is whatever the panic left behind.
-			res.Err = perr
-		}
-	}
 }
 
 // traceSource adapts a pre-recorded instruction stream (typically a
@@ -143,7 +112,7 @@ func (s traceSource) NextBatch(dst []trace.DynInst) int {
 	return queue.NextBatchOf(s.src, dst)
 }
 
-func (s traceSource) SupportsWPEmul() bool { return false }
+func (s traceSource) WrongPaths() func(seq uint64) []trace.DynInst { return nil }
 
 func (s traceSource) Close() {}
 

@@ -1,8 +1,7 @@
 // Package simerr defines the typed fault taxonomy of the simulation
 // runtime. Every runtime fault the simulator contains — a corrupted or
-// truncated trace, a panic inside a batch worker, a simulation run or
-// the parallel frontend's producer goroutine, an invalid configuration,
-// a cancellation — is reported as a *Fault carrying the simulation
+// truncated trace, a panic inside a batch worker or a simulation run,
+// an invalid configuration, a cancellation — is reported as a *Fault carrying the simulation
 // context at the moment of the fault (workload, technique, PC,
 // instruction counts) and classified by one of the errors.Is-able
 // sentinels below.
@@ -28,7 +27,7 @@ var (
 	ErrTraceCorrupt = errors.New("trace corrupt or truncated")
 
 	// ErrWorkerPanic classifies a panic recovered inside a batch worker
-	// or the parallel frontend's producer goroutine.
+	// or a simulation run.
 	ErrWorkerPanic = errors.New("worker panicked")
 
 	// ErrConfig classifies a request the simulator rejects up front: an
@@ -53,7 +52,7 @@ type Fault struct {
 	// Kind is the sentinel class (ErrTraceCorrupt, ErrWorkerPanic, ...).
 	Kind error
 	// Op names the operation in progress ("decoding trace record",
-	// "batch job 3", "parallel frontend producer").
+	// "batch job 3", "simulation run").
 	Op string
 	// Workload identifies the simulated workload ("gap/bfs").
 	Workload string

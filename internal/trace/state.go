@@ -8,35 +8,28 @@ import (
 // snapshotVersion stamps the record layout (the queue frames records
 // under its own section and stamps this version alongside); bump it
 // when the walked field set changes.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
-// MinStateBytes is the encoded size of a record without a WP excursion,
-// the smallest one a State walk produces.
-const MinStateBytes = 8 + 8 + isa.InstStateBytes + 8 + 3 + 8 + 2 + 8
+// MinStateBytes is the encoded size of a record's State walk; every
+// record walks the same fields, so it is also the largest. Count
+// checks use it to bound a collection of records by the payload left.
+const MinStateBytes = 8 + 8 + isa.InstStateBytes + 8 + 8 + 5
 
-// State walks one dynamic record, including the decoded instruction and
-// any attached wpemul wrong-path excursion (recursion is one level deep
-// by construction: WP records never carry WP). Records are only
-// checkpointed while in flight in the decoupling queue, so no
-// per-record section header is written; the queue frames the batch.
+// State walks one dynamic record, including the decoded instruction.
+// Records are only checkpointed in bulk (the queue's buffered records,
+// the frontend's emulated wrong paths), so no per-record section
+// header is written; the owner frames the batch.
 func (d *DynInst) State(s *checkpoint.Stream) {
 	s.Uint64(&d.Seq)
 	s.Uint64(&d.PC)
 	d.In.State(s)
 	s.Uint64(&d.MemAddr)
+	s.Uint64(&d.NextPC)
 	s.Bool(&d.HasAddr)
 	s.Bool(&d.Recovered)
 	s.Bool(&d.Taken)
-	s.Uint64(&d.NextPC)
 	s.Bool(&d.WrongPath)
 	s.Bool(&d.Exit)
-	n := s.Count(len(d.WP), MinStateBytes)
-	if s.Loading() {
-		d.WP = make([]DynInst, n)
-	}
-	for i := range d.WP {
-		d.WP[i].State(s)
-	}
 }
 
 // SnapshotVersion exposes the record layout version even though

@@ -4,14 +4,21 @@
 // It carries exactly the data the paper lists: instruction address,
 // decoded instruction (type, input and output registers), data memory
 // address, and branch outcome/target.
+//
+// A record is 64 bytes and holds no pointers: the 8-byte words come
+// first and the five flags pack into the tail. Every layer writes
+// records in place (the functional step, wrong-path generation, the
+// queue ring), so a copy is four vector moves and the garbage collector
+// never scans a record buffer.
 package trace
 
 import "repro/internal/isa"
 
 // DynInst is one dynamically executed (or reconstructed) instruction.
 type DynInst struct {
-	// Seq is the dynamic sequence number on the correct path. Wrong-path
-	// records reuse the triggering branch's Seq.
+	// Seq is the dynamic sequence number on the correct path. Emulated
+	// wrong-path records carry the Seq the correct path resumes at (the
+	// triggering branch's plus one); reconstructed ones carry 0.
 	Seq uint64
 	// PC is the instruction address.
 	PC uint64
@@ -24,25 +31,20 @@ type DynInst struct {
 	// reconstructed wrong-path records only have it when the convergence
 	// technique recovered the address.
 	MemAddr uint64
-	HasAddr bool
-	// Recovered marks a wrong-path memory operation whose address was
-	// recovered by convergence exploitation (for Table III statistics).
-	Recovered bool
-
-	// Taken is the actual direction of a conditional branch.
-	Taken bool
 	// NextPC is the PC of the next instruction actually executed
 	// (target if taken, fall-through otherwise). For wrong-path records
 	// it is the next PC along the wrong path.
 	NextPC uint64
 
+	// HasAddr marks a valid MemAddr.
+	HasAddr bool
+	// Recovered marks a wrong-path memory operation whose address was
+	// recovered by convergence exploitation (for Table III statistics).
+	Recovered bool
+	// Taken is the actual direction of a conditional branch.
+	Taken bool
 	// WrongPath marks instructions on a speculative wrong path.
 	WrongPath bool
-
-	// WP is the functionally emulated wrong path attached to a
-	// mispredicted branch by the wpemul frontend; nil in all other modes.
-	WP []DynInst
-
 	// Exit marks the instruction that terminated the program (the exit
 	// environment call).
 	Exit bool

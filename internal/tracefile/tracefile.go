@@ -7,8 +7,7 @@
 // The paper's §III-B limitation is enforced here: "a trace frontend
 // cannot implement [functional wrong-path emulation], because the trace
 // only contains correct-path instructions" — the sim session layer
-// rejects wrongpath.WPEmul on a trace source, and the writer strips any
-// attached wrong-path streams.
+// rejects wrongpath.WPEmul on a trace source, whose WrongPaths is nil.
 //
 // Format (little-endian, varint-based):
 //
@@ -74,8 +73,7 @@ func (w *Writer) uvarint(v uint64) error {
 	return err
 }
 
-// Append writes one record. Attached wrong-path streams (wpemul mode)
-// are deliberately not representable in a trace and are dropped.
+// Append writes one record.
 func (w *Writer) Append(di *trace.DynInst) error {
 	var flags byte
 	if di.HasAddr {

@@ -261,8 +261,9 @@ func TestCorruptTailKeepsPrefix(t *testing.T) {
 }
 
 func TestWriterStripsWPStreams(t *testing.T) {
-	// Record through a wpemul frontend (records carry WP streams) and
-	// check replay still works and carries none.
+	// Record through a wpemul frontend (it emulates wrong paths, but
+	// hands them out only through WrongPaths) and check replay carries
+	// the correct path alone.
 	inst := gap.BFS(gap.TestParams()).MustBuild()
 	cpu := functional.New(inst.Prog, inst.Mem, inst.StackTop)
 	cfg := sim.Default(wrongpath.WPEmul)
@@ -284,8 +285,8 @@ func TestWriterStripsWPStreams(t *testing.T) {
 		if !ok {
 			break
 		}
-		if di.WP != nil {
-			t.Fatal("trace replay produced an attached wrong-path stream")
+		if di.WrongPath {
+			t.Fatal("trace replay produced a wrong-path record")
 		}
 	}
 }

@@ -13,8 +13,8 @@
 //     the run-ahead functional simulator has already queued.
 //   - WPEmul (§III-B): full functional wrong-path emulation — the
 //     wrong-path records were produced by the functional simulator
-//     (checkpoint, execute-at redirect, stores suppressed) and attached
-//     to the mispredicted branch.
+//     (checkpoint, execute-at redirect, stores suppressed) for the
+//     mispredicted branch and reach the policy as Context.Emulated.
 //
 // A policy is invoked by the core when it detects a misprediction and
 // returns the sequence of wrong-path instruction records the core should
@@ -22,6 +22,8 @@
 package wrongpath
 
 import (
+	"slices"
+
 	"repro/internal/branch"
 	"repro/internal/codecache"
 	"repro/internal/isa"
@@ -120,6 +122,11 @@ type Context struct {
 	// MaxLen caps the reconstructed wrong path: ROB size plus the
 	// front-end buffers (§III-B).
 	MaxLen int
+	// Emulated is the wrong path the functional frontend emulated for
+	// the misprediction being presented (wpemul; nil otherwise). The
+	// core sets it before each Begin; the records stay valid until the
+	// next misprediction.
+	Emulated []trace.DynInst
 }
 
 // Stats aggregates policy-level counters; the conv fields feed the
@@ -229,17 +236,23 @@ func (p *nowpPolicy) Begin(_ *Context, _ *trace.DynInst, _ uint64) []trace.DynIn
 // predictor's own at a misprediction; the history a partial rebuild has
 // reached when conv's resolving walk falls back to plain
 // reconstruction). The records are appended to buf (reused across
-// calls) and have no memory addresses: HasAddr is false. ras is the
-// caller's pooled scratch stack, re-seeded from the predictor on entry.
+// calls, grown once to MaxLen so each record is written where it stays)
+// and have no memory addresses: HasAddr is false. ras is the caller's
+// pooled scratch stack, re-seeded from the predictor on entry.
 func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
 	ctx.Pred.SnapshotRASInto(ras)
+	if room := ctx.MaxLen - len(buf); room > 0 {
+		buf = slices.Grow(buf, room)
+	}
 	pc := startPC
 	for len(buf) < ctx.MaxLen {
 		in, m, ok := ctx.Code.LookupMeta(pc)
 		if !ok || m.IsEcall() {
 			break
 		}
-		di := trace.DynInst{PC: pc, In: *in, WrongPath: true}
+		buf = buf[:len(buf)+1]
+		di := &buf[len(buf)-1]
+		*di = trace.DynInst{PC: pc, In: *in, WrongPath: true}
 		next := pc + isa.InstBytes
 		switch {
 		case m.IsCondBranch():
@@ -266,12 +279,11 @@ func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *b
 			}
 			if !ok {
 				// No target prediction: the front end cannot continue.
-				return append(buf, di)
+				return buf
 			}
 			next = t
 		}
 		di.NextPC = next
-		buf = append(buf, di)
 		pc = next
 	}
 	return buf
@@ -514,7 +526,8 @@ func (p *convPolicy) preConvergence(ctx *Context, wp []trace.DynInst, caseA bool
 // clean control instructions along the correct path (the direction the
 // wrong-path core itself would resolve them to) and falling back to
 // prediction-only reconstruction at the first genuinely data-dependent
-// (dirty) divergence. It returns the rebuilt wrong path.
+// (dirty) divergence. It rebuilds in place over wp's tail (reconstruct
+// left it MaxLen records of capacity) and returns the rebuilt path.
 func (p *convPolicy) recoverResolving(ctx *Context, wp []trace.DynInst) []trace.DynInst {
 	caseA, dist, ok := p.detect(ctx, wp)
 	if !ok {
@@ -541,7 +554,9 @@ outer:
 			if m.IsEcall() {
 				break outer
 			}
-			di := trace.DynInst{PC: ci.PC, In: ci.In, WrongPath: true}
+			out = out[:len(out)+1]
+			di := &out[len(out)-1]
+			*di = trace.DynInst{PC: ci.PC, In: ci.In, WrongPath: true}
 			srcDirty := false
 			for s := uint8(0); s < m.NSrcs; s++ {
 				if dirty.has(m.Srcs[s]) {
@@ -579,7 +594,6 @@ outer:
 					if predTaken {
 						di.NextPC = ci.In.Target
 					}
-					out = append(out, di)
 					// p.ras is free here: the initial walk has finished.
 					return reconstruct(ctx, di.NextPC, hist, out, &p.ras)
 				}
@@ -587,7 +601,6 @@ outer:
 					// Dirty indirect target: cannot follow further.
 					di.Taken = true
 					di.NextPC = ci.NextPC
-					out = append(out, di)
 					return out
 				}
 			}
@@ -598,7 +611,6 @@ outer:
 			}
 			di.Taken = ci.Taken
 			di.NextPC = ci.NextPC
-			out = append(out, di)
 			cpIdx++
 			if len(out) >= ctx.MaxLen {
 				break outer
@@ -631,16 +643,17 @@ type wpemulPolicy struct{ stats Stats }
 func (p *wpemulPolicy) Kind() Kind    { return WPEmul }
 func (p *wpemulPolicy) Stats() *Stats { return &p.stats }
 
-func (p *wpemulPolicy) Begin(_ *Context, br *trace.DynInst, _ uint64) []trace.DynInst {
+func (p *wpemulPolicy) Begin(ctx *Context, _ *trace.DynInst, _ uint64) []trace.DynInst {
 	p.stats.Mispredicts++
-	p.stats.WPGenerated += uint64(len(br.WP))
-	for i := range br.WP {
-		if br.WP[i].In.Op.IsMem() {
+	wp := ctx.Emulated
+	p.stats.WPGenerated += uint64(len(wp))
+	for i := range wp {
+		if wp[i].In.Op.IsMem() {
 			p.stats.WPMemOps++
-			if br.WP[i].HasAddr {
+			if wp[i].HasAddr {
 				p.stats.WPAddrRecovered++
 			}
 		}
 	}
-	return br.WP
+	return wp
 }

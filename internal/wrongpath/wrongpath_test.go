@@ -446,12 +446,12 @@ func TestStatsHelpers(t *testing.T) {
 
 func TestWPEmulPolicyPassesThrough(t *testing.T) {
 	p := New(WPEmul)
-	br := theBranch()
-	br.WP = []trace.DynInst{
+	ctx := newCtx(nil)
+	ctx.Emulated = []trace.DynInst{
 		{PC: 0x104, In: testProg[0x104], WrongPath: true},
 		{PC: 0x108, In: testProg[0x10c], MemAddr: 0x77, HasAddr: true, WrongPath: true},
 	}
-	wp := p.Begin(newCtx(nil), br, 0x104)
+	wp := p.Begin(ctx, theBranch(), 0x104)
 	if len(wp) != 2 {
 		t.Fatalf("wpemul returned %d records", len(wp))
 	}
