@@ -40,7 +40,8 @@ race:
 faults:
 	$(GO) test -race -timeout 10m -run 'Fault|Panic|Corrupt|Truncat|Sweep' \
 		./internal/faultinject/ ./internal/simerr/ ./internal/tracefile/ \
-		./internal/frontend/ ./internal/batch/ ./internal/sim/ ./internal/experiments/
+		./internal/frontend/ ./internal/core/ ./internal/batch/ ./internal/sim/ \
+		./internal/experiments/
 
 # chaos runs the crash-safety acceptance gate under the race detector:
 # kill runs at randomized (seeded) checkpoint boundaries, resume from

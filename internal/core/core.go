@@ -124,11 +124,16 @@ type Core struct {
 	commitRing []uint64
 	commitIdx  int
 
-	// Issue ports and functional units.
+	// Issue ports and functional units. portFloor and unitFloor[cl] are
+	// the minima the last scan of issuePorts and fuFree[cl] found. Free
+	// times never decrease, so each floor stays a lower bound on its
+	// current minimum (derived state: zero after a restore).
 	issuePorts []uint64
 	fuFree     [16][]uint64
 	fuLat      [16]uint64
 	fuPipe     [16]bool
+	portFloor  uint64
+	unitFloor  [16]uint64
 
 	// Register availability (by unified architectural register; the
 	// model dispenses with explicit renaming — the ROB ring provides the
@@ -501,7 +506,7 @@ func (c *Core) stepCorrect(di *trace.DynInst, m *codecache.Meta) (done, commit u
 	}
 	c.lastDispatch = disp
 	c.dispRing[c.dispIdx] = disp
-	c.dispIdx = (c.dispIdx + 1) % c.cfg.DispatchWidth
+	c.dispIdx = next(c.dispIdx, len(c.dispRing))
 
 	done = c.issueAndExecute(di, m, disp, false, 0)
 
@@ -510,9 +515,9 @@ func (c *Core) stepCorrect(di *trace.DynInst, m *codecache.Meta) (done, commit u
 	commit = maxU(commit, c.commitRing[c.commitIdx]+1)
 	c.lastCommit = commit
 	c.commitRing[c.commitIdx] = commit
-	c.commitIdx = (c.commitIdx + 1) % c.cfg.CommitWidth
+	c.commitIdx = next(c.commitIdx, len(c.commitRing))
 	c.robRing[c.robIdx] = commit
-	c.robIdx = (c.robIdx + 1) % c.cfg.ROBSize
+	c.robIdx = next(c.robIdx, len(c.robRing))
 
 	if m.IsStore() && di.HasAddr {
 		// Committed stores drain to the cache off the critical path.
@@ -537,16 +542,23 @@ func (c *Core) issueAndExecute(di *trace.DynInst, m *codecache.Meta, disp uint64
 	for s := uint8(0); s < m.NSrcs; s++ {
 		ready = maxU(ready, c.regReady[m.Srcs[s]])
 	}
+	cl := fuClass(m.Class)
+	if wrongPath && maxU(ready, maxU(c.portFloor, c.unitFloor[cl])) >= resolve {
+		// Squashed before either scan: the start time the scans would
+		// find is at least ready and each floor.
+		return resolve
+	}
 
 	// Issue port.
-	pi := minIndex(c.issuePorts)
-	issue := maxU(ready, c.issuePorts[pi])
+	pi, free := minIndex(c.issuePorts)
+	c.portFloor = free
+	issue := maxU(ready, free)
 
 	// Functional unit.
-	cl := fuClass(m.Class)
 	units := c.fuFree[cl]
-	ui := minIndex(units)
-	start := maxU(issue, units[ui])
+	ui, free := minIndex(units)
+	c.unitFloor[cl] = free
+	start := maxU(issue, free)
 
 	if wrongPath && start >= resolve {
 		// Squashed before issuing: consumes no execution resources and
@@ -602,7 +614,7 @@ func (c *Core) loadLatency(di *trace.DynInst, m *codecache.Meta, start uint64, w
 
 func (c *Core) pushStore(addr uint64, size int, done uint64) {
 	c.storeQ[c.sqIdx] = sqEntry{addr: addr, size: size, done: done}
-	c.sqIdx = (c.sqIdx + 1) % len(c.storeQ)
+	c.sqIdx = next(c.sqIdx, len(c.storeQ))
 	if c.sqLive < len(c.storeQ) {
 		c.sqLive++
 	}
@@ -670,11 +682,12 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 	c.breakFetchGroup()
 
 	var lastPseudo uint64
+	w := 0 // i mod ROBSize
 	for i := range wp {
 		// Speculative-window occupancy: entry i must wait for entry
 		// i-ROBSize to pseudo-retire.
-		if i >= c.cfg.ROBSize {
-			free := c.wpRing[i%c.cfg.ROBSize] + 1
+		if i >= len(c.wpRing) {
+			free := c.wpRing[w] + 1
 			if free > c.fetchCycle {
 				c.redirectFetch(free)
 			}
@@ -691,16 +704,30 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 		disp = maxU(disp, c.dispRing[c.dispIdx]+1)
 		c.lastDispatch = disp
 		c.dispRing[c.dispIdx] = disp
-		c.dispIdx = (c.dispIdx + 1) % c.cfg.DispatchWidth
+		c.dispIdx = next(c.dispIdx, len(c.dispRing))
 
-		m := c.code.MetaFor(wp[i].PC, &wp[i].In)
-		done := c.issueAndExecute(&wp[i], m, disp, true, resolve)
+		// A non-nop dispatched at or after resolve, or fetched once every
+		// issue port is busy until resolve, is squashed: issueAndExecute
+		// would return resolve and change nothing. It then needs no
+		// decode record. Skipping MetaFor is exact while a record's
+		// instruction is the one the code cache holds at its PC: MetaFor
+		// then only predecodes an unseen PC, which no lookup or snapshot
+		// sees. Every built-in policy's records are (programs are
+		// immutable, reconstruction copies the seen slot, convres calls
+		// MetaFor on each record it copies); a record that differs would
+		// have MetaFor rewrite the slot. A nop still completes at disp.
+		done := resolve
+		if maxU(disp, c.portFloor) < resolve || wp[i].In.Op == isa.OpNop {
+			m := c.code.MetaFor(wp[i].PC, &wp[i].In)
+			done = c.issueAndExecute(&wp[i], m, disp, true, resolve)
+		}
 
 		pseudo := maxU(lastPseudo, done+1)
-		c.wpRing[i%c.cfg.ROBSize] = pseudo
+		c.wpRing[w] = pseudo
 		lastPseudo = pseudo
+		w = next(w, len(c.wpRing))
 
-		if wp[i].Taken && m.IsControl() && c.fetchCycle < resolve {
+		if wp[i].Taken && wp[i].In.Op.IsControl() && c.fetchCycle < resolve {
 			c.breakFetchGroup()
 		}
 	}
@@ -719,12 +746,21 @@ func maxU(a, b uint64) uint64 {
 	return b
 }
 
-func minIndex(v []uint64) int {
-	mi := 0
+// next advances a ring cursor: i+1, wrapping to 0 at n.
+func next(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
+// minIndex returns the index and value of v's first minimum.
+func minIndex(v []uint64) (int, uint64) {
+	mi, lo := 0, v[0]
 	for i := 1; i < len(v); i++ {
-		if v[i] < v[mi] {
-			mi = i
+		if x := v[i]; x < lo {
+			mi, lo = i, x
 		}
 	}
-	return mi
+	return mi, lo
 }

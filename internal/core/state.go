@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/checkpoint"
+import (
+	"fmt"
+
+	"repro/internal/checkpoint"
+)
 
 // snapshotVersion stamps this package's snapshot sections; bump it when
 // the walked field set changes.
@@ -13,9 +17,12 @@ const snapshotVersion = 1
 // buffer, the wrong-path scratch (wpRing/dispSnapshot) and the
 // observability view are deliberately absent — at a lane boundary the
 // lane is empty, and the wrong-path scratch is written before it is
-// read within every single simulateWrongPath call. A load needs a core
-// built (New) under the same configuration: every configuration-sized
-// structure is a dimension of the walk.
+// read within every single simulateWrongPath call. Nor are the
+// issue-port and functional-unit floors, which are derived: a load
+// rejects any ring cursor out of range, then restarts the floors at
+// zero (still lower bounds). A load needs a core built (New) under the
+// same configuration: every configuration-sized structure is a
+// dimension of the walk.
 func (c *Core) State(s *checkpoint.Stream) {
 	s.Section("core/Core", snapshotVersion)
 	s.Uint64(&c.fetchCycle)
@@ -45,10 +52,29 @@ func (c *Core) State(s *checkpoint.Stream) {
 	}
 	s.Int(&c.sqIdx)
 	s.Int(&c.sqLive)
+	if s.Loading() {
+		c.restoreDerived(s)
+	}
 	c.stats.State(s)
 	c.bp.State(s)
 	c.hier.State(s)
 	c.code.State(s)
+}
+
+// restoreDerived checks the loaded ring cursors, then resets the floors.
+func (c *Core) restoreDerived(s *checkpoint.Stream) {
+	for _, r := range []struct {
+		name string
+		v, n int // v must lie in [0, n)
+	}{{"dispIdx", c.dispIdx, len(c.dispRing)}, {"robIdx", c.robIdx, len(c.robRing)},
+		{"commitIdx", c.commitIdx, len(c.commitRing)}, {"sqIdx", c.sqIdx, len(c.storeQ)},
+		{"sqLive", c.sqLive, len(c.storeQ) + 1}} {
+		if r.v < 0 || r.v >= r.n {
+			s.Fail(fmt.Errorf("core: snapshot %s %d outside [0, %d)", r.name, r.v, r.n))
+			return
+		}
+	}
+	c.portFloor, c.unitFloor = 0, [16]uint64{}
 }
 
 // State walks the core counters.
