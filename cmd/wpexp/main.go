@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		degree   = fs.Int("degree", 0, "GAP graph degree (0 = default)")
 		scale    = fs.Float64("scale", 0, "SPEC-proxy scale (0 = default)")
 		quick    = fs.Bool("quick", false, "use test-scale inputs")
-		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; report text identical at any size)")
 		verbose  = fs.Bool("v", false, "print one line per simulation run")
 		jobs     = fs.Int("jobs", 1, "batch worker count for independent simulations (0 = one per host core)")
 		ckptDir  = fs.String("checkpoint-dir", "", "write per-cell crash-safe snapshots under this directory (empty = disabled)")
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	opt := experiments.Options{Out: stdout}
 	opt.Base.Config.Core = core.DefaultConfig()
-	opt.Base.Config.Core.Batch = *batch
 	if *quick {
 		opt.GAP = gap.TestParams()
 		opt.Spec = specproxy.TestParams()

@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seed     = fs.Uint64("seed", 0, "input seed (0 = default)")
 		scale    = fs.Float64("scale", 0, "SPEC-proxy scale factor (0 = default)")
 		rob      = fs.Int("rob", 0, "ROB size override")
-		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; results identical at any size)")
 		memLat   = fs.Int("mem-latency", 0, "memory latency override (cycles)")
 		showCfg  = fs.Bool("config", false, "print the core configuration and exit")
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *rob > 0 {
 		cfg.ROBSize = *rob
 	}
-	cfg.Batch = *batch
 	if *memLat > 0 {
 		cfg.Hierarchy.MemLatency = *memLat
 	}

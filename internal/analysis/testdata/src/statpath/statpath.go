@@ -89,10 +89,3 @@ func BatchScratchHandle(lane []uint64) {
 		depth.Observe(uint64(i))
 	}
 }
-
-// NilHandleBundleDetach models the disabled-obs fix: examining handles
-// for nil and detaching the bundle reads, never mints or increments —
-// passes.
-func NilHandleBundleDetach(qo *obs.QueueObs) bool {
-	return qo != nil && (qo.Occupancy != nil || qo.PeekDepth != nil)
-}

@@ -153,7 +153,7 @@ var wpflowSources = []struct {
 	{"time", "Now", taintWall},
 	{"time", "Since", taintWall},
 	{"time", "Until", taintWall},
-	{"internal/sim", "Now", taintWall}, // the Clock interface shim
+	{"internal/sim", "Now", taintWall}, // the wallClock shim
 }
 
 // wpflowApproved are the sanitioned crossing points: calling one of
@@ -197,7 +197,6 @@ var wpflowSinkMethods = []sinkMethod{
 	{"internal/mem", "WriteUint64", taintAll, true, "committed memory (mem.Memory.WriteUint64)"},
 	{"internal/mem", "WriteUint32", taintAll, true, "committed memory (mem.Memory.WriteUint32)"},
 	{"internal/obs", "Serialize", taintAll, false, "correct-path observability publish (obs.View.Serialize)"},
-	{"internal/obs", "QueueDepth", taintAll, false, "correct-path observability publish (obs.View.QueueDepth)"},
 }
 
 // wpflowSinkOwners are the structs whose fields must stay untainted.

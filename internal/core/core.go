@@ -239,18 +239,8 @@ func (c *Core) windowFuture(i, max int) []trace.DynInst {
 	return c.q.PeekWindow(i-r, max)
 }
 
-// SetObs attaches a run's instrumentation view to the core and its
-// decoupling queue; nil detaches both. A view whose queue bundle has no
-// live handles (trace-only runs) leaves the queue unobserved, so those
-// runs pay no per-pop hook dispatch at all.
-func (c *Core) SetObs(v *obs.View) {
-	c.obs = v
-	if v == nil || !v.Queue.Enabled() {
-		c.q.SetObs(nil)
-		return
-	}
-	c.q.SetObs(&v.Queue)
-}
+// SetObs attaches a run's instrumentation view; nil detaches it.
+func (c *Core) SetObs(v *obs.View) { c.obs = v }
 
 // SetWrongPaths wires the source of emulated wrong paths (the
 // frontend's WrongPaths take function; nil for none). In the measured
@@ -354,10 +344,6 @@ mainLoop:
 			m := c.code.InsertGet(di.PC, &di.In)
 			done, commit, pred := c.stepCorrect(di, m)
 			c.stats.Instructions++
-			if obsOn && c.stats.Instructions&1023 == 1 {
-				// Queue-occupancy counter series, sampled every 1024 insts.
-				c.obs.QueueDepth(c.lastCommit, c.q.Len())
-			}
 
 			isControl := m.IsControl()
 			if isControl {

@@ -166,7 +166,7 @@ func (g *Gauge) Value() uint64 {
 const histBuckets = 65
 
 // Histogram is a fixed power-of-two-bucket histogram over uint64
-// observations (queue depths, latencies in nanoseconds, peek indices).
+// observations (latencies in nanoseconds, sizes).
 // It is lock-free and safe for concurrent observation.
 type Histogram struct {
 	count   atomic.Uint64

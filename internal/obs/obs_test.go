@@ -54,7 +54,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	v.Mispredict(1, 2, 3, 4, 5)
 	v.Convergence(1, 2, 3)
 	v.Serialize(1, 2)
-	v.QueueDepth(1, 2)
 }
 
 func TestKey(t *testing.T) {

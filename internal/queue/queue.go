@@ -6,33 +6,28 @@
 // the convergence-exploitation technique "exploits the fact that the
 // functional model runs ahead of the performance model, so we can take
 // a peek in the future correct-path instructions" (§III-C). The queue
-// guarantees a configurable minimum lookahead by refilling from the
+// guarantees a configured minimum lookahead by refilling from the
 // producer on demand; near program end, a peek simply reports that
 // fewer instructions remain (the paper's "skip the convergence check"
-// case). A peek deeper than the current ring grows it (power-of-two
-// steps, up to MaxCapacity), so a deep convergence search is answered
-// from the program rather than silently refused at an allocation
-// boundary.
+// case). The ring is sized once, to the power of two above the
+// lookahead, and a peek at or past that capacity comes back empty: the
+// sim layer derives the lookahead from the core configuration so that
+// it lies above the deepest peek any built-in policy makes.
 package queue
 
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/simerr"
 	"repro/internal/trace"
 )
 
-// MaxLookahead is the largest accepted fill target, and MaxCapacity
-// (its next power of two) the ceiling the ring can grow to. One DynInst
-// is 64 bytes, so the ceiling bounds a single queue at 512 MB — far
-// beyond any configured lookahead (the sim layer derives ~2×ROB) but
-// small enough that a runaway configuration fails up front with a typed
-// fault instead of an allocation crash.
-const (
-	MaxLookahead = 1 << 22
-	MaxCapacity  = 1 << 23
-)
+// MaxLookahead is the largest accepted fill target. One DynInst is 64
+// bytes, so it bounds a single ring at 512 MB — far beyond any derived
+// lookahead (the sim layer's is ~2×ROB) but small enough that a
+// runaway configuration fails up front with a typed fault instead of an
+// allocation crash.
+const MaxLookahead = 1 << 22
 
 // Producer supplies dynamic instructions; ok is false at program end.
 type Producer interface {
@@ -82,10 +77,6 @@ type Queue struct {
 	// lookahead is the fill target maintained before every PopBatch.
 	lookahead int
 
-	// obs is the optional instrumentation bundle (nil when disabled; the
-	// handles inside are themselves nil-safe).
-	obs *obs.QueueObs
-
 	// popped counts the records consumed so far.
 	popped uint64
 }
@@ -108,18 +99,13 @@ func New(src Producer, lookahead int) (*Queue, error) {
 	return &Queue{src: src, buf: make([]trace.DynInst, cap_), lookahead: lookahead}, nil
 }
 
-// SetObs attaches the instrumentation bundle; nil detaches it. The
-// uninstrumented hot path pays one nil check per operation.
-func (q *Queue) SetObs(o *obs.QueueObs) { q.obs = o }
-
-// fill refills the ring up to target records (at most its capacity),
-// handing the producer contiguous ring segments — at most two per wrap
-// — instead of one slot per call. The record sequence, and therefore
-// every simulated statistic, is that of per-record Next calls.
+// fill refills the ring up to target records, handing the producer
+// contiguous ring segments — at most two per wrap — instead of one slot
+// per call. The record sequence, and therefore every simulated
+// statistic, is that of per-record Next calls. target never exceeds the
+// capacity: the lookahead lies below it, and PeekWindow refuses an
+// index at or past it before refilling.
 func (q *Queue) fill(target int) {
-	if target > len(q.buf) {
-		target = len(q.buf)
-	}
 	for !q.done && q.n < target {
 		w := (q.head + q.n) & (len(q.buf) - 1)
 		k := target - q.n
@@ -133,29 +119,6 @@ func (q *Queue) fill(target int) {
 		}
 		q.n += got
 	}
-}
-
-// grow re-rings the buffer to the next power of two holding min
-// entries. It reports false — leaving the queue untouched — when min
-// exceeds MaxCapacity.
-func (q *Queue) grow(min int) bool {
-	if min > MaxCapacity {
-		return false
-	}
-	newCap := len(q.buf)
-	for newCap < min {
-		newCap *= 2
-	}
-	nbuf := make([]trace.DynInst, newCap)
-	for j := 0; j < q.n; j++ {
-		nbuf[j] = q.buf[(q.head+j)&(len(q.buf)-1)]
-	}
-	q.buf = nbuf
-	q.head = 0
-	if q.obs != nil {
-		q.obs.Grows.Inc()
-	}
-	return true
 }
 
 // PopBatch removes up to len(dst) instructions into dst and returns
@@ -176,9 +139,6 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 		return 0
 	}
 	q.fill(q.lookahead)
-	if q.obs != nil {
-		q.obs.Occupancy.Observe(uint64(q.n))
-	}
 	n := len(dst)
 	if n > q.n {
 		n = q.n
@@ -218,9 +178,8 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 // future instructions starting at index i (0 = the next record
 // PopBatch returns), at most max records and at most up to the ring's
 // wrap point — callers walk forward by re-requesting at
-// i+len(window). An empty window means program end past i, or i
-// beyond the capacity ceiling (counted as a clipped peek), and the
-// ring grows, up to MaxCapacity, for deeper peeks.
+// i+len(window). An empty window means program end past i, or i at or
+// past the ring's capacity.
 //
 // Refill parity: the window only refills the producer up to i+1 and
 // otherwise serves what is already buffered, so a windowed walk pulls
@@ -228,30 +187,14 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 // guarantee that keeps batched convergence searches bit-exact.
 //
 // The returned slice aliases the ring: it stays valid until the next
-// PopBatch (deeper peeks may re-ring the buffer, but the old
-// backing array keeps its records, so earlier windows stay readable).
+// PopBatch.
 func (q *Queue) PeekWindow(i, max int) []trace.DynInst {
-	if i < 0 || max < 1 {
-		return nil
-	}
-	if q.obs != nil {
-		q.obs.PeekDepth.Observe(uint64(i))
-	}
-	if i >= len(q.buf) && !q.grow(i+1) {
-		if q.obs != nil {
-			if !q.done {
-				q.obs.PeekClipped.Inc()
-			}
-			q.obs.PeekMiss.Inc()
-		}
+	if i < 0 || max < 1 || i >= len(q.buf) {
 		return nil
 	}
 	if i >= q.n {
 		q.fill(i + 1)
 		if i >= q.n {
-			if q.obs != nil {
-				q.obs.PeekMiss.Inc()
-			}
 			return nil
 		}
 	}
@@ -267,14 +210,8 @@ func (q *Queue) PeekWindow(i, max int) []trace.DynInst {
 	return q.buf[start:end]
 }
 
-// Len returns the number of currently buffered instructions.
-func (q *Queue) Len() int { return q.n }
-
 // Popped returns the number of instructions consumed so far.
 func (q *Queue) Popped() uint64 { return q.popped }
 
 // Lookahead returns the guaranteed fill target.
 func (q *Queue) Lookahead() int { return q.lookahead }
-
-// Cap returns the current ring capacity (exported for boundary tests).
-func (q *Queue) Cap() int { return len(q.buf) }

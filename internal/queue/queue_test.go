@@ -1,11 +1,12 @@
 package queue
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/obs"
+	"repro/internal/checkpoint"
 	"repro/internal/simerr"
 	"repro/internal/trace"
 )
@@ -15,9 +16,6 @@ import (
 // PopBatch and PeekWindow are checked against.
 func (q *Queue) Pop() (trace.DynInst, bool) {
 	q.fill(q.lookahead)
-	if q.obs != nil {
-		q.obs.Occupancy.Observe(uint64(q.n))
-	}
 	if q.n == 0 {
 		return trace.DynInst{}, false
 	}
@@ -30,31 +28,16 @@ func (q *Queue) Pop() (trace.DynInst, bool) {
 }
 
 // Peek returns the i-th instruction ahead (0 = the one the next Pop
-// returns) without consuming it, refilling from the producer — and
-// growing the ring, up to MaxCapacity — as needed. ok is false when
-// fewer than i+1 instructions remain in the program, or when i is
-// beyond the capacity ceiling (counted as a clipped peek).
+// returns) without consuming it, refilling from the producer as needed.
+// ok is false when fewer than i+1 instructions remain in the program,
+// or when i is at or past the ring's capacity.
 func (q *Queue) Peek(i int) (trace.DynInst, bool) {
-	if q.obs != nil {
-		q.obs.PeekDepth.Observe(uint64(i))
-	}
-	if i >= len(q.buf) && !q.grow(i+1) {
-		if q.obs != nil {
-			if !q.done {
-				// The producer may still have instructions; the refusal
-				// is the ceiling's doing, not the program end's.
-				q.obs.PeekClipped.Inc()
-			}
-			q.obs.PeekMiss.Inc()
-		}
+	if i >= len(q.buf) {
 		return trace.DynInst{}, false
 	}
 	if i >= q.n {
 		q.fill(i + 1)
 		if i >= q.n {
-			if q.obs != nil {
-				q.obs.PeekMiss.Inc()
-			}
 			return trace.DynInst{}, false
 		}
 	}
@@ -146,85 +129,30 @@ func TestPeekBeyondEnd(t *testing.T) {
 	}
 }
 
-// TestPeekBeyondCapacityGrows is the regression test at the old ring
-// boundary: Peek at (and far past) the initial capacity used to be
-// silently refused even though the producer had the instructions — a
-// convergence search cliff invisible to the caller. The ring now grows.
-func TestPeekBeyondCapacityGrows(t *testing.T) {
-	q := mustNew(t, &sliceProducer{seq: mkSeq(1000)}, 8) // capacity rounded to ≥ 9
-	oldCap := q.Cap()
-	if oldCap >= 1000 {
-		t.Fatalf("initial capacity %d defeats the test", oldCap)
-	}
-	// The exact old boundary: Peek(cap) previously returned false.
-	d, ok := q.Peek(oldCap)
-	if !ok || d.Seq != uint64(oldCap) {
-		t.Fatalf("Peek(%d) at old capacity boundary = %+v, %v", oldCap, d, ok)
-	}
-	if q.Cap() <= oldCap {
-		t.Errorf("ring did not grow: cap %d", q.Cap())
-	}
-	// Far past the original ring, still within the program.
-	if d, ok := q.Peek(777); !ok || d.Seq != 777 {
-		t.Fatalf("deep Peek(777) = %+v, %v", d, ok)
-	}
-	// Growth preserved FIFO order end to end.
-	for i := 0; i < 1000; i++ {
-		if d, ok := q.Pop(); !ok || d.Seq != uint64(i) {
-			t.Fatalf("pop %d after growth = %+v, %v", i, d, ok)
-		}
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("pop past end succeeded")
-	}
-}
-
-// TestPeekGrowthAfterWrap grows a ring whose head has wrapped, checking
-// the re-ring copy preserves the logical order.
-func TestPeekGrowthAfterWrap(t *testing.T) {
-	q := mustNew(t, &sliceProducer{seq: mkSeq(400)}, 8)
-	for i := 0; i < 100; i++ { // drive head well around the 16-slot ring
-		q.Pop()
-	}
-	for i := 0; i < 200; i++ {
-		if d, ok := q.Peek(i); !ok || d.Seq != uint64(100+i) {
-			t.Fatalf("Peek(%d) after wrap+growth = %+v, %v; want Seq %d", i, d, ok, 100+i)
-		}
-	}
-	for i := 100; i < 400; i++ {
-		if d, ok := q.Pop(); !ok || d.Seq != uint64(i) {
-			t.Fatalf("pop %d after wrap+growth = %+v, %v", i, d, ok)
-		}
-	}
-}
-
-// TestPeekClipAtCeiling: a Peek beyond MaxCapacity is refused without
-// growing and counted as clipped when the producer still had more.
+// TestPeekClipAtCeiling: the ring's last slot answers, and a Peek at
+// or past the capacity comes back empty while the producer still has
+// records, pulling nothing and leaving the ring as it was.
 func TestPeekClipAtCeiling(t *testing.T) {
-	q := mustNew(t, &sliceProducer{seq: mkSeq(32)}, 8)
-	var qo obs.QueueObs
-	reg := obs.NewRegistry()
-	qo.PeekMiss = reg.Counter("miss")
-	qo.PeekClipped = reg.Counter("clip")
-	qo.Grows = reg.Counter("grow")
-	q.SetObs(&qo)
-	capBefore := q.Cap()
-	if _, ok := q.Peek(MaxCapacity); ok {
-		t.Fatal("Peek at the capacity ceiling succeeded")
+	p := &sliceProducer{seq: mkSeq(64)}
+	q := mustNew(t, p, 8) // capacity 16
+	capacity := len(q.buf)
+	if d, ok := q.Peek(capacity - 1); !ok || d.Seq != uint64(capacity-1) {
+		t.Fatalf("Peek(%d), the last slot, = %+v, %v", capacity-1, d, ok)
 	}
-	if q.Cap() != capBefore {
-		t.Errorf("refused peek still grew the ring to %d", q.Cap())
+	pulled := p.i
+	for _, i := range []int{capacity, capacity + 1, 10 * capacity} {
+		if _, ok := q.Peek(i); ok {
+			t.Errorf("Peek(%d) at or past the capacity succeeded", i)
+		}
 	}
-	if qo.PeekClipped.Value() != 1 || qo.PeekMiss.Value() != 1 || qo.Grows.Value() != 0 {
-		t.Errorf("clip=%d miss=%d grow=%d, want 1/1/0",
-			qo.PeekClipped.Value(), qo.PeekMiss.Value(), qo.Grows.Value())
+	if p.i != pulled || len(q.buf) != capacity {
+		t.Errorf("refused peeks pulled %d records and left capacity %d, want 0 and %d",
+			p.i-pulled, len(q.buf), capacity)
 	}
-	// Past program end (producer exhausted) is a miss, not a clip.
-	if _, ok := q.Peek(100); ok {
-		t.Fatal("peek past program end succeeded")
-	}
-	if qo.PeekClipped.Value() != 1 {
-		t.Errorf("end-of-program miss counted as clipped")
+	for i := 0; i < 64; i++ {
+		if d, ok := q.Pop(); !ok || d.Seq != uint64(i) {
+			t.Fatalf("pop %d after a full ring = %+v, %v", i, d, ok)
+		}
 	}
 }
 
@@ -248,43 +176,14 @@ func TestNewLookaheadClamp(t *testing.T) {
 	}
 }
 
-// TestObsHooks: occupancy and peek-depth sampling fire per operation.
-func TestObsHooks(t *testing.T) {
-	q := mustNew(t, &sliceProducer{seq: mkSeq(100)}, 8)
-	reg := obs.NewRegistry()
-	qo := obs.QueueObs{
-		Occupancy: reg.Histogram("occ"),
-		PeekDepth: reg.Histogram("depth"),
-		PeekMiss:  reg.Counter("miss"),
-		Grows:     reg.Counter("grow"),
-	}
-	q.SetObs(&qo)
-	q.Pop()
-	q.Pop()
-	q.Peek(3)
-	q.Peek(50) // grows the 16-slot ring
-	if qo.Occupancy.Count() != 2 {
-		t.Errorf("occupancy samples = %d, want 2", qo.Occupancy.Count())
-	}
-	if qo.PeekDepth.Count() != 2 {
-		t.Errorf("peek depth samples = %d, want 2", qo.PeekDepth.Count())
-	}
-	if qo.Grows.Value() != 1 {
-		t.Errorf("grows = %d, want 1", qo.Grows.Value())
-	}
-	if qo.PeekMiss.Value() != 0 {
-		t.Errorf("miss = %d, want 0", qo.PeekMiss.Value())
-	}
-}
-
 func TestLookaheadMaintained(t *testing.T) {
 	p := &sliceProducer{seq: mkSeq(100)}
 	q := mustNew(t, p, 10)
 	q.Pop()
 	// The queue refills to the lookahead target before each pop, so at
 	// least lookahead-1 instructions remain buffered afterwards.
-	if q.Len() < 9 {
-		t.Errorf("lookahead after pop = %d, want >= 9", q.Len())
+	if q.n < 9 {
+		t.Errorf("lookahead after pop = %d, want >= 9", q.n)
 	}
 	// The producer has been drawn on beyond the consumed instruction
 	// (run-ahead), but not exhaustively.
@@ -393,8 +292,8 @@ func TestQuickPeekPopAgreement(t *testing.T) {
 	f := func(n0, la0, i0 uint8) bool {
 		n := int(n0)%200 + 20
 		la := int(la0)%32 + 1
-		i := int(i0) % 16
 		q := mustNew(t, &sliceProducer{seq: mkSeq(n)}, la)
+		i := int(i0) % len(q.buf)
 		want, ok := q.Peek(i)
 		if !ok {
 			return true
@@ -510,8 +409,8 @@ func TestPopBatchPullParity(t *testing.T) {
 			if pa.i != pb.i {
 				t.Fatalf("m=%d step %d: producer positions diverge: batch %d, per-inst %d", m, step, pa.i, pb.i)
 			}
-			if qa.Len() != qb.Len() {
-				t.Fatalf("m=%d step %d: queue depths diverge: batch %d, per-inst %d", m, step, qa.Len(), qb.Len())
+			if qa.n != qb.n {
+				t.Fatalf("m=%d step %d: queue depths diverge: batch %d, per-inst %d", m, step, qa.n, qb.n)
 			}
 			if n == 0 {
 				break
@@ -550,18 +449,10 @@ func TestPeekWindowMatchesPeek(t *testing.T) {
 }
 
 // TestPeekWindowEndAndCeiling mirrors Peek's boundary contract: an
-// empty window means program end past i or the capacity ceiling, with
-// the same miss/clip accounting.
+// empty window means program end past i or an index at or past the
+// ring's capacity.
 func TestPeekWindowEndAndCeiling(t *testing.T) {
 	q := mustNew(t, &sliceProducer{seq: mkSeq(10)}, 8)
-	reg := obs.NewRegistry()
-	qo := obs.QueueObs{
-		PeekDepth:   reg.Histogram("depth"),
-		PeekMiss:    reg.Counter("miss"),
-		PeekClipped: reg.Counter("clip"),
-		Grows:       reg.Counter("grow"),
-	}
-	q.SetObs(&qo)
 	// A window only refills to i+1 (Peek parity), so on a cold queue it
 	// returns the single record that pull made available...
 	if w := q.PeekWindow(6, 32); len(w) != 1 || w[0].Seq != 6 {
@@ -574,23 +465,69 @@ func TestPeekWindowEndAndCeiling(t *testing.T) {
 	if len(w) != 4 || w[0].Seq != 6 {
 		t.Fatalf("buffered window near end = %d records starting %d, want 4 starting 6", len(w), w[0].Seq)
 	}
-	// Past program end: empty, counted as a miss but not clipped.
+	// Past program end: empty.
 	if w := q.PeekWindow(10, 4); w != nil {
 		t.Errorf("window past end = %d records", len(w))
 	}
-	if qo.PeekMiss.Value() != 1 || qo.PeekClipped.Value() != 0 {
-		t.Errorf("miss=%d clip=%d after end-of-program window, want 1/0",
-			qo.PeekMiss.Value(), qo.PeekClipped.Value())
+	// At the capacity on a fresh, still-producing queue: empty, and
+	// nothing pulled.
+	p := &sliceProducer{seq: mkSeq(64)}
+	q2 := mustNew(t, p, 8)
+	if w := q2.PeekWindow(len(q2.buf), 1); w != nil {
+		t.Error("window at the capacity succeeded")
 	}
-	// Beyond the capacity ceiling on a fresh, still-producing queue:
-	// refused without growing, counted clipped.
-	q2 := mustNew(t, &sliceProducer{seq: mkSeq(64)}, 8)
-	q2.SetObs(&qo)
-	if w := q2.PeekWindow(MaxCapacity, 1); w != nil {
-		t.Error("window at the capacity ceiling succeeded")
+	if p.i != 0 {
+		t.Errorf("window at the capacity pulled %d records", p.i)
 	}
-	if qo.PeekClipped.Value() != 1 {
-		t.Errorf("clip=%d after ceiling window, want 1", qo.PeekClipped.Value())
+}
+
+// TestStateCapacityBound: a full ring round-trips through State, and a
+// snapshot that counts one record more than the capacity fails as
+// corrupt.
+func TestStateCapacityBound(t *testing.T) {
+	q := mustNew(t, &sliceProducer{seq: mkSeq(100)}, 8)
+	capacity := len(q.buf)
+	q.Pop() // move head off slot 0 so the saved ring wraps
+	if _, ok := q.Peek(capacity - 1); !ok || q.n != capacity {
+		t.Fatalf("ring holds %d of %d records after peeking its last slot", q.n, capacity)
+	}
+	save := checkpoint.NewStream()
+	q.State(save)
+	data := save.Finish()
+
+	restored := mustNew(t, &sliceProducer{}, 8)
+	ld, err := checkpoint.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.State(ld); ld.Err() != nil {
+		t.Fatalf("full ring did not load: %v", ld.Err())
+	}
+	again := checkpoint.NewStream()
+	restored.State(again)
+	if !bytes.Equal(again.Finish(), data) {
+		t.Error("save(load(full ring)) differs from the snapshot")
+	}
+	for i := 0; i < capacity; i++ {
+		want, _ := q.Pop()
+		if got, ok := restored.Pop(); !ok || got.Seq != want.Seq {
+			t.Fatalf("restored pop %d = %+v, %v; want Seq %d", i, got, ok, want.Seq)
+		}
+	}
+
+	// Forcing the count past the capacity makes the save walk write
+	// capacity+1 records (the last one wraps onto the head).
+	over := mustNew(t, &sliceProducer{seq: mkSeq(100)}, 8)
+	over.Peek(capacity - 1)
+	over.n = capacity + 1
+	save = checkpoint.NewStream()
+	over.State(save)
+	ld, err = checkpoint.Open(save.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustNew(t, &sliceProducer{}, 8).State(ld); !errors.Is(ld.Err(), simerr.ErrTraceCorrupt) {
+		t.Errorf("count capacity+1 loaded with err %v, want a corrupt-snapshot fault", ld.Err())
 	}
 }
 
@@ -651,33 +588,17 @@ func TestPeekWindowAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPop quantifies the disabled-observability fix: a nil bundle
-// skips hook dispatch entirely, while a bundle of nil handles (what
-// trace-only runs used to install) still pays per-pop dynamic calls.
-// The sim layer now detaches such bundles (obs.QueueObs.Enabled), so
-// only instrumented runs take the slower row.
+// BenchmarkPop measures the per-record reference path.
 func BenchmarkPop(b *testing.B) {
-	bench := func(b *testing.B, o *obs.QueueObs) {
-		q, err := New(&syntheticProducer{}, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q.SetObs(o)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Pop()
-		}
+	q, err := New(&syntheticProducer{}, 256)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("obs=nil", func(b *testing.B) { bench(b, nil) })
-	b.Run("obs=nil-handles", func(b *testing.B) { bench(b, &obs.QueueObs{}) })
-	reg := obs.NewRegistry()
-	b.Run("obs=live", func(b *testing.B) {
-		bench(b, &obs.QueueObs{
-			Occupancy: reg.Histogram("occ"),
-			PeekDepth: reg.Histogram("depth"),
-		})
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Pop()
+	}
 }
 
 // BenchmarkPopBatch measures the lane-based drain against per-record

@@ -16,8 +16,9 @@ const snapshotVersion = 1
 // buffered prefix plus the producer cursor the sim layer restores
 // alongside only reproduce the run under the same fill discipline), the
 // producer-exhausted flag, the pop counter, and the live ring contents
-// in pop order. The ring's physical layout (capacity, head index) is
-// not state: a load rewrites the records densely from index 0, which is
+// in pop order. The capacity follows from the lookahead, so a full ring
+// loads and a larger count is corrupt. The head index is not state: a
+// load rewrites the records densely from index 0, which is
 // observationally identical to the old ring for every PopBatch and
 // PeekWindow.
 func (q *Queue) State(s *checkpoint.Stream) {
@@ -31,8 +32,8 @@ func (q *Queue) State(s *checkpoint.Stream) {
 	s.Uint64(&q.popped)
 	n := s.Count(q.n, trace.MinStateBytes)
 	if s.Loading() {
-		if n >= len(q.buf) && !q.grow(n+1) {
-			s.Fail(fmt.Errorf("queue: snapshot's %d buffered records exceed capacity ceiling", n))
+		if n > len(q.buf) {
+			s.Fail(fmt.Errorf("queue: snapshot's %d buffered records exceed the ring's capacity %d", n, len(q.buf)))
 			return
 		}
 		clear(q.buf)

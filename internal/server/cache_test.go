@@ -534,7 +534,7 @@ func TestFingerprintResolvesDefaults(t *testing.T) {
 		{Suite: "gap", Bench: "bfs", N: gap.DefaultParams().N},
 		{Suite: "gap", Bench: "bfs", Degree: gap.DefaultParams().Degree, Seed: gap.DefaultParams().Seed},
 		{Suite: "gap", Bench: "bfs", WP: "conv"},
-		{Suite: "gap", Bench: "bfs", TimeoutMS: 5, CheckpointEvery: 7, Batch: 1},
+		{Suite: "gap", Bench: "bfs", TimeoutMS: 5, CheckpointEvery: 7},
 	} {
 		if got := same.Fingerprint(); got != fp {
 			t.Errorf("%+v: fingerprint differs from the defaulted spec", same)

@@ -84,14 +84,13 @@ func TestSubmitValidation(t *testing.T) {
 		{Suite: "gap", Bench: "nope"},
 		{Suite: "gap", Bench: "bfs", WP: "quantum"},
 		{Suite: "gap", Bench: "bfs", TimeoutMS: -1},
-		{Suite: "gap", Bench: "bfs", Batch: -1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)
 		}
 	}
-	if got := s.Metrics().Counter("wpserved_jobs_rejected_total").Value(); got != 5 {
-		t.Errorf("rejected counter = %d, want 5", got)
+	if got := s.Metrics().Counter("wpserved_jobs_rejected_total").Value(); got != 4 {
+		t.Errorf("rejected counter = %d, want 4", got)
 	}
 }
 

@@ -37,9 +37,6 @@ type JobSpec struct {
 	MaxInsts uint64 `json:"max_insts,omitempty"`
 	// WarmupInsts functionally warms state before detailed simulation.
 	WarmupInsts uint64 `json:"warmup_insts,omitempty"`
-	// Batch is the decoupling-queue lane size (0 = default; results are
-	// identical at any size).
-	Batch int `json:"batch,omitempty"`
 
 	// Workload input-shape overrides (catalog.Params).
 	N      int     `json:"n,omitempty"`
@@ -78,13 +75,10 @@ func (sp JobSpec) request() (sim.Request, error) {
 		return sim.Request{}, fmt.Errorf("unknown wrong-path technique %q (have %v)", sp.WP, wrongpath.Names())
 	case sp.TimeoutMS < 0:
 		return sim.Request{}, fmt.Errorf("negative timeout_ms")
-	case sp.Batch < 0:
-		return sim.Request{}, fmt.Errorf("negative batch")
 	}
 	cfg := sim.Default(kind)
 	cfg.MaxInsts = sp.MaxInsts
 	cfg.WarmupInsts = sp.WarmupInsts
-	cfg.Core.Batch = sp.Batch
 	return sim.Request{Config: cfg, Workload: &w}, nil
 }
 

@@ -24,12 +24,6 @@ type stateSource interface {
 // checkpointState returns src's snapshot capability, or the typed
 // ErrConfig fault explaining why the source cannot checkpoint.
 func checkpointState(src Source) (stateSource, error) {
-	if ts, ok := src.(traceSource); ok {
-		if _, ok := ts.src.(interface{ Pos() uint64 }); !ok {
-			return nil, simerr.Config("configuring checkpointing",
-				fmt.Errorf("sim: trace producer %T exposes no record cursor (Pos)", ts.src))
-		}
-	}
 	cs, ok := src.(stateSource)
 	if !ok {
 		return nil, simerr.Config("configuring checkpointing",

@@ -16,7 +16,6 @@ import (
 // result bytes (TestFingerprintCoversEveryLeaf checks both).
 var identityExclusions = map[string]string{
 	"Core.Batch":      "TestBatchSizeBitIdentical",
-	"Clock":           "TestInjectedClockDrivesWall",
 	"Metrics":         "TestObsEnabledBitIdentical",
 	"Trace":           "TestObsEnabledBitIdentical",
 	"ObsLabel":        "TestObsEnabledBitIdentical",

@@ -108,7 +108,6 @@ func perturb(t *testing.T, v reflect.Value) {
 		v.Set(reflect.New(v.Type().Elem()))
 	case reflect.Interface:
 		impl := map[reflect.Type]any{
-			reflect.TypeOf((*Clock)(nil)).Elem():           &FixedClock{},
 			reflect.TypeOf((*context.Context)(nil)).Elem(): context.Background(),
 		}[v.Type()]
 		if impl == nil {

@@ -87,7 +87,6 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 // goroutine, closes the source, and collects the Result. It is
 // single-shot: the session's pipeline state is consumed by the run.
 func (s *Session) Run() *Result {
-	clk := s.cfg.clock()
 	ctx := s.cfg.Ctx
 	var ck *checkpointer
 	var ckErr error
@@ -112,9 +111,9 @@ func (s *Session) Run() *Result {
 		// its statistics reset) already happened before it was written.
 		warmup = 0
 	}
-	start := clk.Now()
+	start := wallClock{}.Now()
 	stats := s.core.RunWarmup(warmup, s.cfg.MaxInsts)
-	wall := clk.Now().Sub(start)
+	wall := wallClock{}.Now().Sub(start)
 	s.src.Close()
 
 	h := s.core.Hierarchy()

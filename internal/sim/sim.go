@@ -41,24 +41,16 @@ type Config struct {
 	// the warming phase of sampled simulation (the paper simulates
 	// SimPoint samples; warming plays the same role here).
 	WarmupInsts uint64
-	// QueueLookahead overrides the decoupling queue's guaranteed
-	// run-ahead; 0 selects the default, 2×ROB + front-end buffer + a
-	// margin, which is what convergence detection needs to never stall.
-	QueueLookahead int
 	// PolicyFactory overrides the wrong-path policy construction (used
 	// by the ablation experiments, e.g. conv without the independence
 	// check). When nil, wrongpath.New(WP) is used. WP should still name
 	// the closest standard kind (it controls frontend emulation).
 	PolicyFactory func() wrongpath.Policy
-	// Clock measures Result.Wall (the paper's simulation-speed metric).
-	// nil selects the real wall clock; tests inject a fake so no
-	// simulation output ever depends on host time.
-	Clock Clock
-	// Metrics is the optional observability registry; runs sample live
-	// distributions (queue occupancy, peek depth) into it, and Run and
-	// Execute publish the result's aggregate counters exactly
-	// once. nil disables metrics; a disabled run's simulation output is
-	// bit-identical to an instrumented build's.
+	// Metrics is the optional observability registry; runs count their
+	// checkpoint writes and restores in it, and Run and Execute publish
+	// the result's aggregate counters exactly once. nil disables
+	// metrics; a disabled run's simulation output is bit-identical to an
+	// instrumented build's.
 	Metrics *obs.Registry
 	// Trace is the optional cycle-event trace sink (Chrome-trace JSON);
 	// each run emits its spans onto its own track. nil disables tracing.
@@ -78,7 +70,7 @@ type Config struct {
 	// instructions. Execute restores the newest snapshot (see its resume
 	// rule) and continues to a bit-identical Result. Checkpointing
 	// requires a snapshot-capable source: the functional frontend or a
-	// trace reader that exposes its cursor.
+	// trace reader.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot interval in retired instructions;
 	// 0 disables checkpointing.
@@ -89,24 +81,20 @@ type Config struct {
 	OnCheckpoint func(insts uint64, path string)
 }
 
-// clock returns the configured Clock, defaulting to the wall clock.
-func (c Config) clock() Clock {
-	if c.Clock != nil {
-		return c.Clock
-	}
-	return wallClock{}
-}
-
 // Default returns the Golden-Cove-like configuration with the given
 // wrong-path technique.
 func Default(wp wrongpath.Kind) Config {
 	return Config{Core: core.DefaultConfig(), WP: wp}
 }
 
+// lookahead is the decoupling queue's guaranteed run-ahead, fixed by
+// the core configuration. Every window a built-in policy asks for ends
+// below it: convergence detection peeks at index ≤ ROBSize (at most
+// 2×ROB comparisons, §III-C), and the matched and resolving walks end
+// by ROBSize + WPMaxLen (the wrong-path cap, §III-B), which is
+// 2×ROB + FrontendBuffer. The 64-record margin is slack;
+// TestWindowWithinLookahead pins the bound.
 func (c Config) lookahead() int {
-	if c.QueueLookahead > 0 {
-		return c.QueueLookahead
-	}
 	return 2*c.Core.ROBSize + c.Core.FrontendBuffer + 64
 }
 

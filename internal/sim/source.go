@@ -1,14 +1,13 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/checkpoint"
 	"repro/internal/frontend"
 	"repro/internal/functional"
 	"repro/internal/isa"
 	"repro/internal/queue"
 	"repro/internal/trace"
+	"repro/internal/tracefile"
 	"repro/internal/workloads"
 	"repro/internal/wrongpath"
 )
@@ -93,24 +92,17 @@ func (s *functionalSource) Collect(res *Result) {
 	res.Err = s.fe.Err()
 }
 
-// traceSource adapts a pre-recorded instruction stream (typically a
-// *tracefile.Reader) to the Source interface. It cannot emulate wrong
-// paths, so the session layer rejects wrongpath.WPEmul for it (paper
-// §III-B).
+// traceSource adapts a recorded trace to the Source interface. It
+// cannot emulate wrong paths, so the session layer rejects
+// wrongpath.WPEmul for it (paper §III-B).
 type traceSource struct {
-	src queue.Producer
+	r *tracefile.Reader
 }
 
-// NewTraceSource wraps a trace producer as a Source.
-func NewTraceSource(src queue.Producer) Source { return traceSource{src: src} }
+// NewTraceSource wraps a trace reader as a Source.
+func NewTraceSource(r *tracefile.Reader) Source { return traceSource{r: r} }
 
-func (s traceSource) Next() (trace.DynInst, bool) { return s.src.Next() }
-
-// NextBatch forwards batched refills to the trace producer (batched
-// when the reader supports it, per-record otherwise).
-func (s traceSource) NextBatch(dst []trace.DynInst) int {
-	return queue.NextBatchOf(s.src, dst)
-}
+func (s traceSource) Next() (trace.DynInst, bool) { return s.r.Next() }
 
 func (s traceSource) WrongPaths() func(seq uint64) []trace.DynInst { return nil }
 
@@ -118,30 +110,20 @@ func (s traceSource) Close() {}
 
 // State walks the trace cursor: the number of records decoded so far.
 // The trace bytes themselves are the durable artifact; a load skips a
-// fresh reader (positioned at record 0, supporting Skip as
-// tracefile.Reader does) forward to the cursor.
+// fresh reader, positioned at record 0, forward to the cursor.
 func (s traceSource) State(st *checkpoint.Stream) {
 	st.Section("sim/traceSource", sessionSnapshotVersion)
-	// checkpointState gates on this capability before any snapshot is
-	// attempted, so the assertion cannot fail here.
-	pos := s.src.(interface{ Pos() uint64 }).Pos()
-	if st.Uint64(&pos); !st.Loading() || st.Err() != nil {
-		return
-	}
-	if sk, ok := s.src.(interface{ Skip(uint64) error }); ok {
-		st.Fail(sk.Skip(pos))
-	} else {
-		st.Fail(fmt.Errorf("sim: trace producer %T cannot skip to the snapshot cursor", s.src))
+	pos := s.r.Pos()
+	if st.Uint64(&pos); st.Loading() && st.Err() == nil {
+		st.Fail(s.r.Skip(pos))
 	}
 }
 
 func (s traceSource) Collect(res *Result) {
 	// A trace replays exactly the instructions the core consumes; the
-	// recorded stream has no program output. A reader that exposes a
-	// stream error (tracefile.Reader's typed ErrTraceCorrupt) reports it
-	// here, so a corrupt tail surfaces instead of truncating silently.
+	// recorded stream has no program output. The reader's stream error
+	// (a typed ErrTraceCorrupt) surfaces here, so a corrupt tail is
+	// reported instead of truncating silently.
 	res.FunctionalInsts = res.Core.Instructions
-	if e, ok := s.src.(interface{ Err() error }); ok {
-		res.Err = e.Err()
-	}
+	res.Err = s.r.Err()
 }
