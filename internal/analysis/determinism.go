@@ -90,7 +90,7 @@ func checkBannedSelector(pass *Pass, sel *ast.SelectorExpr) {
 	} else if !names[sel.Sel.Name] {
 		return
 	}
-	pass.Reportf(sel.Pos(), "nondeterministic call %s.%s in simulation code; inject it (e.g. a Clock) or mark an approved shim with //wplint:allow", path, sel.Sel.Name)
+	pass.Reportf(sel.Pos(), "nondeterministic call %s.%s in simulation code; take the value as an input or confine the call to one shim marked //wplint:allow", path, sel.Sel.Name)
 }
 
 // mapRange carries the per-loop state of the order-dependence check.

@@ -14,11 +14,11 @@ import (
 // a split counter elsewhere silently corrupts the split.
 //
 // It also guards the observability layer's publication discipline:
-// outside internal/obs, metric handles (obs.Counter/Gauge/Histogram)
-// may not be constructed directly — a hand-rolled handle never appears
-// in a registry snapshot, so samples recorded through it silently
-// vanish from -metrics-out. Handles must come from Registry.Counter /
-// Gauge / Histogram (or a View built over a registry).
+// outside internal/obs, metric handles (obs.Counter/Gauge) may not be
+// constructed directly — a hand-rolled handle never appears in a
+// registry snapshot, so samples recorded through it silently vanish
+// from -metrics-out. Handles must come from Registry.Counter / Gauge
+// (or a View built over a registry).
 var StatPath = &Analyzer{
 	Name: "statpath",
 	Doc:  "wrong-path-split counters may only be incremented by approved accessors; obs metric handles may only come from a registry",
@@ -46,7 +46,7 @@ var approvedAccessors = map[string]bool{
 
 // obsHandleTypes are the registry-owned metric handle types: their
 // only approved constructors are the Registry accessor methods.
-var obsHandleTypes = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
+var obsHandleTypes = map[string]bool{"Counter": true, "Gauge": true}
 
 func runStatPath(pass *Pass) {
 	runSplitCounters(pass)

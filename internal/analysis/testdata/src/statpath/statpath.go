@@ -46,8 +46,8 @@ func HandMintedHandles() {
 	c.Inc()
 	g := &obs.Gauge{} // want: direct construction of obs.Gauge
 	g.Set(1)
-	h := new(obs.Histogram) // want: direct construction of obs.Histogram via new()
-	h.Observe(2)
+	h := new(obs.Gauge) // want: direct construction of obs.Gauge via new()
+	h.Set(2)
 	var v obs.Counter // want: value declaration of obs.Counter
 	v.Inc()
 }
@@ -59,7 +59,6 @@ func RegistryHandles(r *obs.Registry) uint64 {
 	c = r.Counter(obs.Key("x_total", "wl", "tech"))
 	c.Inc()
 	r.Gauge("g").Set(3)
-	r.Histogram("h").Observe(4)
 	return c.Value()
 }
 
@@ -70,22 +69,22 @@ func RegistryHandles(r *obs.Registry) uint64 {
 // must still go through their accessors; a raw bump per lane record is
 // flagged exactly like its per-instruction ancestor.
 func BatchBoundaryPublish(r *obs.Registry, s *core.Stats, lane []uint64) {
-	occ := r.Histogram("queue_occupancy")
+	occ := r.Gauge("queue_occupancy")
 	if obsOn := occ != nil; obsOn {
-		occ.Observe(uint64(len(lane))) // boundary publish: passes
+		occ.Set(uint64(len(lane))) // boundary publish: passes
 	}
 	for range lane {
 		s.WPExecuted++ // want: direct increment
 	}
 }
 
-// BatchScratchHandle mints a per-batch scratch histogram instead of
+// BatchScratchHandle mints a per-batch scratch counter instead of
 // drawing it from the registry: flagged even at a batch boundary — a
 // hand-made handle never reaches the snapshot no matter how rarely it
 // is touched.
 func BatchScratchHandle(lane []uint64) {
-	depth := obs.Histogram{} // want: direct construction of obs.Histogram
+	depth := obs.Counter{} // want: direct construction of obs.Counter
 	for i := range lane {
-		depth.Observe(uint64(i))
+		depth.Add(uint64(i))
 	}
 }

@@ -174,10 +174,6 @@ type Cache struct {
 	slow map[uint64]*entry
 
 	seen int // entries in state entrySeen (Len)
-
-	// Statistics.
-	lookups uint64
-	misses  uint64
 }
 
 // New returns an empty code cache.
@@ -265,10 +261,8 @@ func (c *Cache) InsertGet(pc uint64, in *isa.Inst) *Meta {
 // reconstruction may only replay what the functional simulator has
 // actually produced.
 func (c *Cache) Lookup(pc uint64) (isa.Inst, bool) {
-	c.lookups++
 	e := c.entryFor(pc, false)
 	if e == nil || e.state != entrySeen {
-		c.misses++
 		return isa.Inst{}, false
 	}
 	return e.in, true
@@ -276,22 +270,20 @@ func (c *Cache) Lookup(pc uint64) (isa.Inst, bool) {
 
 // LookupMeta is Lookup returning pointers into the cached entry (valid
 // until the entry is overwritten): the reconstruction walk's accessor,
-// with the same hit/miss accounting and semantics as Lookup.
+// with the same semantics as Lookup.
 func (c *Cache) LookupMeta(pc uint64) (*isa.Inst, *Meta, bool) {
-	c.lookups++
 	e := c.entryFor(pc, false)
 	if e == nil || e.state != entrySeen {
-		c.misses++
 		return nil, nil, false
 	}
 	return &e.in, &e.meta, true
 }
 
 // MetaFor returns the Meta record for the instruction in at pc without
-// touching the seen state or the lookup statistics — the accessor for
-// records whose decode bits the caller already holds (queued
-// correct-path peeks, emulated wrong-path streams). A new or
-// mismatching slot is (re)classified in place.
+// touching the seen state — the accessor for records whose decode bits
+// the caller already holds (queued correct-path peeks, emulated
+// wrong-path streams). A new or mismatching slot is (re)classified in
+// place.
 func (c *Cache) MetaFor(pc uint64, in *isa.Inst) *Meta {
 	e := c.entryFor(pc, true)
 	if e.state == entryEmpty || e.in != *in {
@@ -328,6 +320,3 @@ func (c *Cache) Predecode(prog *isa.Program) {
 // Len returns the number of distinct static instructions cached (seen;
 // predecoded-only entries do not count).
 func (c *Cache) Len() int { return c.seen }
-
-// Stats returns lookup and miss counts of wrong-path reconstruction.
-func (c *Cache) Stats() (lookups, misses uint64) { return c.lookups, c.misses }

@@ -202,15 +202,3 @@ func TestPageSpread(t *testing.T) {
 		t.Errorf("Len = %d, want 8", c.Len())
 	}
 }
-
-func TestStats(t *testing.T) {
-	c := New()
-	c.Insert(0x100, isa.Nop)
-	c.Lookup(0x100) // hit
-	c.Lookup(0x200) // miss
-	c.Lookup(0x300) // miss
-	lookups, misses := c.Stats()
-	if lookups != 3 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 3/2", lookups, misses)
-	}
-}

@@ -10,7 +10,7 @@ import (
 
 // snapshotVersion stamps this package's snapshot section; bump it when
 // the walked field set changes.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // seenEntry is one walked seen-set entry.
 type seenEntry struct {
@@ -18,19 +18,16 @@ type seenEntry struct {
 	in isa.Inst
 }
 
-// State walks the lookup statistics and the seen-set. The seen-set IS
-// simulation state: a Lookup miss ends a wrong-path reconstruction
-// (§III-A), so which PCs the functional simulator has delivered by the
-// checkpoint instant must survive a resume exactly — predecoding alone
-// cannot recover it, and for trace sources there is no program to
-// predecode at all. Entries are walked as (pc, inst) pairs in ascending
+// State walks the seen-set, which IS simulation state: a Lookup miss
+// ends a wrong-path reconstruction (§III-A), so which PCs the
+// functional simulator has delivered by the checkpoint instant must
+// survive a resume exactly — predecoding alone cannot recover it, and
+// for trace sources there is no program to predecode at all. Entries are walked as (pc, inst) pairs in ascending
 // PC order so the snapshot bytes are deterministic. A load re-inserts
 // them, recomputing Meta via MetaOf; the cache is typically fresh (New,
 // optionally Predecoded), and predecoded entries are upgraded in place.
 func (c *Cache) State(s *checkpoint.Stream) {
 	s.Section("codecache/Cache", snapshotVersion)
-	s.Uint64(&c.lookups)
-	s.Uint64(&c.misses)
 	var ents []seenEntry
 	if !s.Loading() {
 		ents = c.seenEntries()

@@ -170,7 +170,11 @@ func (c *CPU) Step(di *trace.DynInst) error {
 	if !ok {
 		return fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
 	}
-	*di = trace.DynInst{Seq: c.seq, PC: c.pc, In: in, NextPC: c.pc + isa.InstBytes}
+	*di = trace.DynInst{}
+	di.Seq = c.seq
+	di.PC = c.pc
+	di.In = in
+	di.NextPC = c.pc + isa.InstBytes
 
 	switch in.Op {
 	case isa.OpNop:

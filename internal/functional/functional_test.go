@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/functional"
@@ -409,6 +410,58 @@ skip:
 	}
 	if cpu.PC() != prog.MustSymbol("skip") {
 		t.Error("branch not followed")
+	}
+}
+
+// TestStepOverwritesEveryField pins Step's write rule: the record is
+// zeroed in place and then assigned field by field, so a slot reused
+// from an earlier record (a queue or wrong-path ring slot) comes out
+// byte-identical to a fresh one. Two CPUs run the same program in
+// lockstep, one stepping into a zeroed record and one into a record
+// filled with 0xFF bytes before every step.
+func TestStepOverwritesEveryField(t *testing.T) {
+	prog := asm.MustAssemble(`
+    li   t0, 0x80             # ALU
+    add  t1, t0, t0           # ALU
+    ld   t2, 8(t0)            # load
+    sd   t2, 16(t0)           # store
+    beq  t2, zero, taken      # taken
+    nop
+taken:
+    bne  t2, zero, taken      # not taken
+    jal  ra, fn               # jal
+    li   a0, 7
+    li   a7, 1
+    ecall                     # print
+    li   a7, 0
+    ecall                     # exit
+fn:
+    jalr zero, ra, 0          # jalr
+`)
+	fresh := functional.New(prog, mem.New(), 0x9000)
+	reused := functional.New(prog, mem.New(), 0x9000)
+	ops := map[isa.Op]bool{}
+	for !fresh.Halted() {
+		var want, got trace.DynInst
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(&got)), unsafe.Sizeof(got))
+		for i := range raw {
+			raw[i] = 0xFF
+		}
+		if err := fresh.Step(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Step(&got); err != nil {
+			t.Fatal(err)
+		}
+		if wantRaw := unsafe.Slice((*byte)(unsafe.Pointer(&want)), unsafe.Sizeof(want)); string(raw) != string(wantRaw) {
+			t.Fatalf("pc %#x (%v): record stepped into 0xFF bytes\n% x\nwant\n% x", want.PC, want.In.Op, raw, wantRaw)
+		}
+		ops[want.In.Op] = true
+	}
+	for _, op := range []isa.Op{isa.OpAddi, isa.OpAdd, isa.OpLd, isa.OpSd, isa.OpBeq, isa.OpBne, isa.OpJal, isa.OpJalr, isa.OpEcall} {
+		if !ops[op] {
+			t.Errorf("program never stepped %v", op)
+		}
 	}
 }
 

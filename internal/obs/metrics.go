@@ -1,5 +1,5 @@
 // Package obs is the simulator's observability layer: a metrics
-// registry (counters, gauges, histograms keyed by workload/technique),
+// registry (counters and gauges keyed by workload/technique),
 // a cycle-level event-trace sink in Chrome-trace/Perfetto JSON, and the
 // profiling helpers the CLIs expose behind -pprof.
 //
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -32,7 +31,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -40,7 +38,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -91,22 +88,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named power-of-two-bucket histogram, creating
-// it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Counter is a monotonically increasing uint64. The zero value is
@@ -160,71 +141,11 @@ func (g *Gauge) Value() uint64 {
 	return g.v.Load()
 }
 
-// histBuckets is the bucket count of Histogram: bucket i counts
-// observations v with bits.Len64(v) == i, i.e. bucket 0 holds v == 0
-// and bucket i ≥ 1 holds 2^(i-1) ≤ v < 2^i.
-const histBuckets = 65
-
-// Histogram is a fixed power-of-two-bucket histogram over uint64
-// observations (latencies in nanoseconds, sizes).
-// It is lock-free and safe for concurrent observation.
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-}
-
-// Count returns the number of observations (0 for a nil handle).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 for a nil handle).
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Mean returns the average observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Bucket is one non-empty histogram bucket in a snapshot: Count
-// observations with value < Le (and ≥ the previous bucket's Le).
-type Bucket struct {
-	Le    uint64 `json:"le"`
-	Count uint64 `json:"count"`
-}
-
 // Metric is one serialized registry entry.
 type Metric struct {
-	Name    string   `json:"name"`
-	Kind    string   `json:"kind"` // "counter", "gauge" or "histogram"
-	Value   uint64   `json:"value,omitempty"`
-	Count   uint64   `json:"count,omitempty"`
-	Sum     uint64   `json:"sum,omitempty"`
-	Mean    float64  `json:"mean,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Name  string `json:"name"`
+	Kind  string `json:"kind"` // "counter" or "gauge"
+	Value uint64 `json:"value,omitempty"`
 }
 
 // Snapshot returns every metric sorted by name — a deterministic
@@ -236,26 +157,12 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges))
 	for _, name := range sortedKeys(r.counters) {
 		out = append(out, Metric{Name: name, Kind: "counter", Value: r.counters[name].Value()})
 	}
 	for _, name := range sortedKeys(r.gauges) {
 		out = append(out, Metric{Name: name, Kind: "gauge", Value: r.gauges[name].Value()})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		m := Metric{Name: name, Kind: "histogram", Count: h.Count(), Sum: h.Sum(), Mean: h.Mean()}
-		for i := 0; i < histBuckets; i++ {
-			if n := h.buckets[i].Load(); n > 0 {
-				le := uint64(1) << uint(i) // exclusive upper bound: bits.Len64(v) == i → v < 2^i
-				if i == 0 {
-					le = 1
-				}
-				m.Buckets = append(m.Buckets, Bucket{Le: le, Count: n})
-			}
-		}
-		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -13,7 +13,7 @@ import (
 // uninstrumented hot paths cost one nil check.
 func TestNilHandlesAreInert(t *testing.T) {
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Gauge("x") != nil {
 		t.Fatal("nil registry returned live handles")
 	}
 	if r.Snapshot() != nil {
@@ -31,11 +31,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge has a value")
 	}
-	var h *Histogram
-	h.Observe(9)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Error("nil histogram recorded")
-	}
 
 	var s *TraceSink
 	tr := s.Track("run")
@@ -44,7 +39,6 @@ func TestNilHandlesAreInert(t *testing.T) {
 	}
 	tr.Span("a", 0, 1)
 	tr.Instant("b", 0)
-	tr.Counter("c", 0, 1)
 	if err := s.Close(); err != nil {
 		t.Errorf("nil sink Close: %v", err)
 	}
@@ -80,46 +74,24 @@ func TestRegistryIdentityAndSnapshot(t *testing.T) {
 	r.Counter("a").Add(3)
 	r.Counter("a").Inc()
 	r.Gauge("g").Set(11)
-	h := r.Histogram("h")
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(5)
-	h.Observe(5)
 
 	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d entries, want 3", len(snap))
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d entries, want 2", len(snap))
 	}
-	// Sorted by name: a, g, h.
+	// Sorted by name: a, g.
 	if snap[0].Name != "a" || snap[0].Kind != "counter" || snap[0].Value != 4 {
 		t.Errorf("counter snapshot = %+v", snap[0])
 	}
 	if snap[1].Name != "g" || snap[1].Kind != "gauge" || snap[1].Value != 11 {
 		t.Errorf("gauge snapshot = %+v", snap[1])
 	}
-	hs := snap[2]
-	if hs.Kind != "histogram" || hs.Count != 4 || hs.Sum != 11 {
-		t.Errorf("histogram snapshot = %+v", hs)
-	}
-	if want := 11.0 / 4; hs.Mean != want {
-		t.Errorf("histogram mean = %v, want %v", hs.Mean, want)
-	}
-	// Buckets: v=0 → le 1; v=1 → le 2; v=5,5 → le 8.
-	want := []Bucket{{Le: 1, Count: 1}, {Le: 2, Count: 1}, {Le: 8, Count: 2}}
-	if len(hs.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v, want %+v", hs.Buckets, want)
-	}
-	for i := range want {
-		if hs.Buckets[i] != want[i] {
-			t.Errorf("bucket %d = %+v, want %+v", i, hs.Buckets[i], want[i])
-		}
-	}
 }
 
 func TestWriteJSONValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Key("runs_total", "gap/bfs", "conv")).Inc()
-	r.Histogram("lat").Observe(100)
+	r.Gauge("lat").Set(100)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -134,14 +106,13 @@ func TestWriteJSONValid(t *testing.T) {
 }
 
 // TestTraceSinkValidJSON: the sink must emit a well-formed Chrome-trace
-// document with process metadata, spans, instants and counters.
+// document with process metadata, spans and instants.
 func TestTraceSinkValidJSON(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTraceSink(&buf)
 	tr := s.Track(`gap/bfs "conv"`) // name requiring JSON escaping
 	tr.Span("mispredict", 100, 25, Arg{"pc", 0x1234}, Arg{"wp_len", 17})
 	tr.Instant("convergence", 110, Arg{"dist", 4})
-	tr.Counter("queue occupancy", 120, 512)
 	tr2 := s.Track("gap/pr conv")
 	tr2.Span("fetch-stall", 7, 3)
 	if err := s.Close(); err != nil {
@@ -154,15 +125,15 @@ func TestTraceSinkValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid trace JSON: %v\n%s", err, buf.String())
 	}
-	// 2 metadata + 4 events.
-	if len(doc.TraceEvents) != 6 {
-		t.Fatalf("trace has %d events, want 6", len(doc.TraceEvents))
+	// 2 metadata + 3 events.
+	if len(doc.TraceEvents) != 5 {
+		t.Fatalf("trace has %d events, want 5", len(doc.TraceEvents))
 	}
 	phases := map[string]int{}
 	for _, ev := range doc.TraceEvents {
 		phases[ev["ph"].(string)]++
 	}
-	if phases["M"] != 2 || phases["X"] != 2 || phases["i"] != 1 || phases["C"] != 1 {
+	if phases["M"] != 2 || phases["X"] != 2 || phases["i"] != 1 {
 		t.Errorf("phase histogram = %v", phases)
 	}
 	// Tracks get distinct pids; the span carries its args.
@@ -212,15 +183,12 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("shared").Inc()
-				r.Histogram("h").Observe(uint64(i))
+				r.Gauge("g").Set(uint64(i))
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
-	}
-	if got := r.Histogram("h").Count(); got != 8000 {
-		t.Errorf("concurrent histogram count = %d, want 8000", got)
 	}
 }

@@ -136,14 +136,3 @@ func (tr *Track) Instant(name string, ts uint64, args ...Arg) {
 		`{"name":%s,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":0,"args":%s}`,
 		strconv.Quote(name), ts, tr.pid, renderArgs(args)))
 }
-
-// Counter emits one sample of a counter series (rendered as a filled
-// area chart in the viewer).
-func (tr *Track) Counter(name string, ts, value uint64) {
-	if tr == nil {
-		return
-	}
-	tr.sink.event(fmt.Sprintf(
-		`{"name":%s,"ph":"C","ts":%d,"pid":%d,"tid":0,"args":{"value":%d}}`,
-		strconv.Quote(name), ts, tr.pid, value))
-}

@@ -209,9 +209,3 @@ func (q *Queue) PeekWindow(i, max int) []trace.DynInst {
 	}
 	return q.buf[start:end]
 }
-
-// Popped returns the number of instructions consumed so far.
-func (q *Queue) Popped() uint64 { return q.popped }
-
-// Lookahead returns the guaranteed fill target.
-func (q *Queue) Lookahead() int { return q.lookahead }

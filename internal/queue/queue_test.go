@@ -90,8 +90,8 @@ func TestPopOrder(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Error("pop past end succeeded")
 	}
-	if q.Popped() != 100 {
-		t.Errorf("Popped = %d", q.Popped())
+	if q.popped != 100 {
+		t.Errorf("Popped = %d", q.popped)
 	}
 }
 
@@ -194,8 +194,8 @@ func TestLookaheadMaintained(t *testing.T) {
 
 func TestLookaheadFloor(t *testing.T) {
 	q := mustNew(t, &sliceProducer{seq: mkSeq(10)}, 0)
-	if q.Lookahead() != 1 {
-		t.Errorf("lookahead = %d, want 1", q.Lookahead())
+	if q.lookahead != 1 {
+		t.Errorf("lookahead = %d, want 1", q.lookahead)
 	}
 	if _, ok := q.Pop(); !ok {
 		t.Error("pop failed")
@@ -347,8 +347,8 @@ func TestPopBatchOrder(t *testing.T) {
 		if next != 100 {
 			t.Fatalf("batched=%v: consumed %d records, want 100", batched, next)
 		}
-		if q.Popped() != 100 {
-			t.Errorf("batched=%v: Popped = %d", batched, q.Popped())
+		if q.popped != 100 {
+			t.Errorf("batched=%v: Popped = %d", batched, q.popped)
 		}
 	}
 }
@@ -416,8 +416,8 @@ func TestPopBatchPullParity(t *testing.T) {
 				break
 			}
 		}
-		if qa.Popped() != qb.Popped() || qa.Popped() != total {
-			t.Errorf("m=%d: popped %d vs %d, want %d", m, qa.Popped(), qb.Popped(), total)
+		if qa.popped != qb.popped || qa.popped != total {
+			t.Errorf("m=%d: popped %d vs %d, want %d", m, qa.popped, qb.popped, total)
 		}
 	}
 }

@@ -6,10 +6,15 @@
 // address, and branch outcome/target.
 //
 // A record is 64 bytes and holds no pointers: the 8-byte words come
-// first and the five flags pack into the tail. Every layer writes
-// records in place (the functional step, wrong-path generation, the
-// queue ring), so a copy is four vector moves and the garbage collector
-// never scans a record buffer.
+// first and the five flags pack into the tail, so the garbage collector
+// never scans a record buffer. Every layer writes records in place (the
+// functional step, wrong-path generation, the queue ring), and writes
+// them field by field: `*di = DynInst{}`, which compiles to four 16-byte
+// stores into the slot, then plain field assignments. A keyed composite
+// literal assigned through a pointer is built in a stack temporary
+// first and copied out with 16-byte loads that straddle the
+// temporary's narrower stores, so store-to-load forwarding fails on
+// every record.
 package trace
 
 import "repro/internal/isa"

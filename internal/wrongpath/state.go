@@ -7,9 +7,9 @@ import "repro/internal/checkpoint"
 const snapshotVersion = 1
 
 // State walks the policy statistics — the only persistent policy state.
-// The reconstruction scratch (record buffer, RAS copy) is rebuilt from
-// scratch inside every Begin call, so it never needs to survive a
-// checkpoint.
+// The reconstruction scratch (record buffer, walker and its RAS copy)
+// is rebuilt from scratch inside every Begin call, so it never needs to
+// survive a checkpoint.
 func (s *Stats) State(st *checkpoint.Stream) {
 	st.Section("wrongpath/Stats", snapshotVersion)
 	st.Uint64(&s.Mispredicts)

@@ -19,6 +19,15 @@
 // A policy is invoked by the core when it detects a misprediction and
 // returns the sequence of wrong-path instruction records the core should
 // push through the pipeline until the branch resolves.
+//
+// Convergence detection runs in two scans, case B first: it compares
+// the queued correct path's PCs with the predicted target, so it needs
+// no wrong-path record. Conv reconstructs the whole path, then runs
+// both scans on it. ConvResolve detects before it generates: the
+// case-B distance bounds the case-A search, the reconstruction walk
+// stops at that bound, and only the part of the path that survives
+// detection is kept, so each record of the returned path is written
+// once (see beginResolving).
 package wrongpath
 
 import (
@@ -224,35 +233,60 @@ func (p *nowpPolicy) Begin(_ *Context, _ *trace.DynInst, _ uint64) []trace.DynIn
 
 // --- shared reconstruction walk (instrec and conv) ---
 
-// reconstruct walks the code cache from startPC, steering wrong-path
-// control flow with read-only predictions (conditional directions from
-// the predictor tables, return targets from a scratch RAS copy,
-// indirect targets from the indirect table). The walk stops at the
-// instruction-count cap, on a code-cache miss, on an unpredictable
+// walker is a resumable wrong-path reconstruction walk. It walks the
+// code cache, steering wrong-path control flow with read-only
+// predictions (conditional directions from the predictor tables, return
+// targets from a scratch RAS copy, indirect targets from the indirect
+// table). The walk ends on a code-cache miss, on an unpredictable
 // indirect target, or at an environment call — the same conditions
-// under which the paper's implementation falls back to halting fetch.
-//
-// The walk starts from the speculative global history hist (the
-// predictor's own at a misprediction; the history a partial rebuild has
-// reached when conv's resolving walk falls back to plain
-// reconstruction). The records are appended to buf (reused across
-// calls, grown once to MaxLen so each record is written where it stays)
-// and have no memory addresses: HasAddr is false. ras is the caller's
-// pooled scratch stack, re-seeded from the predictor on entry.
-func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
-	ctx.Pred.SnapshotRASInto(ras)
+// under which the paper's implementation falls back to halting fetch —
+// and otherwise pauses at the record limit its caller gives, so convres
+// can generate only what detection needs and later continue the same
+// walk to the full path.
+type walker struct {
+	ras   branch.RAS // scratch stack, re-seeded by start
+	pc    uint64     // next PC to fetch
+	hist  uint64     // speculative global history reached
+	ended bool       // the walk ended on its own
+}
+
+// start begins a walk at pc from the speculative global history hist
+// (the predictor's own at a misprediction; the history a partial
+// rebuild has reached when conv's resolving walk falls back to plain
+// reconstruction).
+func (w *walker) start(ctx *Context, pc, hist uint64) {
+	ctx.Pred.SnapshotRASInto(&w.ras)
+	w.pc, w.hist, w.ended = pc, hist, false
+}
+
+// reconstruct continues the walk, appending records to buf until it
+// holds limit records (at most MaxLen) or the walk ends, and adds the
+// memory operations among the appended records to *memOps. buf is
+// reused across calls and grown once to MaxLen, so each record is
+// written where it stays, field by field (see the trace package). The
+// records have no memory addresses: HasAddr is false.
+func (w *walker) reconstruct(ctx *Context, buf []trace.DynInst, limit int, memOps *uint64) []trace.DynInst {
 	if room := ctx.MaxLen - len(buf); room > 0 {
 		buf = slices.Grow(buf, room)
 	}
-	pc := startPC
-	for len(buf) < ctx.MaxLen {
+	limit = min(limit, ctx.MaxLen)
+	pc, hist, ended := w.pc, w.hist, w.ended
+	var mem uint64
+	for !ended && len(buf) < limit {
 		in, m, ok := ctx.Code.LookupMeta(pc)
 		if !ok || m.IsEcall() {
+			ended = true
 			break
 		}
 		buf = buf[:len(buf)+1]
 		di := &buf[len(buf)-1]
-		*di = trace.DynInst{PC: pc, In: *in, WrongPath: true}
+		*di = trace.DynInst{}
+		di.PC = pc
+		di.In = *in
+		di.WrongPath = true
+		if m.IsMem() {
+			mem++
+		}
 		next := pc + isa.InstBytes
 		switch {
 		case m.IsCondBranch():
@@ -264,28 +298,31 @@ func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *b
 			di.Taken = true
 			next = in.Target
 			if branch.IsCall(*in) {
-				ras.Push(pc + isa.InstBytes)
+				w.ras.Push(pc + isa.InstBytes)
 			}
 		case in.Op == isa.OpJalr:
 			di.Taken = true
 			var t uint64
 			if branch.IsReturn(*in) {
-				t, ok = ras.Pop()
+				t, ok = w.ras.Pop()
 			} else {
 				t, ok = ctx.Pred.PredictIndirect(pc)
 				if branch.IsCall(*in) {
-					ras.Push(pc + isa.InstBytes)
+					w.ras.Push(pc + isa.InstBytes)
 				}
 			}
 			if !ok {
 				// No target prediction: the front end cannot continue.
-				return buf
+				ended = true
+				continue
 			}
 			next = t
 		}
 		di.NextPC = next
 		pc = next
 	}
+	w.pc, w.hist, w.ended = pc, hist, ended
+	*memOps += mem
 	return buf
 }
 
@@ -294,7 +331,7 @@ func reconstruct(ctx *Context, startPC, hist uint64, buf []trace.DynInst, ras *b
 type instrecPolicy struct {
 	stats Stats
 	buf   []trace.DynInst
-	ras   branch.RAS // pooled reconstruction scratch
+	walk  walker // pooled reconstruction scratch
 }
 
 func (p *instrecPolicy) Kind() Kind    { return InstRec }
@@ -302,13 +339,9 @@ func (p *instrecPolicy) Stats() *Stats { return &p.stats }
 
 func (p *instrecPolicy) Begin(ctx *Context, _ *trace.DynInst, predictedTarget uint64) []trace.DynInst {
 	p.stats.Mispredicts++
-	p.buf = reconstruct(ctx, predictedTarget, ctx.Pred.SpecHistory(), p.buf[:0], &p.ras)
+	p.walk.start(ctx, predictedTarget, ctx.Pred.SpecHistory())
+	p.buf = p.walk.reconstruct(ctx, p.buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
 	p.stats.WPGenerated += uint64(len(p.buf))
-	for i := range p.buf {
-		if p.buf[i].In.Op.IsMem() {
-			p.stats.WPMemOps++
-		}
-	}
 	return p.buf
 }
 
@@ -319,7 +352,7 @@ func (p *instrecPolicy) Begin(ctx *Context, _ *trace.DynInst, predictedTarget ui
 type convPolicy struct {
 	stats Stats
 	buf   []trace.DynInst
-	ras   branch.RAS // pooled reconstruction scratch
+	walk  walker // pooled reconstruction scratch
 	// kind is Conv or ConvResolve (zero value: Conv).
 	kind Kind
 
@@ -355,67 +388,71 @@ func (p *convPolicy) Stats() *Stats { return &p.stats }
 
 func (p *convPolicy) Begin(ctx *Context, br *trace.DynInst, predictedTarget uint64) []trace.DynInst {
 	p.stats.Mispredicts++
-	p.buf = reconstruct(ctx, predictedTarget, ctx.Pred.SpecHistory(), p.buf[:0], &p.ras)
-	wp := p.buf
+	p.walk.start(ctx, predictedTarget, ctx.Pred.SpecHistory())
 	// Convergence is only checked for one-sided conditional branches
 	// (paper §III-C1); indirect mispredictions keep the plain
 	// reconstruction.
-	if len(wp) > 0 && br.In.Op.IsCondBranch() {
-		p.stats.ConvChecked++
-		if p.ResolveWPBranches {
-			wp = p.recoverResolving(ctx, wp)
-			p.buf = wp
-		} else {
+	var wp []trace.DynInst
+	if p.ResolveWPBranches && br.In.Op.IsCondBranch() {
+		wp = p.beginResolving(ctx)
+	} else {
+		wp = p.walk.reconstruct(ctx, p.buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
+		if len(wp) > 0 && br.In.Op.IsCondBranch() {
+			p.stats.ConvChecked++
 			p.recoverAddresses(ctx, wp)
 		}
 	}
-	for i := range wp {
-		if wp[i].In.Op.IsMem() {
-			p.stats.WPMemOps++
-		}
-	}
+	p.buf = wp
 	p.stats.WPGenerated += uint64(len(wp))
 	return wp
 }
 
-// detect finds the one-sided convergence point between the predicted
-// wrong path wp and the queued correct path. It returns the case-A
-// flag (the correct path's first instruction is found inside the wrong
-// path), the pre-convergence distance, and whether convergence was
-// found at all, updating the detection statistics.
-func (p *convPolicy) detect(ctx *Context, wp []trace.DynInst) (caseA bool, dist int, ok bool) {
-	w0 := ctx.Window(0, 1)
-	if len(w0) == 0 {
-		return false, 0, false // program end: skip the check
-	}
-	cp0PC := w0[0].PC
-	distA := -1
-	for k := 1; k < len(wp) && k <= ctx.ROBSize; k++ {
-		if wp[k].PC == cp0PC {
-			distA = k
-			break
-		}
-	}
-	distB := -1
-	wp0PC := wp[0].PC
-scanB:
+// Convergence detection (§III-C1) makes at most 2 × ROB-size
+// comparisons in two scans. Case B: the wrong path's first instruction
+// appears k instructions down the queued correct path; the scan needs
+// only the predicted target's PC, so convres runs it when only the
+// first wrong-path record exists. Case A: the correct path's first instruction appears
+// inside the wrong path after k instructions, the paper's WXYZ prefix.
+// Case A wins ties, so its search only needs the wrong path up to
+// reach = min(distB, ROBSize): that is how far convres generates before
+// it knows whether the rest comes from the correct path.
+
+// scanB returns the case-B distance (the first k in 1..ROBSize at which
+// the correct path reaches wpPC, or -1) and the case-A reach.
+func scanB(ctx *Context, wpPC uint64) (distB, reach int) {
 	for k := 1; k <= ctx.ROBSize; {
 		w := ctx.Window(k, ctx.ROBSize+1-k)
 		if len(w) == 0 {
 			break
 		}
 		for j := range w {
-			if w[j].PC == wp0PC {
-				distB = k + j
-				break scanB
+			if w[j].PC == wpPC {
+				return k + j, k + j
 			}
 		}
 		k += len(w)
 	}
-	caseA = distA >= 0 && (distB < 0 || distA <= distB)
+	return -1, ctx.ROBSize
+}
+
+// searchA returns the case-A distance: the first k in 1..reach at which
+// the wrong path wp reaches cpPC, or -1.
+func searchA(wp []trace.DynInst, cpPC uint64, reach int) int {
+	for k := 1; k < len(wp) && k <= reach; k++ {
+		if wp[k].PC == cpPC {
+			return k
+		}
+	}
+	return -1
+}
+
+// converge picks the convergence point from the two scans' distances
+// (a case-A distance is at most the case-B one, since the search
+// stopped at it) and updates the detection statistics.
+func (p *convPolicy) converge(distA, distB int) (caseA bool, dist int, ok bool) {
 	switch {
-	case caseA:
-		dist = distA
+	case distA >= 0:
+		caseA, dist = true, distA
 	case distB >= 0:
 		dist = distB
 	default:
@@ -426,12 +463,21 @@ scanB:
 	return caseA, dist, true
 }
 
-// recoverAddresses performs convergence detection (§III-C1: at most
-// 2 × ROB-size comparisons — case A: the correct path's first
-// instruction appears inside the wrong path after k instructions, the
-// paper's WXYZ prefix; case B: the wrong path's first instruction
-// appears k instructions down the correct path) and address recovery on
-// the reconstructed wrong path wp, in place.
+// detect finds the one-sided convergence point between the fully
+// reconstructed wrong path wp and the queued correct path. It returns
+// the case-A flag, the pre-convergence distance, and whether
+// convergence was found at all, updating the detection statistics.
+func (p *convPolicy) detect(ctx *Context, wp []trace.DynInst) (caseA bool, dist int, ok bool) {
+	w0 := ctx.Window(0, 1)
+	if len(w0) == 0 {
+		return false, 0, false // program end: skip the check
+	}
+	distB, reach := scanB(ctx, wp[0].PC)
+	return p.converge(searchA(wp, w0[0].PC, reach), distB)
+}
+
+// recoverAddresses performs convergence detection and address recovery
+// on the reconstructed wrong path wp, in place.
 func (p *convPolicy) recoverAddresses(ctx *Context, wp []trace.DynInst) {
 	caseA, dist, ok := p.detect(ctx, wp)
 	if !ok {
@@ -521,26 +567,53 @@ func (p *convPolicy) preConvergence(ctx *Context, wp []trace.DynInst, caseA bool
 	return dirty, 0, dist, true
 }
 
-// recoverResolving is the wrong-path branch-resolution variant of the
-// matched walk: it rebuilds the post-convergence wrong path, steering
-// clean control instructions along the correct path (the direction the
-// wrong-path core itself would resolve them to) and falling back to
+// beginResolving is convres's path for a conditional branch: it
+// detects before it generates. The first walk stops after one record
+// (no record, no check, as in conv), the case-B scan sets the case-A
+// reach, and the walk continues only through that reach. On
+// convergence it keeps the pre-convergence wrong path (case A) or
+// nothing (case B), and resolve builds the rest of the path, so no
+// record of the final path is written twice. Without convergence (no
+// match, an empty window at program end, or a failed pre-convergence
+// walk) the same walk continues to the full path: exactly what the
+// eager order, which reconstructed the whole path before detecting,
+// returned.
+func (p *convPolicy) beginResolving(ctx *Context) []trace.DynInst {
+	var memOps uint64 // of the first walk, counted once it is kept
+	wp := p.walk.reconstruct(ctx, p.buf[:0], 1, &memOps)
+	if len(wp) == 0 {
+		return wp
+	}
+	p.stats.ConvChecked++
+	if w0 := ctx.Window(0, 1); len(w0) > 0 {
+		distB, reach := scanB(ctx, wp[0].PC)
+		wp = p.walk.reconstruct(ctx, wp, reach+1, &memOps)
+		if caseA, dist, ok := p.converge(searchA(wp, w0[0].PC, reach), distB); ok {
+			if dirty, wpIdx, cpIdx, ok := p.preConvergence(ctx, wp, caseA, dist); ok {
+				for i := range wp[:wpIdx] {
+					if wp[i].In.Op.IsMem() {
+						p.stats.WPMemOps++
+					}
+				}
+				return p.resolve(ctx, wp[:wpIdx], dirty, cpIdx)
+			}
+		}
+	}
+	p.stats.WPMemOps += memOps
+	return p.walk.reconstruct(ctx, wp, ctx.MaxLen, &p.stats.WPMemOps)
+}
+
+// resolve is the wrong-path branch-resolution variant of the matched
+// walk: it builds the post-convergence wrong path after the kept
+// prefix out, from correct-path index cpIdx on, steering clean control
+// instructions along the correct path (the direction the wrong-path
+// core itself would resolve them to) and falling back to
 // prediction-only reconstruction at the first genuinely data-dependent
-// (dirty) divergence. It rebuilds in place over wp's tail (reconstruct
-// left it MaxLen records of capacity) and returns the rebuilt path.
-func (p *convPolicy) recoverResolving(ctx *Context, wp []trace.DynInst) []trace.DynInst {
-	caseA, dist, ok := p.detect(ctx, wp)
-	if !ok {
-		return wp
-	}
-	dirty, wpIdx, cpIdx, ok := p.preConvergence(ctx, wp, caseA, dist)
-	if !ok {
-		return wp
-	}
-	// Keep the pre-convergence wrong-path prefix, rebuild the rest,
-	// scanning the correct path through ring windows with decode facts
-	// from the precomputed Meta.
-	out := wp[:wpIdx]
+// (dirty) divergence. It writes in place past out (the first walk left
+// MaxLen records of capacity), scanning the correct path through ring
+// windows with decode facts from the precomputed Meta, and returns the
+// whole path.
+func (p *convPolicy) resolve(ctx *Context, out []trace.DynInst, dirty regSet, cpIdx int) []trace.DynInst {
 	hist := ctx.Pred.SpecHistory()
 outer:
 	for len(out) < ctx.MaxLen {
@@ -556,7 +629,10 @@ outer:
 			}
 			out = out[:len(out)+1]
 			di := &out[len(out)-1]
-			*di = trace.DynInst{PC: ci.PC, In: ci.In, WrongPath: true}
+			*di = trace.DynInst{}
+			di.PC = ci.PC
+			di.In = ci.In
+			di.WrongPath = true
 			srcDirty := false
 			for s := uint8(0); s < m.NSrcs; s++ {
 				if dirty.has(m.Srcs[s]) {
@@ -564,8 +640,9 @@ outer:
 					break
 				}
 			}
-			if m.IsMem() && ci.HasAddr {
-				if p.DisableIndependenceCheck || !dirty.has(m.Base) {
+			if m.IsMem() {
+				p.stats.WPMemOps++
+				if ci.HasAddr && (p.DisableIndependenceCheck || !dirty.has(m.Base)) {
 					di.MemAddr = ci.MemAddr
 					di.HasAddr = true
 					di.Recovered = true
@@ -594,8 +671,10 @@ outer:
 					if predTaken {
 						di.NextPC = ci.In.Target
 					}
-					// p.ras is free here: the initial walk has finished.
-					return reconstruct(ctx, di.NextPC, hist, out, &p.ras)
+					// The first walk's records are gone, so its walker
+					// restarts here.
+					p.walk.start(ctx, di.NextPC, hist)
+					return p.walk.reconstruct(ctx, out, ctx.MaxLen, &p.stats.WPMemOps)
 				}
 				if !m.IsCondBranch() {
 					// Dirty indirect target: cannot follow further.
