@@ -50,12 +50,17 @@ faults:
 # cancellation"). The WriteFile and Damage tests cover the snapshot
 # file's atomic write and its rejection of torn bytes; the Fingerprint
 # tests and specfp's encoding tests pin the content address that
-# snapshots and both result caches key on. Every listed package runs
-# at least one test: check with go test -list '<pattern>' <pkg>.
+# snapshots and both result caches key on. The Pipelined and Goroutines
+# tests hold the concurrent fill to the inline one (results, snapshot
+# bytes, kill/resume chains) and to its goroutine budget; the queue's
+# Feed tests stress that fill against fast and slow producers, ten
+# times over. Every listed package runs at least one test: check with
+# go test -list '<pattern>' <pkg>.
 chaos:
-	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective' \
+	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective|Pipelined|Goroutines' \
 		./internal/checkpoint/ ./internal/sim/ ./internal/experiments/ \
 		./internal/server/ ./internal/specfp/
+	$(GO) test -race -count=10 -timeout 10m -run 'Feed' ./internal/queue/
 
 # fuzz-smoke runs each native fuzz target briefly — a coverage-guided
 # smoke pass over the two binary decoders (trace files and snapshot

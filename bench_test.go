@@ -181,7 +181,7 @@ func BenchmarkWrongPathEmulation(b *testing.B) {
 	buf := make([]trace.DynInst, 0, maxLen)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = cpu.AppendWrongPath(buf[:0], target, maxLen)
+		buf, _, _ = cpu.AppendWrongPath(buf[:0], target, maxLen)
 	}
 }
 

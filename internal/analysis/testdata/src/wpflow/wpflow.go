@@ -23,7 +23,7 @@ func Clean(s *core.Stats, n uint64) {
 // DirectLeak stores a value derived from the wrong-path stream into a
 // correct-path statistic: flagged.
 func DirectLeak(cpu *functional.CPU, s *core.Stats) {
-	wp := cpu.AppendWrongPath(nil, 0x40, 8)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 8)
 	s.Instructions += uint64(len(wp)) // want: wrong-path-tainted value flows into correct-path statistic core.Stats.Instructions
 }
 
@@ -36,14 +36,14 @@ func addCycles(s *core.Stats, n uint64) {
 // Interproc leaks the wrong-path path length through one call hop:
 // flagged at the call site, attributing the flow via addCycles.
 func Interproc(cpu *functional.CPU, s *core.Stats) {
-	wp := cpu.AppendWrongPath(nil, 0x40, 8)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 8)
 	addCycles(s, uint64(len(wp))) // want: via addCycles
 }
 
 // CommitLeak drives committed architectural state from a wrong-path
 // target with no checkpoint open: flagged.
 func CommitLeak(cpu *functional.CPU) {
-	wp := cpu.AppendWrongPath(nil, 0x40, 4)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 4)
 	cpu.SetPC(wp[0].PC) // want: committed architectural state functional.CPU.pc
 }
 
@@ -51,7 +51,7 @@ func CommitLeak(cpu *functional.CPU) {
 // that is rolled back: passes — that is the paper's speculative-window
 // discipline, not a leak.
 func SanitizedByRestore(cpu *functional.CPU) {
-	wp := cpu.AppendWrongPath(nil, 0x40, 4)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 4)
 	cp := cpu.Checkpoint()
 	cpu.SetPC(wp[0].PC)
 	cpu.Restore(cp)
@@ -84,7 +84,7 @@ func WallBias(res *sim.Result, start time.Time) {
 // ResultLit builds a reported aggregate directly from wrong-path data
 // in a composite literal: flagged on the field value.
 func ResultLit(cpu *functional.CPU) sim.Result {
-	wp := cpu.AppendWrongPath(nil, 0x40, 2)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 2)
 	return sim.Result{
 		MemAccesses: uint64(len(wp)), // want: reported aggregate sim.Result.MemAccesses
 	}
@@ -92,6 +92,6 @@ func ResultLit(cpu *functional.CPU) sim.Result {
 
 // Waived carries an explicit flow directive: suppressed.
 func Waived(cpu *functional.CPU, s *core.Stats) {
-	wp := cpu.AppendWrongPath(nil, 0x40, 2)
+	wp, _, _ := cpu.AppendWrongPath(nil, 0x40, 2)
 	s.Cycles = uint64(len(wp)) //wplint:flow -- fixture: deliberate waiver to exercise the escape hatch
 }

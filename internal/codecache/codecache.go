@@ -143,7 +143,7 @@ const (
 const (
 	entryEmpty uint8 = iota
 	// entryPredecoded: inst+meta are valid but the functional simulator
-	// has not delivered this PC yet — Lookup must still miss, because a
+	// has not delivered this PC yet — LookupMeta must still miss, because a
 	// miss is what ends wrong-path reconstruction (§III-A).
 	entryPredecoded
 	entrySeen
@@ -226,17 +226,11 @@ func (c *Cache) entryFor(pc uint64, create bool) *entry {
 	return &p.ents[idx&pageMask]
 }
 
-// Insert records the decode information for the instruction at pc.
-// Called for every correct-path instruction the performance simulator
-// consumes.
-func (c *Cache) Insert(pc uint64, in isa.Inst) {
-	c.InsertGet(pc, &in)
-}
-
-// InsertGet records the decode information for pc and returns its Meta
-// record — the batched consumer's combined insert-and-classify step.
-// The classification is computed only when the slot is new or the
-// stored instruction differs (self-modifying traces).
+// InsertGet records the decode information for the instruction at pc
+// and returns its Meta record — the consumer's combined
+// insert-and-classify step for every correct-path instruction it
+// consumes. The classification is computed only when the slot is new or
+// the stored instruction differs (self-modifying traces).
 func (c *Cache) InsertGet(pc uint64, in *isa.Inst) *Meta {
 	e := c.entryFor(pc, true)
 	if e.state == entrySeen {
@@ -256,21 +250,11 @@ func (c *Cache) InsertGet(pc uint64, in *isa.Inst) *Meta {
 	return &e.meta
 }
 
-// Lookup returns the decode information for pc if the instruction has
-// been seen before. Predecoded-but-undelivered PCs miss: wrong-path
-// reconstruction may only replay what the functional simulator has
-// actually produced.
-func (c *Cache) Lookup(pc uint64) (isa.Inst, bool) {
-	e := c.entryFor(pc, false)
-	if e == nil || e.state != entrySeen {
-		return isa.Inst{}, false
-	}
-	return e.in, true
-}
-
-// LookupMeta is Lookup returning pointers into the cached entry (valid
-// until the entry is overwritten): the reconstruction walk's accessor,
-// with the same semantics as Lookup.
+// LookupMeta returns the decode information for pc if the instruction
+// has been seen before, as pointers into the cached entry (valid until
+// the entry is overwritten): the reconstruction walk's accessor.
+// Predecoded-but-undelivered PCs miss: wrong-path reconstruction may
+// only replay what the functional simulator has actually produced.
 func (c *Cache) LookupMeta(pc uint64) (*isa.Inst, *Meta, bool) {
 	e := c.entryFor(pc, false)
 	if e == nil || e.state != entrySeen {

@@ -9,21 +9,21 @@ import (
 func TestInsertLookup(t *testing.T) {
 	c := New()
 	in := isa.Inst{Op: isa.OpAdd, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2, Rs3: isa.RegNone}
-	if _, ok := c.Lookup(0x1000); ok {
+	if _, _, ok := c.LookupMeta(0x1000); ok {
 		t.Error("empty cache hit")
 	}
-	c.Insert(0x1000, in)
-	got, ok := c.Lookup(0x1000)
-	if !ok || got != in {
-		t.Errorf("lookup = %+v, %v", got, ok)
+	c.InsertGet(0x1000, &in)
+	got, m, ok := c.LookupMeta(0x1000)
+	if !ok || *got != in || m.NSrcs != 2 {
+		t.Errorf("lookup = %+v, %+v, %v", got, m, ok)
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
 	}
 	// Re-insert overwrites (same PC seen again).
 	in2 := isa.Inst{Op: isa.OpSub, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2, Rs3: isa.RegNone}
-	c.Insert(0x1000, in2)
-	if got, _ := c.Lookup(0x1000); got != in2 {
+	c.InsertGet(0x1000, &in2)
+	if got, _, _ := c.LookupMeta(0x1000); *got != in2 {
 		t.Error("re-insert did not overwrite")
 	}
 	if c.Len() != 1 {
@@ -123,8 +123,8 @@ func TestInsertGetAndMetaFor(t *testing.T) {
 	if m := c.MetaFor(0x3000, &wp); m.NSrcs != 2 {
 		t.Errorf("MetaFor NSrcs = %d", m.NSrcs)
 	}
-	if _, ok := c.Lookup(0x3000); ok {
-		t.Error("MetaFor made Lookup hit an undelivered PC")
+	if _, _, ok := c.LookupMeta(0x3000); ok {
+		t.Error("MetaFor made LookupMeta hit an undelivered PC")
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (MetaFor must not count as seen)", c.Len())
@@ -148,15 +148,15 @@ func TestPredecode(t *testing.T) {
 	c.Predecode(prog)
 	// Predecoded entries must still miss: reconstruction may only replay
 	// instructions the functional simulator has delivered.
-	if _, ok := c.Lookup(0x1000); ok {
+	if _, _, ok := c.LookupMeta(0x1000); ok {
 		t.Error("predecoded entry hit before delivery")
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after predecode, want 0", c.Len())
 	}
 	in := prog.Insts[0]
-	c.Insert(0x1000, in)
-	if got, ok := c.Lookup(0x1000); !ok || got != in {
+	c.InsertGet(0x1000, &in)
+	if got, _, ok := c.LookupMeta(0x1000); !ok || *got != in {
 		t.Error("delivered entry missing after predecode")
 	}
 	if c.Len() != 1 {
@@ -171,12 +171,12 @@ func TestUnalignedPCs(t *testing.T) {
 	c := New()
 	a := isa.Inst{Op: isa.OpAdd, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2, Rs3: isa.RegNone}
 	b := isa.Inst{Op: isa.OpSub, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2, Rs3: isa.RegNone}
-	c.Insert(0x1001, a)
-	c.Insert(0x1002, b)
-	if got, ok := c.Lookup(0x1001); !ok || got != a {
+	c.InsertGet(0x1001, &a)
+	c.InsertGet(0x1002, &b)
+	if got, _, ok := c.LookupMeta(0x1001); !ok || *got != a {
 		t.Error("unaligned entry 0x1001 wrong")
 	}
-	if got, ok := c.Lookup(0x1002); !ok || got != b {
+	if got, _, ok := c.LookupMeta(0x1002); !ok || *got != b {
 		t.Error("unaligned entry 0x1002 wrong")
 	}
 	if c.Len() != 2 {
@@ -191,10 +191,10 @@ func TestPageSpread(t *testing.T) {
 	in := isa.Inst{Op: isa.OpAddi, Rd: isa.A0, Rs1: isa.A0, Rs2: isa.RegNone, Rs3: isa.RegNone}
 	const stride = 4 * pageSize // one entry per page
 	for i := uint64(0); i < 8; i++ {
-		c.Insert(0x10000+i*stride, in)
+		c.InsertGet(0x10000+i*stride, &in)
 	}
 	for i := uint64(0); i < 8; i++ {
-		if _, ok := c.Lookup(0x10000 + i*stride); !ok {
+		if _, _, ok := c.LookupMeta(0x10000 + i*stride); !ok {
 			t.Errorf("entry on page %d lost", i)
 		}
 	}

@@ -165,7 +165,7 @@ type Core struct {
 	// mispredicted branch by Seq (wpemul; nil otherwise). It is called at
 	// every mispredict the core detects, warmup included, so the
 	// frontend's path FIFO drains in step with consumption.
-	wrongPaths func(seq uint64) []trace.DynInst
+	wrongPaths func(seq uint64) trace.Path
 
 	// obs is the run's instrumentation view (nil when disabled; every
 	// hook below it is a no-op behind one nil check).
@@ -245,7 +245,7 @@ func (c *Core) SetObs(v *obs.View) { c.obs = v }
 // SetWrongPaths wires the source of emulated wrong paths (the
 // frontend's WrongPaths take function; nil for none). In the measured
 // phase each taken path reaches the policy as Context.Emulated.
-func (c *Core) SetWrongPaths(take func(seq uint64) []trace.DynInst) { c.wrongPaths = take }
+func (c *Core) SetWrongPaths(take func(seq uint64) trace.Path) { c.wrongPaths = take }
 
 // SetLaneHook installs f to run at every measured-phase lane boundary
 // (nil uninstalls it). The sim layer uses it for checkpoint writes and

@@ -15,14 +15,23 @@
 // the checkpoint.
 //
 // The emulated paths live in a FIFO ring the frontend owns: each path
-// is one contiguous run of records tagged with its branch's Seq, and
-// the core takes the oldest at each mispredict it detects (WrongPaths).
-// A taken path's space is recycled at the next take, so steady-state
-// emulation allocates nothing.
+// is one contiguous run of records tagged with its branch's Seq and the
+// memory-operation counts taken while it was written, and the core
+// takes the oldest at each mispredict it detects (WrongPaths). A taken
+// path's space is recycled at the next take, so steady-state emulation
+// allocates nothing.
+//
+// The frontend may run on a goroutine of its own, ahead of the core
+// that takes its paths (see queue.Queue.Start). The ring's bookkeeping
+// and the out-of-step latch are therefore guarded by a lock, taken once
+// per emulated path, per take and per batch; the records themselves are
+// written outside it, into a slot no take can reach before its path is
+// pushed.
 package frontend
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/functional"
@@ -44,10 +53,15 @@ type Frontend struct {
 	// paths holds the emulated wrong paths not yet taken, each capped
 	// at paths.size records (ROB + front-end buffers); consumed is set
 	// once WrongPaths attached a consumer. Without one, each path is
-	// released before the next is emulated.
+	// released before the next is emulated. skew latches a take out of
+	// step with emulation. mu guards paths' bookkeeping and skew.
+	mu       sync.Mutex
 	paths    ring
 	consumed bool
+	skew     error
 
+	// err is the error that stopped production: a functional error, or
+	// skew once production has seen it.
 	err error
 
 	// Statistics.
@@ -88,7 +102,7 @@ func New(cpu *functional.CPU, opts ...Option) *Frontend {
 // (retrievable via Err).
 func (f *Frontend) Next() (trace.DynInst, bool) {
 	var di trace.DynInst
-	if !f.step(&di) {
+	if f.skewed() || !f.step(&di) {
 		return trace.DynInst{}, false
 	}
 	return di, true
@@ -99,11 +113,28 @@ func (f *Frontend) Next() (trace.DynInst, bool) {
 // stream ended. The record sequence is identical to repeated Next
 // calls (queue.BatchProducer's contract).
 func (f *Frontend) NextBatch(dst []trace.DynInst) int {
+	if f.skewed() {
+		return 0
+	}
 	n := 0
 	for n < len(dst) && f.step(&dst[n]) {
 		n++
 	}
 	return n
+}
+
+// skewed reports whether production has stopped, first moving a
+// latched out-of-step take into err. It looks once per call, so a take
+// made between two calls ends the stream at the second, whichever
+// goroutine the take ran on.
+func (f *Frontend) skewed() bool {
+	if f.pred == nil || f.err != nil {
+		return f.err != nil
+	}
+	f.mu.Lock()
+	f.err = f.skew
+	f.mu.Unlock()
+	return f.err != nil
 }
 
 // step writes the next correct-path record into *di; false at program
@@ -124,11 +155,16 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 	if f.pred != nil && di.IsControl() {
 		pred := f.pred.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
 		if pred.Mispredicted {
+			f.mu.Lock()
 			if !f.consumed {
 				f.paths.reset()
 			}
-			wp := f.cpu.AppendWrongPath(f.paths.next(), pred.Target, f.paths.size)
-			f.paths.push(di.Seq, len(wp))
+			slot := f.paths.next()
+			f.mu.Unlock()
+			wp, memOps, addrs := f.cpu.AppendWrongPath(slot, pred.Target, f.paths.size)
+			f.mu.Lock()
+			f.paths.push(span{seq: di.Seq, n: len(wp), memOps: memOps, addrs: addrs})
+			f.mu.Unlock()
 			f.wpEmulations++
 			f.wpEmulated += uint64(len(wp))
 		}
@@ -139,12 +175,13 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 // WrongPaths attaches the consumer of the emulated wrong paths and
 // returns its take function; nil when emulation is off. take(seq)
 // removes the oldest retained path, which must belong to the branch
-// with that Seq, and returns its records. They stay readable until the
-// next take. Both predictor copies see the same correct-path control
-// stream, so the oldest path always belongs to the branch being taken;
-// a take that finds another Seq is a bug, never data: it returns no
-// records and latches an error that ends the stream (Err).
-func (f *Frontend) WrongPaths() func(seq uint64) []trace.DynInst {
+// with that Seq, and returns its records and counts. The records stay
+// readable until the next take. Both predictor copies see the same
+// correct-path control stream, so the oldest path always belongs to
+// the branch being taken; a take that finds another Seq is a bug, never
+// data: it returns no records and latches an error that ends the
+// stream (Err).
+func (f *Frontend) WrongPaths() func(seq uint64) trace.Path {
 	if f.pred == nil {
 		return nil
 	}
@@ -152,21 +189,30 @@ func (f *Frontend) WrongPaths() func(seq uint64) []trace.DynInst {
 	return f.take
 }
 
-func (f *Frontend) take(seq uint64) []trace.DynInst {
+func (f *Frontend) take(seq uint64) trace.Path {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	wp, ok := f.paths.take(seq)
-	if !ok && f.err == nil {
+	if !ok && f.skew == nil {
 		want := "none"
 		if f.paths.n > 0 {
 			want = fmt.Sprint(f.paths.paths[f.paths.head].seq)
 		}
-		f.err = fmt.Errorf("frontend: wrong-path emulation out of step: the core took the path of branch %d, the oldest emulated path is %s", seq, want)
+		f.skew = fmt.Errorf("frontend: wrong-path emulation out of step: the core took the path of branch %d, the oldest emulated path is %s", seq, want)
 	}
 	return wp
 }
 
 // Err returns the error that stopped production, if any: a functional
 // error, or a take out of step with emulation.
-func (f *Frontend) Err() error { return f.err }
+func (f *Frontend) Err() error {
+	if f.err != nil || f.pred == nil {
+		return f.err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.skew
+}
 
 // Produced returns the number of correct-path instructions emitted.
 func (f *Frontend) Produced() uint64 { return f.produced }
@@ -193,10 +239,12 @@ type ring struct {
 	head, n int
 }
 
-// span tags one slot's path: n records emulated for branch seq.
+// span tags one slot's path: n records emulated for branch seq, with
+// memOps memory operations among them, addrs of which carry an address.
 type span struct {
-	seq uint64
-	n   int
+	seq           uint64
+	n             int
+	memOps, addrs uint64
 }
 
 // reset releases every path.
@@ -213,21 +261,22 @@ func (r *ring) next() []trace.DynInst {
 }
 
 // push records the path just written into the next slot.
-func (r *ring) push(seq uint64, n int) {
-	r.paths[(r.head+r.n)&(len(r.paths)-1)] = span{seq: seq, n: n}
+func (r *ring) push(sp span) {
+	r.paths[(r.head+r.n)&(len(r.paths)-1)] = sp
 	r.n++
 }
 
-// take removes the oldest path if it belongs to seq and returns its
-// records; false, with no path removed, otherwise.
-func (r *ring) take(seq uint64) ([]trace.DynInst, bool) {
+// take removes the oldest path if it belongs to seq and returns it;
+// false, with no path removed, otherwise.
+func (r *ring) take(seq uint64) (trace.Path, bool) {
 	if r.n == 0 || r.paths[r.head].seq != seq {
-		return nil, false
+		return trace.Path{}, false
 	}
-	lo, hi := r.head*r.size, r.head*r.size+r.paths[r.head].n
+	sp := r.paths[r.head]
+	lo, hi := r.head*r.size, r.head*r.size+sp.n
 	r.head = (r.head + 1) & (len(r.paths) - 1)
 	r.n--
-	return r.recs[lo:hi:hi], true
+	return trace.Path{Recs: r.recs[lo:hi:hi], MemOps: sp.memOps, AddrKnown: sp.addrs}, true
 }
 
 // grow doubles the slots and moves the untaken paths, in order, to the

@@ -104,7 +104,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 			continue
 		}
 		mirrorMisses++
-		wp := take(di.Seq)
+		wp := take(di.Seq).Recs
 		if len(wp) > 64 {
 			t.Fatal("emulated path exceeds cap")
 		}
@@ -199,7 +199,7 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 
 	ref := functional.New(prog, mem.New(), 0)
 	refPred := branch.New(cfg)
-	want := map[uint64][]trace.DynInst{}
+	want := map[uint64]trace.Path{}
 	var produced []trace.DynInst
 	var refDI trace.DynInst
 	lane := make([]trace.DynInst, 7)
@@ -214,7 +214,8 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 			}
 			if di.IsControl() {
 				if p := refPred.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC); p.Mispredicted {
-					want[di.Seq] = ref.AppendWrongPath(nil, p.Target, maxLen)
+					recs, memOps, addrs := ref.AppendWrongPath(nil, p.Target, maxLen)
+					want[di.Seq] = trace.Path{Recs: recs, MemOps: memOps, AddrKnown: addrs}
 				}
 			}
 		}
@@ -234,10 +235,13 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 				t.Fatalf("take %d: the previously taken path changed before this take", takes)
 			}
 			got := take(di.Seq)
-			if !equalPaths(got, w) {
-				t.Fatalf("take %d (branch %d): got %d records, want %d, or contents differ", takes, di.Seq, len(got), len(w))
+			if !equalPaths(got.Recs, w.Recs) {
+				t.Fatalf("take %d (branch %d): got %d records, want %d, or contents differ", takes, di.Seq, len(got.Recs), len(w.Recs))
 			}
-			held, heldWant = got, w
+			if got.MemOps != w.MemOps || got.AddrKnown != w.AddrKnown {
+				t.Fatalf("take %d (branch %d): counts %d/%d, want %d/%d", takes, di.Seq, got.MemOps, got.AddrKnown, w.MemOps, w.AddrKnown)
+			}
+			held, heldWant = got.Recs, w.Recs
 			takes++
 		}
 		if k == 0 {
@@ -277,8 +281,8 @@ func TestWrongPathsOutOfStepFault(t *testing.T) {
 	if paths, _ := fe.WPEmulations(); paths == 0 {
 		t.Fatal("no path emulated in the first lane")
 	}
-	if wp := take(1 << 40); wp != nil {
-		t.Fatalf("out-of-step take returned %d records", len(wp))
+	if wp := take(1 << 40); wp.Recs != nil {
+		t.Fatalf("out-of-step take returned %d records", len(wp.Recs))
 	}
 	if n := fe.NextBatch(lane); n != 0 {
 		t.Fatalf("stream went on for %d records after an out-of-step take", n)

@@ -53,7 +53,7 @@ func TestRingRandomized(t *testing.T) {
 				for j := 0; j < n; j++ {
 					slot[j] = mark(next, j)
 				}
-				r.push(next, n)
+				r.push(span{seq: next, n: n})
 				fifo = append(fifo, path{next, n})
 				next++
 				continue
@@ -64,10 +64,10 @@ func TestRingRandomized(t *testing.T) {
 			p := fifo[0]
 			fifo = fifo[1:]
 			got, ok := r.take(p.seq)
-			if !ok || !intact(got, p.seq, p.n) {
-				t.Fatalf("episode %d: path %d came back as %d records (ok %v), want %d intact", ep, p.seq, len(got), ok, p.n)
+			if !ok || !intact(got.Recs, p.seq, p.n) {
+				t.Fatalf("episode %d: path %d came back as %d records (ok %v), want %d intact", ep, p.seq, len(got.Recs), ok, p.n)
 			}
-			held, heldSeq = got, p.seq
+			held, heldSeq = got.Recs, p.seq
 			takes++
 		}
 		if _, ok := r.take(next); ok {

@@ -33,7 +33,8 @@ func (f *Frontend) State(s *checkpoint.Stream) {
 }
 
 // state walks the untaken paths in FIFO order: Seq, length and
-// records. A load rebuilds them from slot 0.
+// records. A load rebuilds them from slot 0 and counts each path's
+// memory operations from its records, so the counts add no bytes.
 func (r *ring) state(s *checkpoint.Stream) {
 	n := s.Count(r.n, 16) // a path walks at least its Seq and length
 	if s.Loading() {
@@ -57,6 +58,15 @@ func (r *ring) state(s *checkpoint.Stream) {
 			recs[j].State(s)
 		}
 		if s.Loading() {
+			sp.memOps, sp.addrs = 0, 0
+			for j := range recs {
+				if recs[j].IsMem() {
+					sp.memOps++
+					if recs[j].HasAddr {
+						sp.addrs++
+					}
+				}
+			}
 			r.n++
 		}
 	}

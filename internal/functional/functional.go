@@ -170,6 +170,11 @@ func (c *CPU) Step(di *trace.DynInst) error {
 	if !ok {
 		return fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
 	}
+	return c.exec(di, in)
+}
+
+// exec executes in, the instruction at the current PC, as Step does.
+func (c *CPU) exec(di *trace.DynInst, in isa.Inst) error {
 	*di = trace.DynInst{}
 	di.Seq = c.seq
 	di.PC = c.pc
@@ -360,15 +365,18 @@ func (c *CPU) syscall(di *trace.DynInst) error {
 // invalid instruction, or PC leaving the program — the events that end
 // a speculative path in the Pin-based implementation), then restore the
 // checkpoint. The emulated records, with WrongPath set, are appended to
-// dst and the extended slice is returned. Each record is written where
-// it stays: with at least maxInsts free capacity in dst (the frontend's
-// wrong-path ring reserves that much), the call allocates nothing.
+// dst and the extended slice is returned, with the number of memory
+// operations among the appended records and how many of those carry an
+// address, counted as each record is written. Each record is written
+// where it stays: with at least maxInsts free capacity in dst (the
+// frontend's wrong-path ring reserves that much), the call allocates
+// nothing.
 //
 // The CPU's architectural state, retired-instruction count and program
 // output are unchanged by the call.
-func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) []trace.DynInst {
+func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) (wp []trace.DynInst, memOps, addrKnown uint64) {
 	if c.halted || maxInsts <= 0 {
-		return dst
+		return dst, 0, 0
 	}
 	cp := c.Checkpoint()
 	savedSeq := c.seq
@@ -378,22 +386,29 @@ func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) 
 	buf := slices.Grow(dst, maxInsts)[:len(dst)+maxInsts]
 	n := len(dst)
 	for n < len(buf) {
-		if in, ok := c.Prog.At(c.pc); !ok || in.Op == isa.OpEcall {
+		in, ok := c.Prog.At(c.pc)
+		if !ok || in.Op == isa.OpEcall {
 			break
 		}
 		di := &buf[n]
-		if c.Step(di) != nil {
+		if c.exec(di, in) != nil {
 			break
 		}
 		di.WrongPath = true
 		di.Seq = savedSeq
+		if in.Op.IsMem() {
+			memOps++
+			if di.HasAddr {
+				addrKnown++
+			}
+		}
 		n++
 	}
 
 	c.suppressStores = false
 	c.seq = savedSeq
 	c.Restore(cp)
-	return buf[:n]
+	return buf[:n], memOps, addrKnown
 }
 
 // Run executes until the program halts or maxInsts instructions retire,

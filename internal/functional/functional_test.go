@@ -512,11 +512,16 @@ correct:
 	retired := cpu.Retired()
 
 	wrongTarget := di.PC + isa.InstBytes // mispredicted not-taken
-	wp := cpu.AppendWrongPath(nil, wrongTarget, 100)
+	wp, memOps, addrs := cpu.AppendWrongPath(nil, wrongTarget, 100)
 
 	// The path must stop before the ecall: sd, ld, addi, li.
 	if len(wp) != 4 {
 		t.Fatalf("wrong path length = %d, want 4: %+v", len(wp), wp)
+	}
+	// The store and the load are counted as they are written, both with
+	// their address.
+	if memOps != 2 || addrs != 2 {
+		t.Errorf("counted %d memory operations, %d with an address; want 2 and 2", memOps, addrs)
 	}
 	for i, d := range wp {
 		if !d.WrongPath {
@@ -544,12 +549,12 @@ correct:
 	}
 
 	// Length cap respected.
-	wp = cpu.AppendWrongPath(nil, wrongTarget, 2)
-	if len(wp) != 2 {
-		t.Errorf("capped wrong path length = %d", len(wp))
+	wp, memOps, _ = cpu.AppendWrongPath(nil, wrongTarget, 2)
+	if len(wp) != 2 || memOps != 2 {
+		t.Errorf("capped wrong path length = %d with %d memory operations, want 2 and 2", len(wp), memOps)
 	}
 	// Bad target produces an empty path.
-	if wp := cpu.AppendWrongPath(nil, 0xdead0000, 10); len(wp) != 0 {
+	if wp, memOps, _ := cpu.AppendWrongPath(nil, 0xdead0000, 10); len(wp) != 0 || memOps != 0 {
 		t.Errorf("bad-target wrong path length = %d", len(wp))
 	}
 }

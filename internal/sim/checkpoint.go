@@ -138,8 +138,11 @@ func (s *Session) Restore(st *checkpoint.Stream) error {
 }
 
 // state walks the session: a header (snapshot identity, instruction
-// count), then source → queue → core → policy statistics.
+// count), then source → queue → core → policy statistics. A pipelined
+// source is settled first: it then holds exactly the state an inline
+// fill would have, and stays still while it is walked.
 func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) error {
+	s.queue.Settle()
 	ident := s.ident
 	st.Section("sim/Session", sessionSnapshotVersion)
 	st.String(&ident)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/batch"
@@ -260,35 +259,4 @@ func TestExecuteResumeRejectsOtherInput(t *testing.T) {
 func TestExecuteResumeRejectsOtherTrace(t *testing.T) {
 	bfs, cc := gap.BFS(gap.TestParams()), gap.CC(gap.TestParams())
 	resumeInto(t, Request{Trace: recordWorkload(t, bfs)}, Request{Trace: recordWorkload(t, cc)})
-}
-
-// TestExecuteStartsNoGoroutine: a cancellable, checkpointed run stays on
-// the caller's goroutine — cancellation is polled at lane boundaries,
-// not watched from a second goroutine.
-func TestExecuteStartsNoGoroutine(t *testing.T) {
-	w := gap.BFS(gap.TestParams())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := chaosConfig(wrongpath.Conv, 64)
-	cfg.Ctx = ctx
-	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = 8_000
-	before := runtime.NumGoroutine()
-	var during []int
-	cfg.OnCheckpoint = func(uint64, string) { during = append(during, runtime.NumGoroutine()) }
-	res, _, err := Execute(Request{Config: cfg, Workload: &w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if len(during) == 0 {
-		t.Fatal("the run wrote no snapshot")
-	}
-	for i, n := range during {
-		if n > before {
-			t.Errorf("snapshot %d: %d goroutines during the run, %d before it", i, n, before)
-		}
-	}
 }

@@ -26,6 +26,14 @@ type Session struct {
 	// restore; "" (Run, NewSession) never restores.
 	ident string
 
+	// pipelined runs the source on a goroutine of its own during Run
+	// (queue.Queue.Start): set for the live functional source this
+	// package builds, whose calls it knows to be confined to the queue
+	// and the take function. Any other source fills inline, on the
+	// caller's goroutine, so wrappers that time or inject into the
+	// source see one goroutine.
+	pipelined bool
+
 	// restored marks a session whose state was overwritten by a snapshot
 	// (Restore); Run then skips the warmup phase, which the snapshot has
 	// already passed through. restoredInsts is the snapshot's retired
@@ -53,7 +61,8 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{cfg: cfg, src: src}
+	_, live := src.(*functionalSource)
+	s := &Session{cfg: cfg, src: src, pipelined: live}
 	q, err := queue.New(src, cfg.lookahead())
 	if err != nil {
 		return nil, err
@@ -83,10 +92,17 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 	return s, nil
 }
 
-// Run executes the warmup and measured simulation on the caller's
-// goroutine, closes the source, and collects the Result. It is
+// Run executes the warmup and measured simulation, closes the source,
+// and collects the Result. The core runs on the caller's goroutine; a
+// pipelined session's source fills the queue from a second one, which
+// Run settles before every snapshot and before collecting, stops on
+// every exit path, and whose panic it re-raises on the caller's. It is
 // single-shot: the session's pipeline state is consumed by the run.
 func (s *Session) Run() *Result {
+	if s.pipelined {
+		s.queue.Start()
+		defer s.queue.Stop()
+	}
 	ctx := s.cfg.Ctx
 	var ck *checkpointer
 	var ckErr error
@@ -113,6 +129,8 @@ func (s *Session) Run() *Result {
 	}
 	start := wallClock{}.Now()
 	stats := s.core.RunWarmup(warmup, s.cfg.MaxInsts)
+	s.queue.Settle()
+	s.queue.Stop()
 	wall := wallClock{}.Now().Sub(start)
 	s.src.Close()
 

@@ -27,7 +27,7 @@ type Source interface {
 	// source does not emulate: a live frontend built without wpemul, or
 	// a trace interpreter, because "the trace only contains correct-path
 	// instructions" (§III-B). The session calls it once.
-	WrongPaths() func(seq uint64) []trace.DynInst
+	WrongPaths() func(seq uint64) trace.Path
 
 	// Close releases the source after the run. The session calls it
 	// after the timing run, before Collect; it must be safe to call on a
@@ -74,7 +74,7 @@ func (s *functionalSource) NextBatch(dst []trace.DynInst) int { return s.fe.Next
 // Program exposes the static program for code-cache predecoding.
 func (s *functionalSource) Program() *isa.Program { return s.cpu.Prog }
 
-func (s *functionalSource) WrongPaths() func(seq uint64) []trace.DynInst { return s.fe.WrongPaths() }
+func (s *functionalSource) WrongPaths() func(seq uint64) trace.Path { return s.fe.WrongPaths() }
 
 func (s *functionalSource) Close() {}
 
@@ -104,7 +104,7 @@ func NewTraceSource(r *tracefile.Reader) Source { return traceSource{r: r} }
 
 func (s traceSource) Next() (trace.DynInst, bool) { return s.r.Next() }
 
-func (s traceSource) WrongPaths() func(seq uint64) []trace.DynInst { return nil }
+func (s traceSource) WrongPaths() func(seq uint64) trace.Path { return nil }
 
 func (s traceSource) Close() {}
 

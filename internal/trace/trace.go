@@ -60,3 +60,13 @@ func (d *DynInst) IsMem() bool { return d.In.Op.IsMem() }
 
 // IsControl reports whether the record can redirect the PC.
 func (d *DynInst) IsControl() bool { return d.In.Op.IsControl() }
+
+// Path is a functionally emulated wrong path as the frontend hands it
+// to the core: the records, plus the memory operations among them and
+// how many of those carry an address, both counted as the records were
+// written so that no consumer reads the records again to count them.
+type Path struct {
+	Recs      []DynInst
+	MemOps    uint64
+	AddrKnown uint64
+}

@@ -132,10 +132,10 @@ type Context struct {
 	// front-end buffers (§III-B).
 	MaxLen int
 	// Emulated is the wrong path the functional frontend emulated for
-	// the misprediction being presented (wpemul; nil otherwise). The
-	// core sets it before each Begin; the records stay valid until the
-	// next misprediction.
-	Emulated []trace.DynInst
+	// the misprediction being presented, with its memory-operation
+	// counts (wpemul; empty otherwise). The core sets it before each
+	// Begin; the records stay valid until the next misprediction.
+	Emulated trace.Path
 }
 
 // Stats aggregates policy-level counters; the conv fields feed the
@@ -725,14 +725,8 @@ func (p *wpemulPolicy) Stats() *Stats { return &p.stats }
 func (p *wpemulPolicy) Begin(ctx *Context, _ *trace.DynInst, _ uint64) []trace.DynInst {
 	p.stats.Mispredicts++
 	wp := ctx.Emulated
-	p.stats.WPGenerated += uint64(len(wp))
-	for i := range wp {
-		if wp[i].In.Op.IsMem() {
-			p.stats.WPMemOps++
-			if wp[i].HasAddr {
-				p.stats.WPAddrRecovered++
-			}
-		}
-	}
-	return wp
+	p.stats.WPGenerated += uint64(len(wp.Recs))
+	p.stats.WPMemOps += wp.MemOps
+	p.stats.WPAddrRecovered += wp.AddrKnown
+	return wp.Recs
 }

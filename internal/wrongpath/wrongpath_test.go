@@ -37,7 +37,7 @@ var testProg = map[uint64]isa.Inst{
 func newCode() *codecache.Cache {
 	c := codecache.New()
 	for pc, in := range testProg {
-		c.Insert(pc, in)
+		c.InsertGet(pc, &in)
 	}
 	return c
 }
@@ -162,8 +162,8 @@ func TestInstRecStopsAtCodeCacheMiss(t *testing.T) {
 
 func TestInstRecStopsAtEcall(t *testing.T) {
 	ctx := newCtx(nil)
-	ctx.Code.Insert(0x200, isa.Inst{Op: isa.OpAddi, Rd: isa.T0, Rs1: isa.T0, Rs2: none, Rs3: none})
-	ctx.Code.Insert(0x204, isa.Inst{Op: isa.OpEcall, Rd: none, Rs1: none, Rs2: none, Rs3: none})
+	ctx.Code.InsertGet(0x200, &isa.Inst{Op: isa.OpAddi, Rd: isa.T0, Rs1: isa.T0, Rs2: none, Rs3: none})
+	ctx.Code.InsertGet(0x204, &isa.Inst{Op: isa.OpEcall, Rd: none, Rs1: none, Rs2: none, Rs3: none})
 	p := New(InstRec)
 	wp := p.Begin(ctx, theBranch(), 0x200)
 	if len(wp) != 1 {
@@ -173,7 +173,7 @@ func TestInstRecStopsAtEcall(t *testing.T) {
 
 func TestInstRecStopsAtColdIndirect(t *testing.T) {
 	ctx := newCtx(nil)
-	ctx.Code.Insert(0x200, isa.Inst{Op: isa.OpJalr, Rd: isa.X0, Rs1: isa.T0, Rs2: none, Rs3: none})
+	ctx.Code.InsertGet(0x200, &isa.Inst{Op: isa.OpJalr, Rd: isa.X0, Rs1: isa.T0, Rs2: none, Rs3: none})
 	p := New(InstRec)
 	wp := p.Begin(ctx, theBranch(), 0x200)
 	// The indirect jump itself is fetched, but the walk cannot continue.
@@ -186,9 +186,9 @@ func TestInstRecFollowsRAS(t *testing.T) {
 	ctx := newCtx(nil)
 	// call 0x300; at 0x300 a ret should come back to 0x204 via the
 	// scratch RAS.
-	ctx.Code.Insert(0x200, isa.Inst{Op: isa.OpJal, Rd: isa.RA, Rs1: none, Rs2: none, Rs3: none, Target: 0x300})
-	ctx.Code.Insert(0x204, isa.Inst{Op: isa.OpAddi, Rd: isa.T0, Rs1: isa.T0, Rs2: none, Rs3: none})
-	ctx.Code.Insert(0x300, isa.Inst{Op: isa.OpJalr, Rd: isa.X0, Rs1: isa.RA, Rs2: none, Rs3: none})
+	ctx.Code.InsertGet(0x200, &isa.Inst{Op: isa.OpJal, Rd: isa.RA, Rs1: none, Rs2: none, Rs3: none, Target: 0x300})
+	ctx.Code.InsertGet(0x204, &isa.Inst{Op: isa.OpAddi, Rd: isa.T0, Rs1: isa.T0, Rs2: none, Rs3: none})
+	ctx.Code.InsertGet(0x300, &isa.Inst{Op: isa.OpJalr, Rd: isa.X0, Rs1: isa.RA, Rs2: none, Rs3: none})
 	p := New(InstRec)
 	wp := p.Begin(ctx, theBranch(), 0x200)
 	wantPCs := []uint64{0x200, 0x300, 0x204}
@@ -374,7 +374,7 @@ func TestConvResolveDirtyBranchDiverges(t *testing.T) {
 
 	code := codecache.New()
 	for pc, in := range prog {
-		code.Insert(pc, in)
+		code.InsertGet(pc, &in)
 	}
 	// Correct path: one iteration, then the dirty branch is taken back
 	// to 0x100 and loops.
@@ -447,10 +447,11 @@ func TestStatsHelpers(t *testing.T) {
 func TestWPEmulPolicyPassesThrough(t *testing.T) {
 	p := New(WPEmul)
 	ctx := newCtx(nil)
-	ctx.Emulated = []trace.DynInst{
+	// The counts come with the path, taken as the frontend wrote it.
+	ctx.Emulated = trace.Path{Recs: []trace.DynInst{
 		{PC: 0x104, In: testProg[0x104], WrongPath: true},
 		{PC: 0x108, In: testProg[0x10c], MemAddr: 0x77, HasAddr: true, WrongPath: true},
-	}
+	}, MemOps: 1, AddrKnown: 1}
 	wp := p.Begin(ctx, theBranch(), 0x104)
 	if len(wp) != 2 {
 		t.Fatalf("wpemul returned %d records", len(wp))
