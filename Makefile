@@ -38,7 +38,7 @@ race:
 # Every listed package runs at least one test: check with
 # go test -list '<pattern>' <pkg>.
 faults:
-	$(GO) test -race -timeout 10m -run 'Fault|Panic|Corrupt|Truncat|Sweep' \
+	$(GO) test -race -timeout 10m -run 'Fault|Panic|Corrupt|Truncat|Sweep|Goroutines' \
 		./internal/faultinject/ ./internal/simerr/ ./internal/tracefile/ \
 		./internal/frontend/ ./internal/core/ ./internal/batch/ ./internal/sim/ \
 		./internal/experiments/
@@ -51,16 +51,17 @@ faults:
 # file's atomic write and its rejection of torn bytes; the Fingerprint
 # tests and specfp's encoding tests pin the content address that
 # snapshots and both result caches key on. The Pipelined and Goroutines
-# tests hold the concurrent fill to the inline one (results, snapshot
-# bytes, kill/resume chains) and to its goroutine budget; the queue's
-# Feed tests stress that fill against fast and slow producers, ten
-# times over. Every listed package runs at least one test: check with
-# go test -list '<pattern>' <pkg>.
+# tests hold the two-stage core to the committed results and snapshot
+# bytes (kill/resume chains included) and to its goroutine budget; the
+# core's Handoff tests stress the lane handoff between the stages — a
+# fast and a slow stream stage, a stop mid-run, a hold at every lane,
+# source and policy panics — ten times over. Every listed package runs
+# at least one test: check with go test -list '<pattern>' <pkg>.
 chaos:
 	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective|Pipelined|Goroutines' \
 		./internal/checkpoint/ ./internal/sim/ ./internal/experiments/ \
 		./internal/server/ ./internal/specfp/
-	$(GO) test -race -count=10 -timeout 10m -run 'Feed' ./internal/queue/
+	$(GO) test -race -count=10 -timeout 10m -run 'Handoff' ./internal/core/
 
 # fuzz-smoke runs each native fuzz target briefly — a coverage-guided
 # smoke pass over the two binary decoders (trace files and snapshot

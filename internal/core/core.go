@@ -95,15 +95,78 @@ type sqEntry struct {
 	done uint64
 }
 
-// Core is the out-of-order core timing model.
+// sqGrains is the number of store-queue filter counters; a store counts
+// in the counter of the 8-byte granule its first byte lies in, folded
+// modulo sqGrains.
+const sqGrains = 1024
+
+// grain returns the filter counter of the 8-byte granule holding addr.
+func grain(addr uint64) uint64 { return (addr >> 3) & (sqGrains - 1) }
+
+// Core is the out-of-order core timing model. Its measured loop runs in
+// two stages on two goroutines (see stream.go), so its fields fall in
+// three groups: set before a run and read by both stages; owned by the
+// stream stage; owned by the timing stage. Padding keeps the two
+// stages' groups off each other's cache lines.
 type Core struct {
-	cfg    Config
-	hier   *cache.Hierarchy
-	bp     *branch.Unit
-	code   *codecache.Cache
-	q      *queue.Queue
-	policy wrongpath.Policy
-	ctx    wrongpath.Context
+	cfg Config
+
+	// obs is the run's instrumentation view (nil when disabled; every
+	// hook below it is a no-op behind one nil check).
+	obs *obs.View
+
+	// laneHook, when non-nil, runs on the timing stage at every
+	// measured-phase lane boundary — the only instant at which the
+	// core's transient state (lane buffer, wrong-path scratch) is
+	// provably empty, and therefore the only instant a checkpoint may be
+	// taken. Returning false stops the run (cancellation); the loop exits
+	// as if the stream had ended. holdAt reports, on the stream stage,
+	// whether laneHook will write a snapshot at the lane boundary after
+	// insts retired instructions.
+	laneHook func() bool
+	holdAt   func(insts uint64) bool
+
+	// pipe is the lane ring between the stages; streamFn is the stream
+	// method value, built once so that starting a run allocates nothing.
+	pipe     pipe
+	streamFn func()
+	_        [64]byte
+
+	// The stream stage's state. streamInsts and streamMax bound the
+	// measured phase it runs.
+	bp          *branch.Unit
+	code        *codecache.Cache
+	q           *queue.Queue
+	policy      wrongpath.Policy
+	ctx         wrongpath.Context
+	streamInsts uint64
+	streamMax   uint64
+
+	// lane is the stream stage's current lane: PopBatch fills it, the
+	// stream stage walks it record by record. lane[lanePos] is the record
+	// being processed; lane[lanePos+1:laneN] are already-popped future
+	// records that windowFuture serves before falling through to the
+	// queue — which keeps the future every policy sees identical to
+	// per-instruction consumption.
+	lane    []trace.DynInst
+	laneN   int
+	lanePos int
+
+	// wrongPaths takes the frontend's emulated wrong path for a
+	// mispredicted branch by Seq, and releasePaths gives back the n
+	// oldest taken paths (wpemul; nil otherwise). A path is taken at
+	// every mispredict the core detects, warmup included, so the
+	// frontend's path FIFO drains in step with consumption.
+	wrongPaths   func(seq uint64) trace.Path
+	releasePaths func(n int)
+	_            [64]byte
+
+	// The timing stage's state from here on. dec is its decode-only
+	// code cache: it classifies the records the timing stage pushes
+	// through the pipeline and is never looked up for reconstruction nor
+	// walked into a snapshot.
+	hier *cache.Hierarchy
+	dec  *codecache.Cache
 
 	// Fetch state.
 	fetchCycle     uint64
@@ -141,42 +204,18 @@ type Core struct {
 	// every writer simply advances the availability time).
 	regReady [isa.NumRegs]uint64
 
-	// Store queue for store-to-load forwarding.
-	storeQ []sqEntry
-	sqIdx  int
-	sqLive int
+	// Store queue for store-to-load forwarding. sqCount counts the live
+	// entries per granule (derived state: rebuilt after a restore), so a
+	// load whose two candidate granules hold no store skips the scan.
+	storeQ  []sqEntry
+	sqIdx   int
+	sqLive  int
+	sqCount [sqGrains]uint32
 
 	// Wrong-path speculative-window pseudo-commit ring and the dispatch
 	// snapshot buffer reused across mispredictions.
 	wpRing       []uint64
 	dispSnapshot []uint64
-
-	// lane is the batched consumption buffer: PopBatch fills it, the run
-	// loop walks it record by record. lane[lanePos] is the record being
-	// processed; lane[lanePos+1:laneN] are already-popped future records
-	// that windowFuture serves before falling through to the queue —
-	// which keeps the future every policy sees identical to
-	// per-instruction consumption.
-	lane    []trace.DynInst
-	laneN   int
-	lanePos int
-
-	// wrongPaths takes the frontend's emulated wrong path for a
-	// mispredicted branch by Seq (wpemul; nil otherwise). It is called at
-	// every mispredict the core detects, warmup included, so the
-	// frontend's path FIFO drains in step with consumption.
-	wrongPaths func(seq uint64) trace.Path
-
-	// obs is the run's instrumentation view (nil when disabled; every
-	// hook below it is a no-op behind one nil check).
-	obs *obs.View
-
-	// laneHook, when non-nil, runs at every measured-phase lane boundary
-	// — the only instant at which the core's transient state (lane
-	// buffer, wrong-path scratch) is provably empty, and therefore the
-	// only instant a checkpoint may be taken. Returning false stops the
-	// run (cancellation); the loop exits as if the stream had ended.
-	laneHook func() bool
 
 	stats Stats
 }
@@ -192,6 +231,7 @@ func New(cfg Config, q *queue.Queue, policy wrongpath.Policy) (*Core, error) {
 		hier:         cache.NewHierarchy(cfg.Hierarchy),
 		bp:           branch.New(cfg.BranchPred),
 		code:         codecache.New(),
+		dec:          codecache.New(),
 		q:            q,
 		policy:       policy,
 		curFetchLine: invalidLine,
@@ -203,8 +243,13 @@ func New(cfg Config, q *queue.Queue, policy wrongpath.Policy) (*Core, error) {
 		issuePorts:   make([]uint64, cfg.IssueWidth),
 		storeQ:       make([]sqEntry, cfg.StoreQueueSize),
 		wpRing:       make([]uint64, cfg.ROBSize),
-		lane:         make([]trace.DynInst, cfg.batch()),
 	}
+	lookahead := cfg.batch()
+	if q != nil {
+		lookahead = q.Lookahead()
+	}
+	c.pipe.init(lookahead, cfg.batch())
+	c.streamFn = c.stream
 	for cl, fu := range cfg.FUs {
 		c.fuFree[cl] = make([]uint64, fu.Count)
 		c.fuLat[cl] = uint64(fu.Latency)
@@ -243,15 +288,26 @@ func (c *Core) windowFuture(i, max int) []trace.DynInst {
 func (c *Core) SetObs(v *obs.View) { c.obs = v }
 
 // SetWrongPaths wires the source of emulated wrong paths (the
-// frontend's WrongPaths take function; nil for none). In the measured
-// phase each taken path reaches the policy as Context.Emulated.
-func (c *Core) SetWrongPaths(take func(seq uint64) trace.Path) { c.wrongPaths = take }
+// frontend's WrongPaths take and release functions; nil for none). In
+// the measured phase each taken path reaches the policy as
+// Context.Emulated and is released once the timing stage has simulated
+// it.
+func (c *Core) SetWrongPaths(take func(seq uint64) trace.Path, release func(n int)) {
+	c.wrongPaths, c.releasePaths = take, release
+}
 
 // SetLaneHook installs f to run at every measured-phase lane boundary
 // (nil uninstalls it). The sim layer uses it for checkpoint writes and
 // cancellation polls; a false return stops the run. Disabled runs pay
-// one nil check per lane.
-func (c *Core) SetLaneHook(f func() bool) { c.laneHook = f }
+// one nil check per lane. holdAt, which may be nil, reports whether f
+// will write a snapshot at the boundary after insts retired
+// instructions; the stream stage calls it and starts no lane past such
+// a boundary until f has run there, so f sees the stream stage's state
+// exactly as a one-goroutine run would have left it. holdAt may read
+// state that f writes only at such a boundary.
+func (c *Core) SetLaneHook(f func() bool, holdAt func(insts uint64) bool) {
+	c.laneHook, c.holdAt = f, holdAt
+}
 
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
@@ -259,14 +315,12 @@ func (c *Core) Stats() Stats { return c.stats }
 // Hierarchy returns the memory hierarchy (for cache statistics).
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 
-// Predictor returns the branch prediction unit.
-func (c *Core) Predictor() *branch.Unit { return c.bp }
-
-// CodeCache returns the code cache.
-func (c *Core) CodeCache() *codecache.Cache { return c.code }
-
-// Policy returns the wrong-path policy.
-func (c *Core) Policy() wrongpath.Policy { return c.policy }
+// Predecode classifies the static program into both code caches (see
+// codecache.Cache.Predecode); lookups, and so results, are unchanged.
+func (c *Core) Predecode(prog *isa.Program) {
+	c.code.Predecode(prog)
+	c.dec.Predecode(prog)
+}
 
 // Config returns the core configuration.
 func (c *Core) Config() Config { return c.cfg }
@@ -283,8 +337,9 @@ func (c *Core) Run(maxInsts uint64) Stats {
 // paper's SimPoint samples), then runs the detailed simulation for
 // maxInsts instructions.
 func (c *Core) RunWarmup(warmup, maxInsts uint64) Stats {
-	lane := c.lane
-	// Warmup phase: batched functional state-warming, stopping at the
+	lane := c.pipe.lanes[0].recs
+	// Warmup phase, on the caller's goroutine before the stream stage
+	// starts: batched functional state-warming, stopping at the
 	// instruction budget, program exit, or stream end — the same points
 	// a per-record loop stops at (PopBatch never crosses an Exit).
 warmLoop:
@@ -318,74 +373,86 @@ warmLoop:
 		c.hier.ResetStats()
 	}
 
-	// Main loop: pop a lane, push each record through the pipeline. The
-	// obs enablement check is hoisted to the batch boundary; disabled
-	// runs pay no per-instruction observability dispatch.
-mainLoop:
-	for {
-		dst := lane
-		if maxInsts > 0 {
-			if c.stats.Instructions >= maxInsts {
-				break
-			}
-			if rem := maxInsts - c.stats.Instructions; rem < uint64(len(dst)) {
-				dst = dst[:rem]
-			}
-		}
-		n := c.q.PopBatch(dst)
-		if n == 0 {
-			break
-		}
-		c.laneN = n
-		obsOn := c.obs != nil
-		for j := 0; j < n; j++ {
-			c.lanePos = j
-			di := &c.lane[j]
-			m := c.code.InsertGet(di.PC, &di.In)
-			done, commit, pred := c.stepCorrect(di, m)
-			c.stats.Instructions++
-
-			isControl := m.IsControl()
-			if isControl {
-				c.recordBranch(di, pred)
-			}
-			switch {
-			case isControl && pred.Mispredicted:
-				c.stats.Mispredicts++
-				resolve := done
-				wpStart := c.fetchCycle
-				wpLen, wpFetched := c.simulateWrongPath(di, pred.Target, resolve)
-				if obsOn {
-					var dur uint64
-					if resolve > wpStart {
-						dur = resolve - wpStart
-					}
-					c.obs.Mispredict(di.PC, wpStart, dur, wpLen, wpFetched)
-				}
-				c.redirectFetch(resolve + uint64(c.cfg.RedirectPenalty))
-			case isControl && di.Taken:
-				// Correctly predicted taken: the fetch group ends; the next
-				// group starts at the target one cycle later.
-				c.breakFetchGroup()
-			case m.IsEcall():
-				c.stats.Serializations++
-				if obsOn {
-					c.obs.Serialize(di.PC, commit)
-				}
-				c.redirectFetch(commit + uint64(c.cfg.RedirectPenalty))
-			}
-			if di.Exit {
-				break mainLoop
-			}
-		}
-		c.laneN, c.lanePos = 0, 0
-		if c.laneHook != nil && !c.laneHook() {
-			break
-		}
-	}
-	c.laneN, c.lanePos = 0, 0
+	c.runStages(maxInsts)
 	c.stats.Cycles = c.lastCommit
 	return c.stats
+}
+
+// runStages runs the measured phase in two stages: the stream stage on
+// a goroutine of its own, the timing stage here. Each lane's hook runs
+// before the lane is handed back, so a stream stage held at a snapshot
+// boundary resumes only after the snapshot is written.
+func (c *Core) runStages(maxInsts uint64) {
+	c.startStream(maxInsts)
+	defer c.joinStream()
+	p := &c.pipe
+	for d := uint64(0); ; d++ {
+		ln := p.next(d)
+		if ln == nil || c.timeLane(ln) {
+			return
+		}
+		ok := c.laneHook == nil || c.laneHook()
+		p.finish(d + 1)
+		if !ok {
+			return
+		}
+	}
+}
+
+// timeLane pushes a lane's records through the pipeline, each
+// mispredicted one with the wrong path the stream stage attached, and
+// reports whether the lane ended the program (an Exit record). The obs
+// enablement check is hoisted to the lane; disabled runs pay no
+// per-instruction observability dispatch.
+func (c *Core) timeLane(ln *lane) (exit bool) {
+	obsOn := c.obs != nil
+	wps := ln.wps
+	for j := 0; j < ln.n; j++ {
+		di := &ln.recs[j]
+		m := c.dec.MetaFor(di.PC, &di.In)
+		done, commit := c.stepCorrect(di, m)
+		c.stats.Instructions++
+
+		isControl := m.IsControl()
+		mispredicted := isControl && len(wps) > 0 && wps[0].j == j
+		if isControl {
+			c.recordBranch(di, mispredicted)
+		}
+		switch {
+		case mispredicted:
+			wp := &wps[0]
+			wps = wps[1:]
+			c.stats.Mispredicts++
+			resolve := done
+			wpStart := c.fetchCycle
+			if obsOn && wp.converged {
+				c.obs.Convergence(di.PC, c.fetchCycle, wp.convDist)
+			}
+			wpFetched := c.simulateWrongPath(wp.recs, resolve)
+			if obsOn {
+				var dur uint64
+				if resolve > wpStart {
+					dur = resolve - wpStart
+				}
+				c.obs.Mispredict(di.PC, wpStart, dur, len(wp.recs), wpFetched)
+			}
+			c.redirectFetch(resolve + uint64(c.cfg.RedirectPenalty))
+		case isControl && di.Taken:
+			// Correctly predicted taken: the fetch group ends; the next
+			// group starts at the target one cycle later.
+			c.breakFetchGroup()
+		case m.IsEcall():
+			c.stats.Serializations++
+			if obsOn {
+				c.obs.Serialize(di.PC, commit)
+			}
+			c.redirectFetch(commit + uint64(c.cfg.RedirectPenalty))
+		}
+		if di.Exit {
+			return true
+		}
+	}
+	return false
 }
 
 // warm pushes one instruction's state effects (caches, TLBs, predictor,
@@ -402,6 +469,7 @@ func (c *Core) warm(di *trace.DynInst, m *codecache.Meta) {
 		if pred.Mispredicted && c.wrongPaths != nil {
 			// The emulated path is discarded: warming has no wrong path.
 			c.wrongPaths(di.Seq)
+			c.releasePaths(1)
 		}
 	}
 	if di.HasAddr {
@@ -413,21 +481,21 @@ func (c *Core) warm(di *trace.DynInst, m *codecache.Meta) {
 	}
 }
 
-func (c *Core) recordBranch(di *trace.DynInst, pred branch.Prediction) {
+func (c *Core) recordBranch(di *trace.DynInst, mispredicted bool) {
 	switch {
 	case di.In.Op.IsCondBranch():
 		c.stats.CondBranches++
-		if pred.Mispredicted {
+		if mispredicted {
 			c.stats.CondMispredicted++
 		}
 	case branch.IsReturn(di.In):
 		c.stats.Returns++
-		if pred.Mispredicted {
+		if mispredicted {
 			c.stats.ReturnMispredicted++
 		}
 	case di.In.Op == isa.OpJalr:
 		c.stats.IndirectJumps++
-		if pred.Mispredicted {
+		if mispredicted {
 			c.stats.IndirectMispredicted++
 		}
 	}
@@ -473,13 +541,10 @@ func (c *Core) redirectFetch(cycle uint64) {
 }
 
 // stepCorrect pushes one correct-path instruction through the pipeline
-// and returns its execution-complete and commit cycles plus the branch
-// prediction verdict. m is the instruction's precomputed decode record.
-func (c *Core) stepCorrect(di *trace.DynInst, m *codecache.Meta) (done, commit uint64, pred branch.Prediction) {
+// and returns its execution-complete and commit cycles. m is the
+// instruction's precomputed decode record.
+func (c *Core) stepCorrect(di *trace.DynInst, m *codecache.Meta) (done, commit uint64) {
 	fetchAt := c.fetch(di.PC, false)
-	if m.IsControl() {
-		pred = c.bp.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
-	}
 
 	// Dispatch: in order, width-limited, ROB-occupancy-limited.
 	disp := fetchAt + uint64(c.cfg.FetchToDispatch)
@@ -510,7 +575,7 @@ func (c *Core) stepCorrect(di *trace.DynInst, m *codecache.Meta) (done, commit u
 		c.hier.Store(di.MemAddr, commit, false)
 		c.pushStore(di.MemAddr, int(m.MemBytes), done)
 	}
-	return done, commit, pred
+	return done, commit
 }
 
 // issueAndExecute models dependence wakeup, issue-width and FU
@@ -599,16 +664,26 @@ func (c *Core) loadLatency(di *trace.DynInst, m *codecache.Meta, start uint64, w
 }
 
 func (c *Core) pushStore(addr uint64, size int, done uint64) {
-	c.storeQ[c.sqIdx] = sqEntry{addr: addr, size: size, done: done}
-	c.sqIdx = next(c.sqIdx, len(c.storeQ))
-	if c.sqLive < len(c.storeQ) {
+	e := &c.storeQ[c.sqIdx]
+	if c.sqLive == len(c.storeQ) {
+		c.sqCount[grain(e.addr)]--
+	} else {
 		c.sqLive++
 	}
+	*e = sqEntry{addr: addr, size: size, done: done}
+	c.sqCount[grain(addr)]++
+	c.sqIdx = next(c.sqIdx, len(c.storeQ))
 }
 
 // forward searches the store queue, newest first, for a store fully
-// covering [addr, addr+size).
+// covering the load [addr, addr+size), 1 ≤ size ≤ 8. A store is at most
+// 8 bytes, so one that covers the load starts in addr's granule or in
+// addr−7's; when neither holds a store, and the load does not wrap past
+// the top of the address space, the scan would find nothing.
 func (c *Core) forward(addr uint64, size int) (done uint64, ok bool) {
+	if c.sqCount[grain(addr)] == 0 && c.sqCount[grain(addr-7)] == 0 && addr+uint64(size) > addr {
+		return 0, false
+	}
 	idx := c.sqIdx
 	for i := 0; i < c.sqLive; i++ {
 		idx--
@@ -623,35 +698,21 @@ func (c *Core) forward(addr uint64, size int) (done uint64, ok bool) {
 	return 0, false
 }
 
-// simulateWrongPath obtains the wrong-path stream from the policy and
-// pushes it through the pipeline until the mispredicted branch resolves.
-// Wrong-path instructions access the I-cache, occupy a speculative
-// window of ROB size (stalling wrong-path fetch when it fills — this is
-// what makes accurately-modeled wrong-path cache misses reduce the
-// number of wrong-path instructions executed, the paper's Table II
-// observation), and access the data hierarchy when their address is
-// known. All register and dispatch bookkeeping is rolled back at the
-// squash; cache and predictor-free structures keep the perturbation.
-// It returns the generated wrong-path length and how many of those
-// instructions were actually fetched before resolution (observability
-// only; disabled runs discard them).
-func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint64) (wpLen, wpFetched int) {
-	var prevConvDet, prevConvDist uint64
-	if c.obs != nil {
-		st := c.policy.Stats()
-		prevConvDet, prevConvDist = st.ConvDetected, st.ConvDistSum
-	}
-	if c.wrongPaths != nil {
-		c.ctx.Emulated = c.wrongPaths(br.Seq)
-	}
-	wp := c.policy.Begin(&c.ctx, br, target)
-	if c.obs != nil {
-		if st := c.policy.Stats(); st.ConvDetected > prevConvDet {
-			c.obs.Convergence(br.PC, c.fetchCycle, st.ConvDistSum-prevConvDist)
-		}
-	}
+// simulateWrongPath pushes a mispredicted branch's wrong path (the
+// stream stage generated it) through the pipeline until the branch
+// resolves. Wrong-path instructions access the I-cache, occupy a
+// speculative window of ROB size (stalling wrong-path fetch when it
+// fills — this is what makes accurately-modeled wrong-path cache misses
+// reduce the number of wrong-path instructions executed, the paper's
+// Table II observation), and access the data hierarchy when their
+// address is known. All register and dispatch bookkeeping is rolled
+// back at the squash; cache and predictor-free structures keep the
+// perturbation. It returns how many of the path's instructions were
+// fetched before resolution (observability only; disabled runs discard
+// it).
+func (c *Core) simulateWrongPath(wp []trace.DynInst, resolve uint64) (wpFetched int) {
 	if len(wp) == 0 {
-		return 0, 0
+		return 0
 	}
 
 	// Snapshot state that the squash logically restores.
@@ -695,16 +756,10 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 		// A non-nop dispatched at or after resolve, or fetched once every
 		// issue port is busy until resolve, is squashed: issueAndExecute
 		// would return resolve and change nothing. It then needs no
-		// decode record. Skipping MetaFor is exact while a record's
-		// instruction is the one the code cache holds at its PC: MetaFor
-		// then only predecodes an unseen PC, which no lookup or snapshot
-		// sees. Every built-in policy's records are (programs are
-		// immutable, reconstruction copies the seen slot, convres calls
-		// MetaFor on each record it copies); a record that differs would
-		// have MetaFor rewrite the slot. A nop still completes at disp.
+		// decode record. A nop still completes at disp.
 		done := resolve
 		if maxU(disp, c.portFloor) < resolve || wp[i].In.Op == isa.OpNop {
-			m := c.code.MetaFor(wp[i].PC, &wp[i].In)
+			m := c.dec.MetaFor(wp[i].PC, &wp[i].In)
 			done = c.issueAndExecute(&wp[i], m, disp, true, resolve)
 		}
 
@@ -722,7 +777,7 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 	c.lastDispatch = savedLastDispatch
 	copy(c.dispRing, c.dispSnapshot)
 	c.dispIdx = savedDispIdx
-	return len(wp), wpFetched
+	return wpFetched
 }
 
 func maxU(a, b uint64) uint64 {

@@ -173,3 +173,63 @@ func TestStateRejectsCorruptCursors(t *testing.T) {
 		t.Fatalf("in-range cursors: %v", err)
 	}
 }
+
+// fullForward is the reference store-queue search: every live entry,
+// newest first, with no filter.
+func fullForward(c *Core, addr uint64, size int) (uint64, bool) {
+	idx := c.sqIdx
+	for i := 0; i < c.sqLive; i++ {
+		if idx--; idx < 0 {
+			idx = len(c.storeQ) - 1
+		}
+		e := &c.storeQ[idx]
+		if addr >= e.addr && addr+uint64(size) <= e.addr+uint64(e.size) {
+			return e.done, true
+		}
+	}
+	return 0, false
+}
+
+// TestForwardFilterMatchesScan drives random stores and loads through
+// the store queue — sizes 1 to 8, unaligned addresses packed into a few
+// hundred bytes (so a covering store often starts in the granule below
+// the load's), addresses 0 to 7, and far more stores than entries, so
+// the ring wraps — and requires the filtered forward to agree with the
+// full scan on every load, also after a snapshot reload rebuilds the
+// filter's counts.
+func TestForwardFilterMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := newBareCore(t)
+	addr := func() uint64 {
+		if rng.Intn(8) == 0 {
+			return uint64(rng.Intn(8))
+		}
+		return 0x1000 + uint64(rng.Intn(300))
+	}
+	hits := 0
+	for i := 0; i < 200_000; i++ {
+		if i == 100_000 {
+			fresh, err := reload(t, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = fresh
+		}
+		if rng.Intn(3) == 0 {
+			c.pushStore(addr(), 1+rng.Intn(8), uint64(i))
+			continue
+		}
+		a, size := addr(), 1+rng.Intn(8)
+		gotDone, gotOK := c.forward(a, size)
+		wantDone, wantOK := fullForward(c, a, size)
+		if gotDone != wantDone || gotOK != wantOK {
+			t.Fatalf("load %d: forward(%#x, %d) = %d, %v; the full scan finds %d, %v", i, a, size, gotDone, gotOK, wantDone, wantOK)
+		}
+		if gotOK {
+			hits++
+		}
+	}
+	if hits < 10_000 {
+		t.Fatalf("only %d forwarding loads: the test no longer exercises the filter", hits)
+	}
+}

@@ -20,7 +20,10 @@ const snapshotVersion = 1
 // read within every single simulateWrongPath call. Nor are the
 // issue-port and functional-unit floors, which are derived: a load
 // rejects any ring cursor out of range, then restarts the floors at
-// zero (still lower bounds). A load needs a core built (New) under the
+// zero (still lower bounds), and recounts the store-queue filter from
+// the live entries. Nor is the timing stage's decode-only code cache,
+// nor the lane ring between the stages, which is empty between runs. A
+// load needs a core built (New) under the
 // same configuration: every configuration-sized structure is a
 // dimension of the walk.
 func (c *Core) State(s *checkpoint.Stream) {
@@ -61,7 +64,8 @@ func (c *Core) State(s *checkpoint.Stream) {
 	c.code.State(s)
 }
 
-// restoreDerived checks the loaded ring cursors, then resets the floors.
+// restoreDerived checks the loaded ring cursors, then resets the floors
+// and rebuilds the store-queue filter's counts.
 func (c *Core) restoreDerived(s *checkpoint.Stream) {
 	for _, r := range []struct {
 		name string
@@ -75,6 +79,13 @@ func (c *Core) restoreDerived(s *checkpoint.Stream) {
 		}
 	}
 	c.portFloor, c.unitFloor = 0, [16]uint64{}
+	c.sqCount = [sqGrains]uint32{}
+	for i, idx := 0, c.sqIdx; i < c.sqLive; i++ {
+		if idx--; idx < 0 {
+			idx = len(c.storeQ) - 1
+		}
+		c.sqCount[grain(c.storeQ[idx].addr)]++
+	}
 }
 
 // State walks the core counters.

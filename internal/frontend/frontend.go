@@ -16,22 +16,16 @@
 //
 // The emulated paths live in a FIFO ring the frontend owns: each path
 // is one contiguous run of records tagged with its branch's Seq and the
-// memory-operation counts taken while it was written, and the core
-// takes the oldest at each mispredict it detects (WrongPaths). A taken
-// path's space is recycled at the next take, so steady-state emulation
-// allocates nothing.
-//
-// The frontend may run on a goroutine of its own, ahead of the core
-// that takes its paths (see queue.Queue.Start). The ring's bookkeeping
-// and the out-of-step latch are therefore guarded by a lock, taken once
-// per emulated path, per take and per batch; the records themselves are
-// written outside it, into a slot no take can reach before its path is
-// pushed.
+// memory-operation counts taken while it was written, and the core's
+// stream stage takes the oldest at each mispredict it detects
+// (WrongPaths). A taken path stays in the ring, readable, until the
+// consumer releases it; its space is then recycled, so steady-state
+// emulation allocates nothing. The frontend, its takes and its releases
+// all run on one goroutine.
 package frontend
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/functional"
@@ -50,18 +44,16 @@ type Frontend struct {
 	maxInsts uint64
 	produced uint64
 
-	// paths holds the emulated wrong paths not yet taken, each capped
-	// at paths.size records (ROB + front-end buffers); consumed is set
-	// once WrongPaths attached a consumer. Without one, each path is
-	// released before the next is emulated. skew latches a take out of
-	// step with emulation. mu guards paths' bookkeeping and skew.
-	mu       sync.Mutex
+	// paths holds the emulated wrong paths, each capped at paths.size
+	// records (ROB + front-end buffers): the taken ones the consumer has
+	// not released yet, then the untaken ones. consumed is set once
+	// WrongPaths attached a consumer. Without one, each path is released
+	// before the next is emulated.
 	paths    ring
 	consumed bool
-	skew     error
 
 	// err is the error that stopped production: a functional error, or
-	// skew once production has seen it.
+	// a take out of step with emulation.
 	err error
 
 	// Statistics.
@@ -102,7 +94,7 @@ func New(cpu *functional.CPU, opts ...Option) *Frontend {
 // (retrievable via Err).
 func (f *Frontend) Next() (trace.DynInst, bool) {
 	var di trace.DynInst
-	if f.skewed() || !f.step(&di) {
+	if !f.step(&di) {
 		return trace.DynInst{}, false
 	}
 	return di, true
@@ -113,28 +105,11 @@ func (f *Frontend) Next() (trace.DynInst, bool) {
 // stream ended. The record sequence is identical to repeated Next
 // calls (queue.BatchProducer's contract).
 func (f *Frontend) NextBatch(dst []trace.DynInst) int {
-	if f.skewed() {
-		return 0
-	}
 	n := 0
 	for n < len(dst) && f.step(&dst[n]) {
 		n++
 	}
 	return n
-}
-
-// skewed reports whether production has stopped, first moving a
-// latched out-of-step take into err. It looks once per call, so a take
-// made between two calls ends the stream at the second, whichever
-// goroutine the take ran on.
-func (f *Frontend) skewed() bool {
-	if f.pred == nil || f.err != nil {
-		return f.err != nil
-	}
-	f.mu.Lock()
-	f.err = f.skew
-	f.mu.Unlock()
-	return f.err != nil
 }
 
 // step writes the next correct-path record into *di; false at program
@@ -155,16 +130,11 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 	if f.pred != nil && di.IsControl() {
 		pred := f.pred.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
 		if pred.Mispredicted {
-			f.mu.Lock()
 			if !f.consumed {
 				f.paths.reset()
 			}
-			slot := f.paths.next()
-			f.mu.Unlock()
-			wp, memOps, addrs := f.cpu.AppendWrongPath(slot, pred.Target, f.paths.size)
-			f.mu.Lock()
+			wp, memOps, addrs := f.cpu.AppendWrongPath(f.paths.next(), pred.Target, f.paths.size)
 			f.paths.push(span{seq: di.Seq, n: len(wp), memOps: memOps, addrs: addrs})
-			f.mu.Unlock()
 			f.wpEmulations++
 			f.wpEmulated += uint64(len(wp))
 		}
@@ -173,46 +143,38 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 }
 
 // WrongPaths attaches the consumer of the emulated wrong paths and
-// returns its take function; nil when emulation is off. take(seq)
-// removes the oldest retained path, which must belong to the branch
-// with that Seq, and returns its records and counts. The records stay
-// readable until the next take. Both predictor copies see the same
-// correct-path control stream, so the oldest path always belongs to
-// the branch being taken; a take that finds another Seq is a bug, never
-// data: it returns no records and latches an error that ends the
-// stream (Err).
-func (f *Frontend) WrongPaths() func(seq uint64) trace.Path {
+// returns its take and release functions; both are nil when emulation
+// is off. take(seq) removes the oldest untaken path, which must belong
+// to the branch with that Seq, and returns its records and counts.
+// release(n) gives back the n oldest taken paths: a taken path's
+// records stay readable until then, so a consumer may hold several. Both
+// predictor copies see the same correct-path control stream, so the
+// oldest path always belongs to the branch being taken; a take that
+// finds another Seq is a bug, never data: it returns no records and
+// sets an error that ends the stream (Err).
+func (f *Frontend) WrongPaths() (take func(seq uint64) trace.Path, release func(n int)) {
 	if f.pred == nil {
-		return nil
+		return nil, nil
 	}
 	f.consumed = true
-	return f.take
+	return f.take, f.paths.release
 }
 
 func (f *Frontend) take(seq uint64) trace.Path {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	wp, ok := f.paths.take(seq)
-	if !ok && f.skew == nil {
+	if !ok && f.err == nil {
 		want := "none"
 		if f.paths.n > 0 {
-			want = fmt.Sprint(f.paths.paths[f.paths.head].seq)
+			want = fmt.Sprint(f.paths.paths[f.paths.head()].seq)
 		}
-		f.skew = fmt.Errorf("frontend: wrong-path emulation out of step: the core took the path of branch %d, the oldest emulated path is %s", seq, want)
+		f.err = fmt.Errorf("frontend: wrong-path emulation out of step: the core took the path of branch %d, the oldest emulated path is %s", seq, want)
 	}
 	return wp
 }
 
 // Err returns the error that stopped production, if any: a functional
 // error, or a take out of step with emulation.
-func (f *Frontend) Err() error {
-	if f.err != nil || f.pred == nil {
-		return f.err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.skew
-}
+func (f *Frontend) Err() error { return f.err }
 
 // Produced returns the number of correct-path instructions emitted.
 func (f *Frontend) Produced() uint64 { return f.produced }
@@ -228,15 +190,15 @@ func (f *Frontend) CPU() *functional.CPU { return f.cpu }
 
 // ring is the FIFO of emulated paths. Each path gets a slot of size
 // records in recs, tagged in paths with its branch's Seq and length.
-// The n untaken paths occupy slots head, head+1, … (modulo the
-// power-of-two slot count), and the slot before head holds the path
-// last taken, which stays readable until the next take. The ring
-// doubles its slots only when the untaken paths fill all but that one.
+// Slots tail, tail+1, … (modulo the power-of-two slot count) hold the
+// held paths, taken but not released, and the n untaken paths follow
+// them from head on. The ring doubles its slots only when a new path
+// finds every slot in use.
 type ring struct {
-	size    int
-	recs    []trace.DynInst
-	paths   []span
-	head, n int
+	size          int
+	recs          []trace.DynInst
+	paths         []span
+	tail, held, n int
 }
 
 // span tags one slot's path: n records emulated for branch seq, with
@@ -247,48 +209,62 @@ type span struct {
 	memOps, addrs uint64
 }
 
+// head is the slot of the oldest untaken path.
+func (r *ring) head() int { return (r.tail + r.held) & (len(r.paths) - 1) }
+
 // reset releases every path.
-func (r *ring) reset() { r.head, r.n = 0, 0 }
+func (r *ring) reset() { r.tail, r.held, r.n = 0, 0, 0 }
 
 // next returns the empty slot the next path is written into, growing
-// the ring when that slot is the held one.
+// the ring when every slot is in use.
 func (r *ring) next() []trace.DynInst {
-	if r.n+1 >= len(r.paths) {
+	if r.held+r.n >= len(r.paths) {
 		r.grow()
 	}
-	s := (r.head + r.n) & (len(r.paths) - 1)
+	s := (r.tail + r.held + r.n) & (len(r.paths) - 1)
 	return r.recs[s*r.size : s*r.size : (s+1)*r.size]
 }
 
 // push records the path just written into the next slot.
 func (r *ring) push(sp span) {
-	r.paths[(r.head+r.n)&(len(r.paths)-1)] = sp
+	r.paths[(r.tail+r.held+r.n)&(len(r.paths)-1)] = sp
 	r.n++
 }
 
-// take removes the oldest path if it belongs to seq and returns it;
-// false, with no path removed, otherwise.
+// take moves the oldest untaken path to the held ones if it belongs to
+// seq and returns it; false, with no path taken, otherwise.
 func (r *ring) take(seq uint64) (trace.Path, bool) {
-	if r.n == 0 || r.paths[r.head].seq != seq {
+	h := r.head()
+	if r.n == 0 || r.paths[h].seq != seq {
 		return trace.Path{}, false
 	}
-	sp := r.paths[r.head]
-	lo, hi := r.head*r.size, r.head*r.size+sp.n
-	r.head = (r.head + 1) & (len(r.paths) - 1)
+	sp := r.paths[h]
+	lo, hi := h*r.size, h*r.size+sp.n
+	r.held++
 	r.n--
 	return trace.Path{Recs: r.recs[lo:hi:hi], MemOps: sp.memOps, AddrKnown: sp.addrs}, true
 }
 
-// grow doubles the slots and moves the untaken paths, in order, to the
-// front. The held path stays behind: the old store is never written
-// again, so the records already handed out stay readable.
+// release frees the k oldest held paths (all of them when fewer are
+// held).
+func (r *ring) release(k int) {
+	k = min(k, r.held)
+	if k > 0 {
+		r.tail = (r.tail + k) & (len(r.paths) - 1)
+		r.held -= k
+	}
+}
+
+// grow doubles the slots and moves the held and untaken paths, in
+// order, to the front. The old store is never written again, so the
+// records of held paths already handed out stay readable there.
 func (r *ring) grow() {
 	paths := make([]span, max(2*len(r.paths), 2))
 	recs := make([]trace.DynInst, len(paths)*r.size)
-	for i := 0; i < r.n; i++ {
-		s := (r.head + i) & (len(r.paths) - 1)
+	for i := 0; i < r.held+r.n; i++ {
+		s := (r.tail + i) & (len(r.paths) - 1)
 		paths[i] = r.paths[s]
 		copy(recs[i*r.size:], r.recs[s*r.size:s*r.size+paths[i].n])
 	}
-	r.recs, r.paths, r.head = recs, paths, 0
+	r.recs, r.paths, r.tail = recs, paths, 0
 }

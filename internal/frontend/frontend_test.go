@@ -86,7 +86,7 @@ func TestMaxInstructionsCap(t *testing.T) {
 func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 	cfg := branch.DefaultConfig()
 	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(cfg, 64))
-	take := fe.WrongPaths()
+	take, release := fe.WrongPaths()
 
 	// Mirror predictor: must detect the same mispredictions.
 	mirror := branch.New(cfg)
@@ -120,6 +120,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 				t.Fatalf("WP starts at %#x, predicted target %#x", wp[0].PC, p.Target)
 			}
 		}
+		release(1)
 	}
 	if err := fe.Err(); err != nil {
 		t.Fatal(err)
@@ -135,7 +136,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 
 func TestNoEmulationWithoutOption(t *testing.T) {
 	fe := frontend.New(newCPU(t))
-	if fe.WrongPaths() != nil {
+	if take, release := fe.WrongPaths(); take != nil || release != nil {
 		t.Fatal("WrongPaths without the emulation option")
 	}
 	for {
@@ -186,7 +187,7 @@ skip:
 // lagging consumer, as the decoupling queue does, with a small path cap
 // so the ring wraps and grows. Every taken path must equal the path a
 // lock-stepped reference CPU emulates for the same branch, and must
-// still read the same just before the next take.
+// still read the same until the consumer releases it.
 func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	const maxLen = 12
 	prog, err := asm.Assemble(lcgSrc)
@@ -195,7 +196,7 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	}
 	cfg := branch.DefaultConfig()
 	fe := frontend.New(functional.New(prog, mem.New(), 0), frontend.WithWrongPathEmulation(cfg, maxLen))
-	take := fe.WrongPaths()
+	take, release := fe.WrongPaths()
 
 	ref := functional.New(prog, mem.New(), 0)
 	refPred := branch.New(cfg)
@@ -204,7 +205,9 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	var refDI trace.DynInst
 	lane := make([]trace.DynInst, 7)
 
-	var held, heldWant []trace.DynInst
+	// The consumer holds up to five taken paths, releasing the oldest
+	// ones in bursts, as the core's stream stage does lane by lane.
+	var held, heldWant [][]trace.DynInst
 	consumed, takes := 0, 0
 	for round := 0; ; round++ {
 		k := fe.NextBatch(lane)
@@ -231,8 +234,15 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 			if !ok || !di.IsControl() {
 				continue
 			}
-			if !equalPaths(held, heldWant) {
-				t.Fatalf("take %d: the previously taken path changed before this take", takes)
+			for i := range held {
+				if !equalPaths(held[i], heldWant[i]) {
+					t.Fatalf("take %d: a held path changed before its release", takes)
+				}
+			}
+			if k := takes % 4; len(held) >= 5 || (k > 0 && k <= len(held) && takes%3 == 0) {
+				k = max(k, len(held)-4)
+				release(k)
+				held, heldWant = held[k:], heldWant[k:]
 			}
 			got := take(di.Seq)
 			if !equalPaths(got.Recs, w.Recs) {
@@ -241,7 +251,7 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 			if got.MemOps != w.MemOps || got.AddrKnown != w.AddrKnown {
 				t.Fatalf("take %d (branch %d): counts %d/%d, want %d/%d", takes, di.Seq, got.MemOps, got.AddrKnown, w.MemOps, w.AddrKnown)
 			}
-			held, heldWant = got.Recs, w.Recs
+			held, heldWant = append(held, got.Recs), append(heldWant, w.Recs)
 			takes++
 		}
 		if k == 0 {
@@ -273,7 +283,7 @@ func equalPaths(a, b []trace.DynInst) bool {
 // it never hands out another branch's path.
 func TestWrongPathsOutOfStepFault(t *testing.T) {
 	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(branch.DefaultConfig(), 64))
-	take := fe.WrongPaths()
+	take, _ := fe.WrongPaths()
 	lane := make([]trace.DynInst, 64)
 	if fe.NextBatch(lane) == 0 {
 		t.Fatal("no records")

@@ -7,11 +7,12 @@ import (
 )
 
 // TestRingRandomized drives the path ring directly: many short
-// episodes, each with paths of random length (0 to the slot size) and a
-// consumer that lags by a random number of paths, so the slots wrap,
-// fill and grow. Each emulation may write its whole slot, so it
-// scribbles over the slot before writing its path. Every taken path must come back
-// intact, and must stay intact until the next take.
+// episodes, each with paths of random length (0 to the slot size), a
+// consumer that lags by a random number of paths and holds a random
+// number of taken paths before it releases the oldest, so the slots
+// wrap, fill and grow. Each emulation may write its whole slot, so it
+// scribbles over the slot before writing its path. Every taken path
+// must come back intact, and must stay intact until it is released.
 func TestRingRandomized(t *testing.T) {
 	const need = 9
 	rng := uint64(1)
@@ -33,17 +34,27 @@ func TestRingRandomized(t *testing.T) {
 	}
 
 	type path struct {
-		seq uint64
-		n   int
+		seq  uint64
+		n    int
+		recs []trace.DynInst
 	}
 	takes := 0
 	for ep := 0; ep < 2_000; ep++ {
 		r := ring{size: need}
-		var fifo []path
-		var held []trace.DynInst
-		var heldSeq uint64
-		next, maxLag := uint64(0), 1+rand(6)
+		var fifo, held []path
+		next, maxLag, maxHeld := uint64(0), 1+rand(6), 1+rand(4)
 		for step := 0; step < 200; step++ {
+			for _, h := range held {
+				if !intact(h.recs, h.seq, h.n) {
+					t.Fatalf("episode %d: path %d changed before its release", ep, h.seq)
+				}
+			}
+			if len(held) > 0 && (len(held) >= maxHeld || rand(3) == 0) {
+				k := 1 + rand(len(held))
+				r.release(k)
+				held = held[k:]
+				continue
+			}
 			if len(fifo) == 0 || (len(fifo) < maxLag && rand(2) == 0) {
 				slot := r.next()[:need]
 				for j := range slot {
@@ -54,12 +65,9 @@ func TestRingRandomized(t *testing.T) {
 					slot[j] = mark(next, j)
 				}
 				r.push(span{seq: next, n: n})
-				fifo = append(fifo, path{next, n})
+				fifo = append(fifo, path{seq: next, n: n})
 				next++
 				continue
-			}
-			if held != nil && !intact(held, heldSeq, len(held)) {
-				t.Fatalf("episode %d: path %d changed before the next take", ep, heldSeq)
 			}
 			p := fifo[0]
 			fifo = fifo[1:]
@@ -67,14 +75,15 @@ func TestRingRandomized(t *testing.T) {
 			if !ok || !intact(got.Recs, p.seq, p.n) {
 				t.Fatalf("episode %d: path %d came back as %d records (ok %v), want %d intact", ep, p.seq, len(got.Recs), ok, p.n)
 			}
-			held, heldSeq = got.Recs, p.seq
+			p.recs = got.Recs
+			held = append(held, p)
 			takes++
 		}
 		if _, ok := r.take(next); ok {
 			t.Fatal("take of a never-emulated path succeeded")
 		}
-		if len(r.paths) > 4*(maxLag+1) {
-			t.Fatalf("episode %d: %d slots for at most %d retained paths", ep, len(r.paths), maxLag+1)
+		if len(r.paths) > 4*(maxLag+maxHeld) {
+			t.Fatalf("episode %d: %d slots for at most %d retained paths", ep, len(r.paths), maxLag+maxHeld)
 		}
 	}
 	if takes < 100_000 {

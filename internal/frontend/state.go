@@ -16,10 +16,10 @@ const snapshotVersion = 2
 // yet (presence-flagged: a load into a frontend built with another
 // wpemul setting fails as a typed decode fault, so resume falls back to
 // a fresh run instead of diverging), and the functional CPU underneath.
-// The ring's slot layout and the held path are not state: snapshots
-// are taken at lane boundaries, where no taken path is still in use. A
-// latched err is terminal (the run faulted), so a checkpointed frontend
-// never carries one.
+// The ring's slot layout and the held paths are not state: a snapshot
+// is taken while the consumer holds no lane it has not finished with,
+// and a resumed run starts holding none. A set err is terminal (the run
+// faulted), so a checkpointed frontend never carries one.
 func (f *Frontend) State(s *checkpoint.Stream) {
 	s.Section("frontend/Frontend", snapshotVersion)
 	s.Uint64(&f.produced)
@@ -44,7 +44,7 @@ func (r *ring) state(s *checkpoint.Stream) {
 		if s.Loading() {
 			r.next()
 		}
-		slot := (r.head + i) & (len(r.paths) - 1)
+		slot := (r.head() + i) & (len(r.paths) - 1)
 		sp := &r.paths[slot]
 		s.Uint64(&sp.seq)
 		if sp.n = s.Count(sp.n, trace.MinStateBytes); sp.n > r.size {

@@ -22,9 +22,25 @@ const PageSize = 1 << PageBits
 
 const pageMask = PageSize - 1
 
+// recentPages is the size of Memory's direct-mapped page cache.
+const recentPages = 64
+
 // Memory is a sparse paged memory. The zero value is not usable; call New.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+
+	// recent caches resident pages, direct-mapped by page number, so
+	// most accesses find their page without a map lookup. A slot holds
+	// its page's number plus one (zero: empty). It is derived state: a
+	// load of the page map empties it. A Memory belongs to one goroutine
+	// at a time; even a read may fill a slot.
+	recent [recentPages]recentPage
+}
+
+// recentPage is one page-cache slot.
+type recentPage struct {
+	tag uint64
+	p   *[PageSize]byte
 }
 
 // New returns an empty memory.
@@ -38,13 +54,23 @@ func (m *Memory) PagesAllocated() int { return len(m.pages) }
 // Footprint returns the number of resident bytes.
 func (m *Memory) Footprint() uint64 { return uint64(len(m.pages)) * PageSize }
 
+// page returns the page holding addr; a missing page is allocated when
+// alloc is set and nil otherwise.
 func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	key := addr >> PageBits
+	r := &m.recent[key%recentPages]
+	if r.tag == key+1 {
+		return r.p
+	}
 	p := m.pages[key]
-	if p == nil && alloc {
+	if p == nil {
+		if !alloc {
+			return nil
+		}
 		p = new([PageSize]byte)
 		m.pages[key] = p
 	}
+	r.tag, r.p = key+1, p
 	return p
 }
 

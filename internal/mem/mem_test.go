@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/checkpoint"
 )
 
 func TestZeroFill(t *testing.T) {
@@ -214,5 +216,65 @@ func TestQuickDisjointWrites(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPageCacheMatchesMap drives random reads and writes of 1 to 8
+// bytes, many straddling a page boundary, over more pages than the page
+// cache has slots and at page numbers that collide in it, and compares
+// every read with a byte map; halfway through it reloads the memory
+// from a snapshot, which must empty the cache, and goes on.
+func TestPageCacheMatchesMap(t *testing.T) {
+	m := New()
+	ref := map[uint64]byte{}
+	rng := uint64(1)
+	rand := func(n uint64) uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return (rng >> 33) % n
+	}
+	for i := 0; i < 200_000; i++ {
+		if i == 100_000 {
+			s := checkpoint.NewStream()
+			m.State(s)
+			ld, err := checkpoint.Open(s.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = New()
+			m.WriteUint64(0, ^uint64(0)) // fill a cache slot the load must drop
+			if m.State(ld); ld.Err() != nil {
+				t.Fatal(ld.Err())
+			}
+			var want uint64
+			for j := 0; j < 8; j++ {
+				want |= uint64(ref[uint64(j)]) << (8 * j)
+			}
+			if got := m.ReadUint64(0); got != want {
+				t.Fatalf("after the reload ReadUint64(0) = %#x, want %#x", got, want)
+			}
+		}
+		// Pages 0..3*recentPages, every other access near a boundary.
+		page := rand(3 * recentPages)
+		off := rand(PageSize)
+		if i%2 == 0 {
+			off = PageSize - 1 - rand(8)
+		}
+		addr := page<<PageBits | off
+		n := int(1 + rand(8))
+		if rand(2) == 0 {
+			v := rng
+			m.Write(addr, v, n)
+			for j := 0; j < n; j++ {
+				ref[addr+uint64(j)] = byte(v >> (8 * j))
+			}
+			continue
+		}
+		var want uint64
+		for j := 0; j < n; j++ {
+			want |= uint64(ref[addr+uint64(j)]) << (8 * j)
+		}
+		if got := m.Read(addr, n); got != want {
+			t.Fatalf("access %d: Read(%#x, %d) = %#x, want %#x", i, addr, n, got, want)
+		}
 	}
 }

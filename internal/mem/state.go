@@ -13,7 +13,7 @@ const snapshotVersion = 1
 // State walks the resident pages as (key, page) pairs in ascending key
 // order, so the snapshot bytes are a deterministic function of the
 // memory contents (map iteration order never leaks into the output). A
-// load replaces the page map.
+// load replaces the page map and empties the page cache.
 func (m *Memory) State(s *checkpoint.Stream) {
 	s.Section("mem/Memory", snapshotVersion)
 	var keys []uint64
@@ -27,6 +27,7 @@ func (m *Memory) State(s *checkpoint.Stream) {
 	if s.Loading() {
 		keys = make([]uint64, n)
 		m.pages = make(map[uint64]*[PageSize]byte, n)
+		m.recent = [recentPages]recentPage{}
 	}
 	for _, k := range keys {
 		s.Uint64(&k)

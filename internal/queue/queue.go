@@ -14,10 +14,8 @@
 // sim layer derives the lookahead from the core configuration so that
 // it lies above the deepest peek any built-in policy makes.
 //
-// The producer runs inline, inside PopBatch and PeekWindow, until Start
-// gives it a goroutine of its own (feed.go). Either way it writes the
-// records the inline fill would have written by then and no more: the
-// fill target is the same, only who writes up to it changes.
+// The producer runs inline, inside PopBatch and PeekWindow, on the
+// consumer's goroutine (the core's stream stage).
 package queue
 
 import (
@@ -70,9 +68,8 @@ func NextBatchOf(p Producer, dst []trace.DynInst) int {
 	return n
 }
 
-// Queue is a lookahead buffer over a Producer. Its methods belong to
-// one consumer goroutine; a started producer writes only ring slots the
-// consumer cannot see yet (see feed).
+// Queue is a lookahead buffer over a Producer. It and its producer
+// belong to one goroutine.
 type Queue struct {
 	src  Producer
 	buf  []trace.DynInst // ring buffer; len is a power of two
@@ -83,13 +80,8 @@ type Queue struct {
 	// lookahead is the fill target maintained before every PopBatch.
 	lookahead int
 
-	// popped counts the records consumed so far; a started producer's
-	// fill target and progress are counted from the same origin.
+	// popped counts the records consumed so far.
 	popped uint64
-
-	// feed is the producer goroutine Start launched; nil while the
-	// queue fills inline.
-	feed *feed
 }
 
 // New creates a queue that keeps at least lookahead instructions
@@ -115,14 +107,8 @@ func New(src Producer, lookahead int) (*Queue, error) {
 // per call. The record sequence, and therefore every simulated
 // statistic, is that of per-record Next calls. target never exceeds the
 // capacity: the lookahead lies below it, and PeekWindow refuses an
-// index at or past it before refilling. With a started producer, fill
-// raises its target and waits for the records instead.
+// index at or past it before refilling.
 func (q *Queue) fill(target int) {
-	if q.feed != nil {
-		q.feed.advance(q.popped + uint64(target))
-		q.await(target)
-		return
-	}
 	for !q.done && q.n < target {
 		w := (q.head + q.n) & (len(q.buf) - 1)
 		k := target - q.n
@@ -151,21 +137,12 @@ func (q *Queue) fill(target int) {
 // the functional side executes exactly as many instructions as it
 // would under per-instruction consumption, keeping batched results
 // bit-identical (including FunctionalInsts).
-//
-// A started producer only has to be len(dst) records ahead for the
-// batch to leave: PopBatch raises its target as the inline fill would
-// and waits for no more than the records it pops.
 func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	if len(dst) == 0 {
 		return 0
 	}
 	n := len(dst)
-	if f := q.feed; f != nil {
-		f.advance(q.popped + uint64(q.lookahead))
-		q.await(min(n, int(f.limit-q.popped)))
-	} else {
-		q.fill(q.lookahead)
-	}
+	q.fill(q.lookahead)
 	if n > q.n {
 		n = q.n
 	}
@@ -195,15 +172,14 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	q.popped += uint64(n)
 	// Restore the per-instruction steady state (lookahead-1 buffered):
 	// a per-record consumer would have refilled before each of the n
-	// pops, ending one short of the target. A started producer is only
-	// told the new target; it writes while the consumer works.
-	if q.feed != nil {
-		q.feed.advance(q.popped + uint64(q.lookahead) - 1)
-	} else {
-		q.fill(q.lookahead - 1)
-	}
+	// pops, ending one short of the target.
+	q.fill(q.lookahead - 1)
 	return n
 }
+
+// Lookahead returns the fill target the queue keeps ahead of its
+// consumer.
+func (q *Queue) Lookahead() int { return q.lookahead }
 
 // PeekWindow returns a contiguous read-only view of the buffered
 // future instructions starting at index i (0 = the next record

@@ -77,15 +77,20 @@ func newCheckpointer(s *Session, src Source) (*checkpointer, error) {
 	}, nil
 }
 
+// due reports whether onLane will write a snapshot at the lane
+// boundary after insts retired instructions. The core's stream stage
+// calls it; onLane changes what it reads only at such a boundary, while
+// the stream stage waits there.
+func (ck *checkpointer) due(insts uint64) bool {
+	return ck.err == nil && insts >= ck.next
+}
+
 // onLane runs at every measured lane boundary: past the threshold, it
 // serializes the full session state and advances to the next grid
 // point.
 func (ck *checkpointer) onLane() {
-	if ck.err != nil {
-		return
-	}
 	insts := ck.s.core.Stats().Instructions
-	if insts < ck.next {
+	if !ck.due(insts) {
 		return
 	}
 	path, size, err := ck.write(insts)
@@ -138,11 +143,10 @@ func (s *Session) Restore(st *checkpoint.Stream) error {
 }
 
 // state walks the session: a header (snapshot identity, instruction
-// count), then source → queue → core → policy statistics. A pipelined
-// source is settled first: it then holds exactly the state an inline
-// fill would have, and stays still while it is walked.
+// count), then source → queue → core → policy statistics. During a run
+// it is called from the lane hook at a boundary the core's stream stage
+// holds at, so the stream-side state it walks is still.
 func (s *Session) state(st *checkpoint.Stream, src stateSource, insts *uint64) error {
-	s.queue.Settle()
 	ident := s.ident
 	st.Section("sim/Session", sessionSnapshotVersion)
 	st.String(&ident)

@@ -26,14 +26,6 @@ type Session struct {
 	// restore; "" (Run, NewSession) never restores.
 	ident string
 
-	// pipelined runs the source on a goroutine of its own during Run
-	// (queue.Queue.Start): set for the live functional source this
-	// package builds, whose calls it knows to be confined to the queue
-	// and the take function. Any other source fills inline, on the
-	// caller's goroutine, so wrappers that time or inject into the
-	// source see one goroutine.
-	pipelined bool
-
 	// restored marks a session whose state was overwritten by a snapshot
 	// (Restore); Run then skips the warmup phase, which the snapshot has
 	// already passed through. restoredInsts is the snapshot's retired
@@ -51,8 +43,8 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	wrongPaths := src.WrongPaths()
-	if cfg.WP == wrongpath.WPEmul && wrongPaths == nil {
+	take, release := src.WrongPaths()
+	if cfg.WP == wrongpath.WPEmul && take == nil {
 		return nil, simerr.Config("configuring session",
 			fmt.Errorf("sim: wrong-path emulation requires a live functional frontend, not a trace (paper §III-B)"))
 	}
@@ -61,8 +53,7 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 			return nil, err
 		}
 	}
-	_, live := src.(*functionalSource)
-	s := &Session{cfg: cfg, src: src, pipelined: live}
+	s := &Session{cfg: cfg, src: src}
 	q, err := queue.New(src, cfg.lookahead())
 	if err != nil {
 		return nil, err
@@ -78,13 +69,13 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 		return nil, err
 	}
 	s.core = c
-	c.SetWrongPaths(wrongPaths)
+	c.SetWrongPaths(take, release)
 	if p, ok := src.(interface{ Program() *isa.Program }); ok {
-		// Predecode the static program into the code cache so first
+		// Predecode the static program into the code caches so first
 		// deliveries and wrong-path walks find their decode records
 		// already classified. Lookup semantics — and therefore results —
 		// are unchanged: predecoded entries still miss until delivered.
-		c.CodeCache().Predecode(p.Program())
+		c.Predecode(p.Program())
 	}
 	if s.view = cfg.view(); s.view != nil {
 		s.core.SetObs(s.view)
@@ -93,16 +84,13 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 }
 
 // Run executes the warmup and measured simulation, closes the source,
-// and collects the Result. The core runs on the caller's goroutine; a
-// pipelined session's source fills the queue from a second one, which
-// Run settles before every snapshot and before collecting, stops on
-// every exit path, and whose panic it re-raises on the caller's. It is
-// single-shot: the session's pipeline state is consumed by the run.
+// and collects the Result. The measured phase runs in the core's two
+// stages: the timing stage on the caller's goroutine, and the stream
+// stage — the source, the predictor and the policy — on a second one,
+// which returns before Run does and whose panic is re-raised on the
+// caller's. It is single-shot: the session's pipeline state is consumed
+// by the run.
 func (s *Session) Run() *Result {
-	if s.pipelined {
-		s.queue.Start()
-		defer s.queue.Stop()
-	}
 	ctx := s.cfg.Ctx
 	var ck *checkpointer
 	var ckErr error
@@ -113,13 +101,18 @@ func (s *Session) Run() *Result {
 		// The lane hook is the deterministic supervision point: snapshots
 		// are written exactly at lane boundaries (the only instant the
 		// core's transient state is empty), and cancellation is honored
-		// there. It is the one cancellation mechanism.
+		// there. It is the one cancellation mechanism. The stream stage
+		// holds at every boundary the checkpointer will write at.
+		var holdAt func(uint64) bool
+		if ck != nil {
+			holdAt = ck.due
+		}
 		s.core.SetLaneHook(func() bool {
 			if ck != nil {
 				ck.onLane()
 			}
 			return ctx == nil || ctx.Err() == nil
-		})
+		}, holdAt)
 	}
 	warmup := s.cfg.WarmupInsts
 	if s.restored {
@@ -129,8 +122,6 @@ func (s *Session) Run() *Result {
 	}
 	start := wallClock{}.Now()
 	stats := s.core.RunWarmup(warmup, s.cfg.MaxInsts)
-	s.queue.Settle()
-	s.queue.Stop()
 	wall := wallClock{}.Now().Sub(start)
 	s.src.Close()
 

@@ -134,8 +134,15 @@ type Context struct {
 	// Emulated is the wrong path the functional frontend emulated for
 	// the misprediction being presented, with its memory-operation
 	// counts (wpemul; empty otherwise). The core sets it before each
-	// Begin; the records stay valid until the next misprediction.
+	// Begin; the records stay valid until the core has simulated them.
 	Emulated trace.Path
+	// Buf is where a policy writes the path it builds: an empty slice
+	// with MaxLen records of capacity, a fresh one at each Begin. The
+	// core owns it, and keeps a path written there until it has
+	// simulated it, while the next mispredict's Begin already runs; a
+	// policy that returns any other slice has it copied. Nil (a caller
+	// that drives a policy by hand) makes the policy allocate.
+	Buf []trace.DynInst
 }
 
 // Stats aggregates policy-level counters; the conv fields feed the
@@ -197,7 +204,8 @@ type Policy interface {
 	// Begin is called when the core detects that the control instruction
 	// br was mispredicted and the front end would fetch from
 	// predictedTarget. It returns the wrong-path records to simulate, in
-	// fetch order. The returned slice is valid until the next Begin.
+	// fetch order: written into ctx.Buf, or ctx.Emulated's records, or
+	// any other slice, which need only stay valid until the next Begin.
 	Begin(ctx *Context, br *trace.DynInst, predictedTarget uint64) []trace.DynInst
 	Stats() *Stats
 }
@@ -261,10 +269,10 @@ func (w *walker) start(ctx *Context, pc, hist uint64) {
 
 // reconstruct continues the walk, appending records to buf until it
 // holds limit records (at most MaxLen) or the walk ends, and adds the
-// memory operations among the appended records to *memOps. buf is
-// reused across calls and grown once to MaxLen, so each record is
-// written where it stays, field by field (see the trace package). The
-// records have no memory addresses: HasAddr is false.
+// memory operations among the appended records to *memOps. buf is the
+// core's Context.Buf, which already has MaxLen records of capacity, so
+// each record is written where it stays, field by field (see the trace
+// package). The records have no memory addresses: HasAddr is false.
 func (w *walker) reconstruct(ctx *Context, buf []trace.DynInst, limit int, memOps *uint64) []trace.DynInst {
 	if room := ctx.MaxLen - len(buf); room > 0 {
 		buf = slices.Grow(buf, room)
@@ -330,7 +338,6 @@ func (w *walker) reconstruct(ctx *Context, buf []trace.DynInst, limit int, memOp
 
 type instrecPolicy struct {
 	stats Stats
-	buf   []trace.DynInst
 	walk  walker // pooled reconstruction scratch
 }
 
@@ -340,9 +347,9 @@ func (p *instrecPolicy) Stats() *Stats { return &p.stats }
 func (p *instrecPolicy) Begin(ctx *Context, _ *trace.DynInst, predictedTarget uint64) []trace.DynInst {
 	p.stats.Mispredicts++
 	p.walk.start(ctx, predictedTarget, ctx.Pred.SpecHistory())
-	p.buf = p.walk.reconstruct(ctx, p.buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
-	p.stats.WPGenerated += uint64(len(p.buf))
-	return p.buf
+	wp := p.walk.reconstruct(ctx, ctx.Buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
+	p.stats.WPGenerated += uint64(len(wp))
+	return wp
 }
 
 // --- conv ---
@@ -351,7 +358,6 @@ func (p *instrecPolicy) Begin(ctx *Context, _ *trace.DynInst, predictedTarget ui
 // paper's defaults exist for the ablation and extension experiments.
 type convPolicy struct {
 	stats Stats
-	buf   []trace.DynInst
 	walk  walker // pooled reconstruction scratch
 	// kind is Conv or ConvResolve (zero value: Conv).
 	kind Kind
@@ -396,13 +402,12 @@ func (p *convPolicy) Begin(ctx *Context, br *trace.DynInst, predictedTarget uint
 	if p.ResolveWPBranches && br.In.Op.IsCondBranch() {
 		wp = p.beginResolving(ctx)
 	} else {
-		wp = p.walk.reconstruct(ctx, p.buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
+		wp = p.walk.reconstruct(ctx, ctx.Buf[:0], ctx.MaxLen, &p.stats.WPMemOps)
 		if len(wp) > 0 && br.In.Op.IsCondBranch() {
 			p.stats.ConvChecked++
 			p.recoverAddresses(ctx, wp)
 		}
 	}
-	p.buf = wp
 	p.stats.WPGenerated += uint64(len(wp))
 	return wp
 }
@@ -580,7 +585,7 @@ func (p *convPolicy) preConvergence(ctx *Context, wp []trace.DynInst, caseA bool
 // returned.
 func (p *convPolicy) beginResolving(ctx *Context) []trace.DynInst {
 	var memOps uint64 // of the first walk, counted once it is kept
-	wp := p.walk.reconstruct(ctx, p.buf[:0], 1, &memOps)
+	wp := p.walk.reconstruct(ctx, ctx.Buf[:0], 1, &memOps)
 	if len(wp) == 0 {
 		return wp
 	}
