@@ -39,9 +39,9 @@ skip:
 // TestRunSteadyStateAllocs pins the whole-pipeline steady state —
 // functional step, frontend (with its wrong-path ring under wpemul),
 // queue lanes, code-cache hits, reconstruction — at zero allocations
-// per instruction for every technique. Run uses an absolute instruction
-// threshold, so repeated calls with a growing cap continue the same
-// simulation; everything that allocates (ring sizing, code-cache pages,
+// per instruction for every technique. RunWarmup's cap is an absolute
+// instruction threshold, so repeated calls with a growing cap continue
+// the same simulation; everything that allocates (ring sizing, code-cache pages,
 // policy scratch) must settle during the warmup call.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	for _, kind := range wrongpath.Kinds() {
@@ -67,10 +67,10 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			}
 			c.SetWrongPaths(fe.WrongPaths())
 			total := uint64(200_000)
-			c.Run(total) // settle caches, rings, and policy scratch
+			c.RunWarmup(0, total) // settle caches, rings, and policy scratch
 			avg := testing.AllocsPerRun(40, func() {
 				total += 2_000
-				c.Run(total)
+				c.RunWarmup(0, total)
 			})
 			if avg != 0 {
 				t.Errorf("%v steady state allocates %.2f per 2000-instruction slice, want 0", kind, avg)

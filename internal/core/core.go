@@ -115,13 +115,13 @@ type Core struct {
 	// hook below it is a no-op behind one nil check).
 	obs *obs.View
 
-	// laneHook, when non-nil, runs on the timing stage at every
-	// measured-phase lane boundary — the only instant at which the
-	// core's transient state (lane buffer, wrong-path scratch) is
-	// provably empty, and therefore the only instant a checkpoint may be
-	// taken. Returning false stops the run (cancellation); the loop exits
-	// as if the stream had ended. holdAt reports, on the stream stage,
-	// whether laneHook will write a snapshot at the lane boundary after
+	// laneHook, when non-nil, runs on the timing stage at every lane
+	// boundary, warmup's included — the only instant at which the core's
+	// transient state (lane buffer, wrong-path scratch) is provably
+	// empty, and therefore the only instant a checkpoint may be taken.
+	// Returning false stops the run (cancellation); the loop exits as if
+	// the stream had ended. holdAt reports, on the stream stage, whether
+	// laneHook will write a snapshot at the measured lane boundary after
 	// insts retired instructions.
 	laneHook func() bool
 	holdAt   func(insts uint64) bool
@@ -132,13 +132,14 @@ type Core struct {
 	streamFn func()
 	_        [64]byte
 
-	// The stream stage's state. streamInsts and streamMax bound the
-	// measured phase it runs.
+	// The stream stage's state. streamWarm is the length of the warmup
+	// it runs; streamInsts and streamMax bound the measured phase.
 	bp          *branch.Unit
 	code        *codecache.Cache
 	q           *queue.Queue
 	policy      wrongpath.Policy
 	ctx         wrongpath.Context
+	streamWarm  uint64
 	streamInsts uint64
 	streamMax   uint64
 
@@ -153,13 +154,12 @@ type Core struct {
 	lanePos int
 
 	// wrongPaths takes the frontend's emulated wrong path for a
-	// mispredicted branch by Seq, and releasePaths gives back the n
-	// oldest taken paths (wpemul; nil otherwise). A path is taken at
-	// every mispredict the core detects, warmup included, so the
-	// frontend's path FIFO drains in step with consumption.
-	wrongPaths   func(seq uint64) trace.Path
-	releasePaths func(n int)
-	_            [64]byte
+	// mispredicted branch by Seq, in exchange for a spare path buffer
+	// (wpemul; nil otherwise). A path is taken at every mispredict the
+	// core detects, warmup included, so the frontend's path FIFO drains
+	// in step with consumption.
+	wrongPaths func(seq uint64, spare []trace.DynInst) trace.Path
+	_          [64]byte
 
 	// The timing stage's state from here on. dec is its decode-only
 	// code cache: it classifies the records the timing stage pushes
@@ -288,23 +288,23 @@ func (c *Core) windowFuture(i, max int) []trace.DynInst {
 func (c *Core) SetObs(v *obs.View) { c.obs = v }
 
 // SetWrongPaths wires the source of emulated wrong paths (the
-// frontend's WrongPaths take and release functions; nil for none). In
-// the measured phase each taken path reaches the policy as
-// Context.Emulated and is released once the timing stage has simulated
-// it.
-func (c *Core) SetWrongPaths(take func(seq uint64) trace.Path, release func(n int)) {
-	c.wrongPaths, c.releasePaths = take, release
+// frontend's WrongPaths take function; nil for none). In the measured
+// phase each taken path reaches the policy as Context.Emulated, and its
+// buffer goes back to the core's pool once the timing stage has
+// simulated it.
+func (c *Core) SetWrongPaths(take func(seq uint64, spare []trace.DynInst) trace.Path) {
+	c.wrongPaths = take
 }
 
-// SetLaneHook installs f to run at every measured-phase lane boundary
-// (nil uninstalls it). The sim layer uses it for checkpoint writes and
-// cancellation polls; a false return stops the run. Disabled runs pay
-// one nil check per lane. holdAt, which may be nil, reports whether f
-// will write a snapshot at the boundary after insts retired
-// instructions; the stream stage calls it and starts no lane past such
-// a boundary until f has run there, so f sees the stream stage's state
-// exactly as a one-goroutine run would have left it. holdAt may read
-// state that f writes only at such a boundary.
+// SetLaneHook installs f to run at every lane boundary, warmup's
+// included (nil uninstalls it). The sim layer uses it for checkpoint
+// writes and cancellation polls; a false return stops the run. Disabled
+// runs pay one nil check per lane. holdAt, which may be nil, reports
+// whether f will write a snapshot at the boundary after insts retired
+// instructions; the stream stage calls it after each measured lane and
+// starts no lane past such a boundary until f has run there, so f sees
+// the stream stage's state exactly as a one-goroutine run would have
+// left it. holdAt may read state that f writes only at such a boundary.
 func (c *Core) SetLaneHook(f func() bool, holdAt func(insts uint64) bool) {
 	c.laneHook, c.holdAt = f, holdAt
 }
@@ -322,89 +322,78 @@ func (c *Core) Predecode(prog *isa.Program) {
 	c.dec.Predecode(prog)
 }
 
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
-
-// Run simulates until the program exits or maxInsts correct-path
-// instructions have retired (0 = no cap). It returns the statistics.
-func (c *Core) Run(maxInsts uint64) Stats {
-	return c.RunWarmup(0, maxInsts)
-}
-
 // RunWarmup first functionally warms caches, TLBs, branch predictor and
 // code cache with warmup instructions (no timing, no statistics — the
 // standard warming phase of sampled simulation, as used around the
-// paper's SimPoint samples), then runs the detailed simulation for
-// maxInsts instructions.
+// paper's SimPoint samples), then runs the detailed simulation until the
+// program exits or maxInsts correct-path instructions have retired (0 =
+// no cap). It returns the statistics.
 func (c *Core) RunWarmup(warmup, maxInsts uint64) Stats {
-	lane := c.pipe.lanes[0].recs
-	// Warmup phase, on the caller's goroutine before the stream stage
-	// starts: batched functional state-warming, stopping at the
-	// instruction budget, program exit, or stream end — the same points
-	// a per-record loop stops at (PopBatch never crosses an Exit).
-warmLoop:
-	for consumed := uint64(0); consumed < warmup; {
-		dst := lane
-		if room := warmup - consumed; room < uint64(len(dst)) {
-			dst = dst[:room]
-		}
-		n := c.q.PopBatch(dst)
-		if n == 0 {
-			break
-		}
-		consumed += uint64(n)
-		for j := 0; j < n; j++ {
-			di := &dst[j]
-			m := c.code.InsertGet(di.PC, &di.In)
-			c.warm(di, m)
-			if di.Exit {
-				break warmLoop
-			}
-		}
-		// Cancellation is honored at warmup lane boundaries too; the hook
-		// never checkpoints here (the measured instruction count is still
-		// zero, below any snapshot threshold).
-		if c.laneHook != nil && !c.laneHook() {
-			c.stats.Cycles = c.lastCommit
-			return c.stats
-		}
-	}
-	if warmup > 0 {
-		c.hier.ResetStats()
-	}
-
-	c.runStages(maxInsts)
+	c.runStages(warmup, maxInsts)
 	c.stats.Cycles = c.lastCommit
 	return c.stats
 }
 
-// runStages runs the measured phase in two stages: the stream stage on
-// a goroutine of its own, the timing stage here. Each lane's hook runs
+// runStages runs both phases in two stages: the stream stage on a
+// goroutine of its own, the timing stage here. Each lane's hook runs
 // before the lane is handed back, so a stream stage held at a snapshot
-// boundary resumes only after the snapshot is written.
-func (c *Core) runStages(maxInsts uint64) {
-	c.startStream(maxInsts)
+// boundary resumes only after the snapshot is written. The cache
+// statistics are reset before the first measured lane, or at the end
+// when none comes, but not when the hook stops the run in warmup.
+func (c *Core) runStages(warmup, maxInsts uint64) {
+	c.streamWarm, c.streamInsts, c.streamMax = warmup, c.stats.Instructions, maxInsts
+	go c.streamFn()
 	defer c.joinStream()
 	p := &c.pipe
+	reset := warmup > 0
 	for d := uint64(0); ; d++ {
 		ln := p.next(d)
-		if ln == nil || c.timeLane(ln) {
-			return
+		if ln == nil {
+			break
+		}
+		if reset && !ln.warm {
+			c.hier.ResetStats()
+			reset = false
+		}
+		if c.timeLane(ln) {
+			break
 		}
 		ok := c.laneHook == nil || c.laneHook()
-		p.finish(d + 1)
+		p.done.advance(d+1, false)
 		if !ok {
 			return
 		}
+	}
+	if reset {
+		c.hier.ResetStats()
 	}
 }
 
 // timeLane pushes a lane's records through the pipeline, each
 // mispredicted one with the wrong path the stream stage attached, and
-// reports whether the lane ended the program (an Exit record). The obs
-// enablement check is hoisted to the lane; disabled runs pay no
-// per-instruction observability dispatch.
+// reports whether the lane ended the program (an Exit record). A warm
+// lane only makes its cache and TLB accesses, untimed: the instruction
+// fetch at each new line and the data accesses. The obs enablement
+// check is hoisted to the lane; disabled runs pay no per-instruction
+// observability dispatch.
 func (c *Core) timeLane(ln *lane) (exit bool) {
+	if ln.warm {
+		for j := range ln.recs[:ln.n] {
+			di := &ln.recs[j]
+			if line := di.PC &^ c.lineMask; line != c.curFetchLine {
+				c.hier.AccessI(di.PC, 0, false)
+				c.curFetchLine = line
+			}
+			switch {
+			case !di.HasAddr:
+			case di.In.Op.IsLoad():
+				c.hier.Load(di.MemAddr, 0, false)
+			case di.In.Op.IsStore():
+				c.hier.Store(di.MemAddr, 0, false)
+			}
+		}
+		return ln.recs[ln.n-1].Exit
+	}
 	obsOn := c.obs != nil
 	wps := ln.wps
 	for j := 0; j < ln.n; j++ {
@@ -453,32 +442,6 @@ func (c *Core) timeLane(ln *lane) (exit bool) {
 		}
 	}
 	return false
-}
-
-// warm pushes one instruction's state effects (caches, TLBs, predictor,
-// code cache) without any timing accounting. The caller has already
-// inserted the record into the code cache; m is its decode record.
-func (c *Core) warm(di *trace.DynInst, m *codecache.Meta) {
-	line := di.PC &^ c.lineMask
-	if line != c.curFetchLine {
-		c.hier.AccessI(di.PC, 0, false)
-		c.curFetchLine = line
-	}
-	if m.IsControl() {
-		pred := c.bp.PredictAndUpdate(di.PC, di.In, di.Taken, di.NextPC)
-		if pred.Mispredicted && c.wrongPaths != nil {
-			// The emulated path is discarded: warming has no wrong path.
-			c.wrongPaths(di.Seq)
-			c.releasePaths(1)
-		}
-	}
-	if di.HasAddr {
-		if m.IsLoad() {
-			c.hier.Load(di.MemAddr, 0, false)
-		} else if m.IsStore() {
-			c.hier.Store(di.MemAddr, 0, false)
-		}
-	}
 }
 
 func (c *Core) recordBranch(di *trace.DynInst, mispredicted bool) {

@@ -55,7 +55,7 @@ func simulate(t *testing.T, cfg core.Config, kind wrongpath.Kind, src string, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := c.Run(0)
+	stats := c.RunWarmup(0, 0)
 	if fe.Err() != nil {
 		t.Fatalf("functional error: %v", fe.Err())
 	}

@@ -86,11 +86,12 @@ func TestMaxInstructionsCap(t *testing.T) {
 func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 	cfg := branch.DefaultConfig()
 	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(cfg, 64))
-	take, release := fe.WrongPaths()
+	take := fe.WrongPaths()
 
 	// Mirror predictor: must detect the same mispredictions.
 	mirror := branch.New(cfg)
 	var mirrorMisses, nonEmpty int
+	var spare []trace.DynInst
 	for {
 		di, ok := fe.Next()
 		if !ok {
@@ -104,7 +105,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 			continue
 		}
 		mirrorMisses++
-		wp := take(di.Seq).Recs
+		wp := take(di.Seq, spare).Recs
 		if len(wp) > 64 {
 			t.Fatal("emulated path exceeds cap")
 		}
@@ -120,7 +121,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 				t.Fatalf("WP starts at %#x, predicted target %#x", wp[0].PC, p.Target)
 			}
 		}
-		release(1)
+		spare = wp
 	}
 	if err := fe.Err(); err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestWrongPathEmulationAttachesStreams(t *testing.T) {
 
 func TestNoEmulationWithoutOption(t *testing.T) {
 	fe := frontend.New(newCPU(t))
-	if take, release := fe.WrongPaths(); take != nil || release != nil {
+	if take := fe.WrongPaths(); take != nil {
 		t.Fatal("WrongPaths without the emulation option")
 	}
 	for {
@@ -187,7 +188,8 @@ skip:
 // lagging consumer, as the decoupling queue does, with a small path cap
 // so the ring wraps and grows. Every taken path must equal the path a
 // lock-stepped reference CPU emulates for the same branch, and must
-// still read the same until the consumer releases it.
+// still read the same until the consumer gives its buffer back as a
+// spare.
 func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	const maxLen = 12
 	prog, err := asm.Assemble(lcgSrc)
@@ -196,7 +198,7 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	}
 	cfg := branch.DefaultConfig()
 	fe := frontend.New(functional.New(prog, mem.New(), 0), frontend.WithWrongPathEmulation(cfg, maxLen))
-	take, release := fe.WrongPaths()
+	take := fe.WrongPaths()
 
 	ref := functional.New(prog, mem.New(), 0)
 	refPred := branch.New(cfg)
@@ -205,8 +207,9 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 	var refDI trace.DynInst
 	lane := make([]trace.DynInst, 7)
 
-	// The consumer holds up to five taken paths, releasing the oldest
-	// ones in bursts, as the core's stream stage does lane by lane.
+	// The consumer holds up to five taken paths and gives the oldest
+	// one's buffer back as the spare of some takes, as the core's stream
+	// stage does through its pool.
 	var held, heldWant [][]trace.DynInst
 	consumed, takes := 0, 0
 	for round := 0; ; round++ {
@@ -236,15 +239,15 @@ func TestWrongPathsRingKeepsPathsInStep(t *testing.T) {
 			}
 			for i := range held {
 				if !equalPaths(held[i], heldWant[i]) {
-					t.Fatalf("take %d: a held path changed before its release", takes)
+					t.Fatalf("take %d: a held path changed before its buffer came back", takes)
 				}
 			}
-			if k := takes % 4; len(held) >= 5 || (k > 0 && k <= len(held) && takes%3 == 0) {
-				k = max(k, len(held)-4)
-				release(k)
-				held, heldWant = held[k:], heldWant[k:]
+			var spare []trace.DynInst
+			if len(held) >= 5 || (len(held) > 0 && takes%3 == 0) {
+				spare = held[0]
+				held, heldWant = held[1:], heldWant[1:]
 			}
-			got := take(di.Seq)
+			got := take(di.Seq, spare)
 			if !equalPaths(got.Recs, w.Recs) {
 				t.Fatalf("take %d (branch %d): got %d records, want %d, or contents differ", takes, di.Seq, len(got.Recs), len(w.Recs))
 			}
@@ -279,11 +282,11 @@ func equalPaths(a, b []trace.DynInst) bool {
 }
 
 // TestWrongPathsOutOfStepFault: a take for a branch whose path was
-// never emulated returns no records and ends the stream with an error;
-// it never hands out another branch's path.
+// never emulated returns no records, handing the spare back, and ends
+// the stream with an error; it never hands out another branch's path.
 func TestWrongPathsOutOfStepFault(t *testing.T) {
 	fe := frontend.New(newCPU(t), frontend.WithWrongPathEmulation(branch.DefaultConfig(), 64))
-	take, _ := fe.WrongPaths()
+	take := fe.WrongPaths()
 	lane := make([]trace.DynInst, 64)
 	if fe.NextBatch(lane) == 0 {
 		t.Fatal("no records")
@@ -291,8 +294,9 @@ func TestWrongPathsOutOfStepFault(t *testing.T) {
 	if paths, _ := fe.WPEmulations(); paths == 0 {
 		t.Fatal("no path emulated in the first lane")
 	}
-	if wp := take(1 << 40); wp.Recs != nil {
-		t.Fatalf("out-of-step take returned %d records", len(wp.Recs))
+	spare := make([]trace.DynInst, 3, 64)
+	if wp := take(1<<40, spare); len(wp.Recs) != 0 || &wp.Recs[:1][0] != &spare[0] {
+		t.Fatalf("out-of-step take returned %d records, not the spare", len(wp.Recs))
 	}
 	if n := fe.NextBatch(lane); n != 0 {
 		t.Fatalf("stream went on for %d records after an out-of-step take", n)

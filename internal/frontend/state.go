@@ -16,10 +16,10 @@ const snapshotVersion = 2
 // yet (presence-flagged: a load into a frontend built with another
 // wpemul setting fails as a typed decode fault, so resume falls back to
 // a fresh run instead of diverging), and the functional CPU underneath.
-// The ring's slot layout and the held paths are not state: a snapshot
-// is taken while the consumer holds no lane it has not finished with,
-// and a resumed run starts holding none. A set err is terminal (the run
-// faulted), so a checkpointed frontend never carries one.
+// The ring's slot layout is not state, nor are the paths the consumer
+// took: a snapshot is taken while the consumer holds no lane it has not
+// finished with. A set err is terminal (the run faulted), so a
+// checkpointed frontend never carries one.
 func (f *Frontend) State(s *checkpoint.Stream) {
 	s.Section("frontend/Frontend", snapshotVersion)
 	s.Uint64(&f.produced)
@@ -44,25 +44,25 @@ func (r *ring) state(s *checkpoint.Stream) {
 		if s.Loading() {
 			r.next()
 		}
-		slot := (r.head() + i) & (len(r.paths) - 1)
-		sp := &r.paths[slot]
+		sp := &r.paths[(r.head+i)&(len(r.paths)-1)]
 		s.Uint64(&sp.seq)
-		if sp.n = s.Count(sp.n, trace.MinStateBytes); sp.n > r.size {
-			s.Fail(fmt.Errorf("frontend: snapshot wrong path of %d records exceeds the %d-record cap", sp.n, r.size))
+		k := s.Count(len(sp.recs), trace.MinStateBytes)
+		if k > r.size {
+			s.Fail(fmt.Errorf("frontend: snapshot wrong path of %d records exceeds the %d-record cap", k, r.size))
 		}
 		if s.Err() != nil {
 			return
 		}
-		recs := r.recs[slot*r.size : slot*r.size+sp.n]
-		for j := range recs {
-			recs[j].State(s)
+		sp.recs = sp.recs[:k]
+		for j := range sp.recs {
+			sp.recs[j].State(s)
 		}
 		if s.Loading() {
 			sp.memOps, sp.addrs = 0, 0
-			for j := range recs {
-				if recs[j].IsMem() {
+			for j := range sp.recs {
+				if sp.recs[j].IsMem() {
 					sp.memOps++
-					if recs[j].HasAddr {
+					if sp.recs[j].HasAddr {
 						sp.addrs++
 					}
 				}

@@ -190,9 +190,9 @@ func memorylessWorkload() workloads.Workload {
 // the one goroutine beyond the caller's is the core's stream stage, and
 // however Execute returns — a completed run, a canceled run, a policy
 // panic, a source panic — the goroutine count is back to its baseline.
-// Both panics, raised on the stream stage, come back as ErrWorkerPanic
-// with no result. (The source case runs without warmup, which runs on
-// the caller's goroutine before the stream stage starts.)
+// Both panics, raised on the stream stage — the source's in warmup, which
+// runs through the stages too — come back as ErrWorkerPanic with no
+// result.
 func TestExecuteGoroutines(t *testing.T) {
 	bfs := gap.BFS(gap.TestParams())
 	base := runtime.NumGoroutine()
@@ -201,7 +201,6 @@ func TestExecuteGoroutines(t *testing.T) {
 		w        workloads.Workload
 		cancelAt int // cancel at this snapshot (0 = never)
 		snaps    bool
-		cold     bool // no warmup phase
 		policy   func() wrongpath.Policy
 		check    func(res *Result, err error) error
 	}
@@ -230,7 +229,7 @@ func TestExecuteGoroutines(t *testing.T) {
 		{name: "canceled", w: bfs, cancelAt: 2, snaps: true, check: canceled},
 		{name: "policy panic", w: bfs, check: panicked("injected policy fault"),
 			policy: func() wrongpath.Policy { return panicPolicy{wrongpath.New(wrongpath.Conv)} }},
-		{name: "source panic", w: memorylessWorkload(), cold: true, check: panicked("stream stage")},
+		{name: "source panic", w: memorylessWorkload(), check: panicked("stream stage")},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := chaosConfig(wrongpath.Conv, 64)
@@ -238,9 +237,6 @@ func TestExecuteGoroutines(t *testing.T) {
 		cfg.PolicyFactory = o.policy
 		cfg.CheckpointDir = t.TempDir()
 		cfg.CheckpointEvery = 8_000
-		if o.cold {
-			cfg.WarmupInsts = 0
-		}
 		seen := 0
 		cfg.OnCheckpoint = func(uint64, string) {
 			if n := runtime.NumGoroutine(); n > base+1 {

@@ -43,7 +43,7 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
 	}
-	take, release := src.WrongPaths()
+	take := src.WrongPaths()
 	if cfg.WP == wrongpath.WPEmul && take == nil {
 		return nil, simerr.Config("configuring session",
 			fmt.Errorf("sim: wrong-path emulation requires a live functional frontend, not a trace (paper §III-B)"))
@@ -69,7 +69,7 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 		return nil, err
 	}
 	s.core = c
-	c.SetWrongPaths(take, release)
+	c.SetWrongPaths(take)
 	if p, ok := src.(interface{ Program() *isa.Program }); ok {
 		// Predecode the static program into the code caches so first
 		// deliveries and wrong-path walks find their decode records
@@ -84,11 +84,10 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 }
 
 // Run executes the warmup and measured simulation, closes the source,
-// and collects the Result. The measured phase runs in the core's two
-// stages: the timing stage on the caller's goroutine, and the stream
-// stage — the source, the predictor and the policy — on a second one,
-// which returns before Run does and whose panic is re-raised on the
-// caller's. It is single-shot: the session's pipeline state is consumed
+// and collects the Result. Both phases run in the core's two stages:
+// the timing stage on the caller's goroutine, and the stream stage —
+// the source, the predictor and the policy — on a second one, which
+// returns before Run does and whose panic is re-raised on the caller's. It is single-shot: the session's pipeline state is consumed
 // by the run.
 func (s *Session) Run() *Result {
 	ctx := s.cfg.Ctx

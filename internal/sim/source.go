@@ -23,12 +23,12 @@ type Source interface {
 
 	// WrongPaths attaches the consumer of the source's functionally
 	// emulated wrong paths and returns the take function the core calls
-	// at every mispredict and the release function it calls once it has
-	// simulated a taken path (see frontend.WrongPaths). Both are nil when
-	// the source does not emulate: a live frontend built without wpemul,
-	// or a trace interpreter, because "the trace only contains
-	// correct-path instructions" (§III-B). The session calls it once.
-	WrongPaths() (take func(seq uint64) trace.Path, release func(n int))
+	// at every mispredict, which hands over the path's buffer in exchange
+	// for a spare one (see frontend.WrongPaths). It is nil when the source
+	// does not emulate: a live frontend built without wpemul, or a trace
+	// interpreter, because "the trace only contains correct-path
+	// instructions" (§III-B). The session calls it once.
+	WrongPaths() func(seq uint64, spare []trace.DynInst) trace.Path
 
 	// Close releases the source after the run. The session calls it
 	// after the timing run, before Collect; it must be safe to call on a
@@ -75,7 +75,7 @@ func (s *functionalSource) NextBatch(dst []trace.DynInst) int { return s.fe.Next
 // Program exposes the static program for code-cache predecoding.
 func (s *functionalSource) Program() *isa.Program { return s.cpu.Prog }
 
-func (s *functionalSource) WrongPaths() (func(seq uint64) trace.Path, func(n int)) {
+func (s *functionalSource) WrongPaths() func(seq uint64, spare []trace.DynInst) trace.Path {
 	return s.fe.WrongPaths()
 }
 
@@ -107,7 +107,7 @@ func NewTraceSource(r *tracefile.Reader) Source { return traceSource{r: r} }
 
 func (s traceSource) Next() (trace.DynInst, bool) { return s.r.Next() }
 
-func (s traceSource) WrongPaths() (func(seq uint64) trace.Path, func(n int)) { return nil, nil }
+func (s traceSource) WrongPaths() func(seq uint64, spare []trace.DynInst) trace.Path { return nil }
 
 func (s traceSource) Close() {}
 
