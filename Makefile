@@ -55,7 +55,8 @@ faults:
 # bytes (kill/resume chains included) and to its goroutine budget; the
 # core's Handoff tests stress the lane handoff between the stages — a
 # fast and a slow stream stage, a stop mid-run, a hold at every lane,
-# source and policy panics — ten times over. Every listed package runs
+# source and policy panics, warmup past the program's end and a stop
+# during warmup — ten times over. Every listed package runs
 # at least one test: check with go test -list '<pattern>' <pkg>.
 chaos:
 	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|Fingerprint|WriteFile|Damage|Deterministic|DomainSeparation|Injective|Pipelined|Goroutines' \
