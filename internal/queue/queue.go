@@ -79,9 +79,6 @@ type Queue struct {
 
 	// lookahead is the fill target maintained before every PopBatch.
 	lookahead int
-
-	// popped counts the records consumed so far.
-	popped uint64
 }
 
 // New creates a queue that keeps at least lookahead instructions
@@ -169,7 +166,6 @@ func (q *Queue) PopBatch(dst []trace.DynInst) int {
 	// every producer overwrites whole records.
 	q.head = (q.head + n) & mask
 	q.n -= n
-	q.popped += uint64(n)
 	// Restore the per-instruction steady state (lookahead-1 buffered):
 	// a per-record consumer would have refilled before each of the n
 	// pops, ending one short of the target.

@@ -9,18 +9,17 @@ import (
 
 // snapshotVersion stamps this package's snapshot section; bump it when
 // the walked field set changes.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // State walks the queue's consumer-visible state: the record layout
 // version, the lookahead target (a configuration cross-check: the
 // buffered prefix plus the producer cursor the sim layer restores
 // alongside only reproduce the run under the same fill discipline), the
-// producer-exhausted flag, the pop counter, and the live ring contents
-// in pop order. The capacity follows from the lookahead, so a full ring
-// loads and a larger count is corrupt. The head index is not state: a
-// load rewrites the records densely from index 0, which is
-// observationally identical to the old ring for every PopBatch and
-// PeekWindow.
+// producer-exhausted flag, and the live ring contents in pop order. The
+// capacity follows from the lookahead, so a full ring loads and a
+// larger count is corrupt. The head index is not state: a load rewrites
+// the records densely from index 0, which is observationally identical
+// to the old ring for every PopBatch and PeekWindow.
 func (q *Queue) State(s *checkpoint.Stream) {
 	s.Section("queue/Queue", snapshotVersion)
 	layout := trace.SnapshotVersion()
@@ -29,7 +28,6 @@ func (q *Queue) State(s *checkpoint.Stream) {
 	}
 	s.Dim(q.lookahead)
 	s.Bool(&q.done)
-	s.Uint64(&q.popped)
 	n := s.Count(q.n, trace.MinStateBytes)
 	if s.Loading() {
 		if n > len(q.buf) {
